@@ -49,10 +49,12 @@ from .predictors import (
     open_external,
     save_predictor,
     ClosedFormPredictor,
+    _fmt17,
 )
 from .scm import (
     Dataset,
     Intervention,
+    InterventionError,
     Mechanism,
     NoiseDataset,
     NoiseSpec,
@@ -215,10 +217,6 @@ def save_scm_spec(scm: Scm) -> str:
 # --- dataset files ---------------------------------------------------------
 
 
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_dataset_csv(data: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -353,6 +351,32 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
     return tuple(out)
 
 
+def _label_map(raw) -> dict[str, float]:
+    try:
+        return {str(k): float(v) for k, v in raw.items()}
+    except (TypeError, ValueError, AttributeError):
+        raise ConfigError("'label_map' must map strings to numbers") from None
+
+
+def _check_request(
+    scm: Scm, variables: Sequence[str], plots: Sequence[str], control: Intervention
+) -> None:
+    """Explained variables must be model variables, and PCDP controls
+    must name distinct model variables other than the explained ones."""
+    for var in variables:
+        if var not in scm.variables:
+            raise ConfigError(f"variable {var!r} is not in the model")
+    if "PCDP" not in plots:
+        return
+    try:
+        control.validate(scm)
+    except InterventionError as exc:
+        raise ConfigError(f"bad control: {exc}") from None
+    for action in control.actions:
+        if action.var in variables:
+            raise ConfigError(f"control on explained variable {action.var!r}")
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a run config. Paths inside the file resolve
     relative to the file's directory."""
@@ -431,11 +455,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     band_scms = tuple(base / p for p in raw.get("band_scms", ()))
     if len(band_scms) == 1:
         raise ConfigError("'band_scms' needs at least two model specs")
-    label_map_raw = raw.get("label_map", {})
-    try:
-        label_map = {str(k): float(v) for k, v in label_map_raw.items()}
-    except (TypeError, ValueError, AttributeError):
-        raise ConfigError("'label_map' must map strings to numbers") from None
+    label_map = _label_map(raw.get("label_map", {}))
 
     return RunConfig(
         raw=raw,
@@ -582,6 +602,11 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
             if var not in data.columns:
                 raise DataError(f"model variable {var!r} missing from the data")
 
+    control = Intervention(
+        tuple(SetConstant(v, x) for v, x in sorted(config.controls.items()))
+    )
+    _check_request(scm, config.variables, config.plots, control)
+
     band_scms = [load_scm_spec(p) for p in config.band_scms]
     if band_scms:
         inputs["band_scms"] = [str(p) for p in config.band_scms]
@@ -593,9 +618,6 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
 
     # plots
     multiple = len(fitted) > 1
-    control = Intervention(
-        tuple(SetConstant(v, x) for v, x in sorted(config.controls.items()))
-    )
     try:
         for block, predictor in fitted:
             prefix = f"{block.label}_" if multiple else ""
@@ -681,7 +703,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    label_map = json.loads(args.label_map) if args.label_map else None
+    label_map = None
+    if args.label_map:
+        try:
+            label_map = _label_map(json.loads(args.label_map))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--label-map is not valid JSON: {exc}") from None
     data = read_dataset_csv(args.data, label_map)
     if args.variables:
         names = tuple(args.variables.split(","))
@@ -743,9 +770,23 @@ def _cmd_explain(args) -> int:
     for var in scm.variables:
         if var not in data.columns:
             raise DataError(f"model variable {var!r} missing from the data")
+    plots = tuple(args.plots.split(","))
+    for kind in plots:
+        if kind not in PLOT_KINDS:
+            raise ConfigError(f"unknown plot kind {kind!r}")
+    control = _parse_controls(args.control)
+    _check_request(scm, (args.var,), plots, control)
     if args.model:
-        blob = json.loads(Path(args.model).read_text(encoding="utf-8"))
-        predictor: Predictor = load_predictor(blob)
+        try:
+            blob = json.loads(Path(args.model).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read model {args.model}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.model}: invalid JSON: {exc}") from None
+        try:
+            predictor: Predictor = load_predictor(blob)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.model}: not a saved predictor: {exc!r}") from None
     elif args.closed_form:
         if not args.features:
             raise ConfigError("--closed-form needs --features")
@@ -756,11 +797,6 @@ def _cmd_explain(args) -> int:
         predictor = open_external(args.external, args.features.split(","), args.timeout)
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
-    plots = tuple(args.plots.split(","))
-    for kind in plots:
-        if kind not in PLOT_KINDS:
-            raise ConfigError(f"unknown plot kind {kind!r}")
-    control = _parse_controls(args.control)
     outputs = _Outputs(Path(args.out_dir))
     try:
         ecm = None
@@ -783,8 +819,13 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = Path(args.csv).read_text(encoding="utf-8")
-    curve_set = render.import_csv(text, var=args.var)
+    try:
+        text = Path(args.csv).read_text(encoding="utf-8")
+        curve_set = render.import_csv(text, var=args.var)
+    except OSError as exc:
+        raise DataError(f"cannot read curve table {args.csv}: {exc}") from None
+    except CdpError as exc:
+        raise DataError(f"{args.csv}: {exc}") from None
     Path(args.svg).write_text(render.render_curves(curve_set), encoding="utf-8")
     print(f"wrote {args.svg}")
     return 0

@@ -4,44 +4,35 @@ An Ecm ("explained causal model") pairs a fitted predictor with a model
 over its input features: the prediction is treated as one more variable
 with the predictor as its structural equation and no noise of its own.
 
-Five plot kinds, all returning one curve per data unit plus the mean:
+Every plot kind is the same sweep: for each grid value x, build a world
+(one column per predictor feature, one row per data unit), predict on
+it, and store the predictions as that grid point's column of curves.
+The kinds differ only in how the world is built. ICE replaces one
+column of the data. The causal kinds abduct each unit's noise once and
+then, at each x, pin some variables to per-unit columns and propagate
+everything else through the model (scm.counterfactual_table):
 
-- ICE:  replace the explained variable's column, hold everything else
-        at observed values (the model is ignored).
-- TDP:  total dependence; pin the variable at each grid value, abduct
-        each unit's noise, and propagate through the model so
-        downstream features respond.
-- PCDP: TDP with extra variables held at constants throughout.
-- NDDP: natural direct dependence; children of the variable are held
-        at each unit's observed values, so only the direct edge into
-        the predictor moves.
-- NIDP: natural indirect dependence, in two stages. Stage one computes
-        each unit's counterfactual child values under the grid pin.
-        Stage two holds children at those values while the explained
-        variable itself is restored to its observed per-unit value, so
-        only mediated responses vary.
+- TDP:  total dependence; pin the variable at x, so downstream
+        features respond.
+- PCDP: as TDP, plus the control variables pinned at their constants.
+- NDDP: natural direct dependence; pin the variable at x and its
+        children at their observed values, so only the direct edge
+        into the predictor moves.
+- NIDP: natural indirect dependence; pin the children at their values
+        in the TDP world at x, and the variable itself at its observed
+        values, so only mediated responses vary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CdpError
 from .predictors import Predictor
-from .scm import (
-    Dataset,
-    Intervention,
-    NoiseDataset,
-    Scm,
-    SetConstant,
-    SetPerUnit,
-    SeverIncoming,
-    abduct,
-    counterfactual_table,
-)
+from .scm import Dataset, Intervention, NoiseDataset, Scm, abduct, counterfactual_table
 
 __all__ = [
     "BandSet",
@@ -72,6 +63,9 @@ NIDP_NOTE = (
     "value so only mediated responses vary"
 )
 
+# pins(x, noise) -> the pinned columns of the counterfactual world at x
+Pins = Callable[[float, NoiseDataset], Mapping[str, np.ndarray]]
+
 
 class EngineError(CdpError):
     """Invalid request to the plot machinery."""
@@ -83,7 +77,6 @@ class Ecm:
 
     scm: Scm
     predictor: Predictor
-    node: str = PREDICTION_NODE
 
 
 def build_ecm(scm: Scm, predictor: Predictor) -> Ecm:
@@ -189,8 +182,36 @@ def _base_metadata(ecm: Ecm, intervention: str) -> dict[str, str]:
     }
 
 
-def _feature_matrix(columns: Mapping[str, np.ndarray], predictor: Predictor) -> np.ndarray:
-    return np.column_stack([columns[f] for f in predictor.features])
+def _sweep(
+    predictor: Predictor,
+    grid: Grid,
+    m: int,
+    world: Callable[[float], Mapping[str, np.ndarray]],
+) -> np.ndarray:
+    """The grid loop of every plot kind: column gi of the curves is the
+    prediction on world(grid value gi)."""
+    curves = np.empty((m, len(grid)))
+    for gi, x in enumerate(grid.values):
+        columns = world(float(x))
+        curves[:, gi] = predictor.predict(
+            np.column_stack([columns[f] for f in predictor.features])
+        )
+    return curves
+
+
+def _counterfactual_sweep(
+    ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Pins
+) -> np.ndarray:
+    """Sweep over counterfactual worlds: abduct once, then at each grid
+    value propagate the noise through the model under pins(x, noise)."""
+    ecm.scm.var_index(var)
+    noise = abduct(ecm.scm, data)
+    return _sweep(
+        ecm.predictor,
+        grid,
+        data.m,
+        lambda x: counterfactual_table(ecm.scm, noise, pins(x, noise)).column_dict(),
+    )
 
 
 def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
@@ -198,13 +219,10 @@ def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
     hold every other column at its observed values."""
     if var not in predictor.features:
         raise EngineError(f"{var!r} is not a predictor feature")
-    base = np.column_stack([data.column(f) for f in predictor.features])
-    pos = predictor.features.index(var)
-    curves = np.empty((data.m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        rows = base.copy()
-        rows[:, pos] = x
-        curves[:, gi] = predictor.predict(rows)
+    observed = {f: data.column(f) for f in predictor.features}
+    curves = _sweep(
+        predictor, grid, data.m, lambda x: {**observed, var: np.full(data.m, x)}
+    )
     return _curveset(
         "ICE",
         grid,
@@ -213,26 +231,12 @@ def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
     )
 
 
-def _counterfactual_predictions(
-    ecm: Ecm,
-    data: Dataset,
-    noise: NoiseDataset,
-    intervention: Intervention,
-) -> np.ndarray:
-    world = counterfactual_table(ecm.scm, data, noise, intervention)
-    return ecm.predictor.predict(_feature_matrix(world.column_dict(), ecm.predictor))
-
-
 def tdp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Total dependence: pin var at each grid value and let every
     downstream feature respond through the model."""
-    ecm.scm.var_index(var)
-    noise = abduct(ecm.scm, data)
-    curves = np.empty((data.m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        curves[:, gi] = _counterfactual_predictions(
-            ecm, data, noise, Intervention.do({var: float(x)})
-        )
+    curves = _counterfactual_sweep(
+        ecm, data, var, grid, lambda x, noise: {var: np.full(data.m, x)}
+    )
     return _curveset("TDP", grid, curves, _base_metadata(ecm, f"do({var}=grid)"))
 
 
@@ -241,42 +245,27 @@ def pcdp(
 ) -> CurveSet:
     """Partially controlled dependence: TDP with extra variables held
     at constants. An empty control reduces to TDP exactly."""
-    ecm.scm.var_index(var)
     for action in control.actions:
-        if not isinstance(action, SetConstant):
-            raise EngineError("control interventions must set constants")
         if action.var == var:
             raise EngineError(f"control intervention touches {var!r}")
     control.validate(ecm.scm)
-    noise = abduct(ecm.scm, data)
-    curves = np.empty((data.m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        actions = (SetConstant(var, float(x)),) + control.actions
-        curves[:, gi] = _counterfactual_predictions(
-            ecm, data, noise, Intervention(actions)
-        )
-    described = ", ".join(
-        f"{a.var}={a.value!r}" for a in control.actions if isinstance(a, SetConstant)
+    held = {a.var: np.full(data.m, a.value) for a in control.actions}
+    curves = _counterfactual_sweep(
+        ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
     )
+    described = ", ".join(f"{a.var}={a.value!r}" for a in control.actions)
     kind_meta = _base_metadata(ecm, f"do({var}=grid), control({described})")
     return _curveset("PCDP", grid, curves, kind_meta)
 
 
 def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
-    """Natural direct dependence: children of var are severed and held
-    at each unit's observed values, so only the direct edge moves. For
-    a variable with no children this coincides with TDP."""
-    ecm.scm.var_index(var)
-    children = ecm.scm.children(var)
-    noise = abduct(ecm.scm, data)
-    pins = tuple(SetPerUnit(c, data.column(c)) for c in children)
-    severs = tuple(SeverIncoming(c) for c in children)
-    curves = np.empty((data.m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        actions = severs + pins + (SetConstant(var, float(x)),)
-        curves[:, gi] = _counterfactual_predictions(
-            ecm, data, noise, Intervention(actions)
-        )
+    """Natural direct dependence: children of var are held at each
+    unit's observed values, so only the direct edge moves. For a
+    variable with no children this coincides with TDP."""
+    held = {c: data.column(c) for c in ecm.scm.children(var)}
+    curves = _counterfactual_sweep(
+        ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
+    )
     meta = _base_metadata(
         ecm, f"do({var}=grid), children held at observed values"
     )
@@ -284,28 +273,19 @@ def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
 
 
 def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
-    """Natural indirect dependence in two stages. Stage one records each
-    unit's counterfactual child values under do(var=x). Stage two severs
-    the children, pins them to those values, and restores var to its
-    observed per-unit value; only mediated responses remain. For a
+    """Natural indirect dependence: children of var are held at their
+    values in the TDP world at each grid value, while var itself keeps
+    its observed per-unit value; only mediated responses remain. For a
     variable with no children every curve is constant at the factual
     prediction."""
-    ecm.scm.var_index(var)
     children = ecm.scm.children(var)
-    noise = abduct(ecm.scm, data)
-    observed_var = data.column(var)
-    severs = tuple(SeverIncoming(c) for c in children)
-    curves = np.empty((data.m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        stage1 = counterfactual_table(
-            ecm.scm, data, noise, Intervention.do({var: float(x)})
-        )
-        child_pins = tuple(SetPerUnit(c, stage1.column(c)) for c in children)
-        actions = severs + child_pins + (SetPerUnit(var, observed_var),)
-        stage2 = counterfactual_table(ecm.scm, data, noise, Intervention(actions))
-        curves[:, gi] = ecm.predictor.predict(
-            _feature_matrix(stage2.column_dict(), ecm.predictor)
-        )
+    observed = data.column(var)
+
+    def pins(x: float, noise: NoiseDataset) -> dict[str, np.ndarray]:
+        total = counterfactual_table(ecm.scm, noise, {var: np.full(data.m, x)})
+        return {**{c: total.column(c) for c in children}, var: observed}
+
+    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
     meta = _base_metadata(
         ecm, f"do({var}=grid) routed through children of {var}"
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -354,20 +354,6 @@ def free_variables(expr: Expression) -> set[str]:
         elif isinstance(node, Call):
             stack.extend(node.args)
     return names
-
-
-def _walk(expr: Expression) -> Iterator[Expression]:
-    stack: list[Expression] = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
 
 
 # --- evaluation ------------------------------------------------------------

@@ -68,6 +68,8 @@ class ExternalPredictorError(PredictorError):
 
 
 def _fmt17(value: float) -> str:
+    """17 significant digits, so a float survives the text round trip
+    exactly; every float the package writes goes through here."""
     return format(float(value), ".17g")
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import BandSet, CurveSet, EngineError, Grid
+from .predictors import _fmt17
 
 __all__ = [
     "KIND_COLORS",
@@ -64,10 +65,6 @@ class PlotStyle:
             raise EngineError("canvas too small for margins")
         if not 0.0 < self.curve_opacity <= 1.0:
             raise EngineError("curve opacity must be in (0, 1]")
-
-
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _coord(value: float) -> str:
@@ -331,11 +328,14 @@ def import_csv(text: str, var: str = "x") -> CurveSet:
             raise EngineError(f"bad row at line {lineno}")
         kind, unit, grid_value, value = parts
         kinds.add(kind)
-        point = (float(grid_value), float(value))
-        if unit == "mean":
-            mean_rows.append(point)
-        else:
-            per_unit.setdefault(int(unit), []).append(point)
+        try:
+            point = (float(grid_value), float(value))
+            if unit == "mean":
+                mean_rows.append(point)
+            else:
+                per_unit.setdefault(int(unit), []).append(point)
+        except ValueError:
+            raise EngineError(f"bad number at line {lineno}") from None
     if len(kinds) != 1:
         raise EngineError(f"mixed plot kinds in one file: {sorted(kinds)}")
     if not mean_rows or not per_unit:

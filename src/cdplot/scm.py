@@ -13,18 +13,26 @@ on evaluation order and are reproducible bit for bit.
 Sampling records the exogenous draw as ``v - g(parents)`` (within one
 ulp of the raw draw) so that abduction applied to a sampled table
 returns the recorded noise bitwise.
+
+A counterfactual world is abducted noise plus a set of pins, each a
+per-unit column for one variable. It is computed over the unmodified
+model in its topological order: a pinned variable takes its column
+exactly, every other variable is ``g(parents) + u``. Pinning a variable
+overrides its mechanism, so no graph surgery is needed. Non-descendants
+of the pins are recomputed too, which reproduces their observed values
+only to within an ulp for some units of a fitted model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import CdpError
-from .expr import Const, Expression, evaluate_batch, free_variables, to_source
+from .expr import Expression, evaluate_batch, free_variables
 
 __all__ = [
     "Dataset",
@@ -33,17 +41,11 @@ __all__ = [
     "Mechanism",
     "NoiseDataset",
     "NoiseSpec",
-    "ReplaceMechanism",
     "Scm",
     "ScmError",
     "SetConstant",
-    "SetPerUnit",
-    "SeverIncoming",
-    "SeverOutgoing",
     "abduct",
-    "apply_intervention",
     "build_scm",
-    "counterfactual",
     "counterfactual_table",
     "sample",
 ]
@@ -167,21 +169,12 @@ class Mechanism:
 
 @dataclass(frozen=True)
 class Scm:
-    """A validated model: named mechanisms over an acyclic parent graph.
-
-    frozen_symbols are names that expressions may reference without
-    listing as parents; they arise from severing outgoing edges and are
-    bound per unit at counterfactual time. external marks variables
-    whose values are supplied per unit rather than computed; such a
-    model cannot be sampled.
-    """
+    """A validated model: named mechanisms over an acyclic parent graph."""
 
     name: str
     variables: tuple[str, ...]
     mechanisms: dict[str, Mechanism]
     topo_order: tuple[str, ...]
-    frozen_symbols: frozenset[str] = frozenset()
-    external: frozenset[str] = frozenset()
 
     def var_index(self, var: str) -> int:
         try:
@@ -235,23 +228,17 @@ def _find_cycle(mechanisms: Mapping[str, Mechanism]) -> list[str]:
     return []
 
 
-def build_scm(
-    name: str,
-    mechanisms: Mapping[str, Mechanism],
-    frozen_symbols: Iterable[str] = (),
-    external: Iterable[str] = (),
-) -> Scm:
+def build_scm(name: str, mechanisms: Mapping[str, Mechanism]) -> Scm:
     """Validate mechanisms and return an Scm with a cached topological
     order. Variable order follows the mapping's insertion order.
 
     Raises ScmError for an undeclared parent, an expression referencing
-    a name that is neither a parent nor a frozen symbol, or a cycle.
+    a name that is not a parent, or a cycle.
     """
     mechanisms = dict(mechanisms)
     if not mechanisms:
         raise ScmError("model needs at least one variable")
     variables = tuple(mechanisms)
-    frozen = frozenset(frozen_symbols)
     for var, mech in mechanisms.items():
         for parent in mech.parents:
             if parent not in mechanisms:
@@ -259,9 +246,8 @@ def build_scm(
             if parent == var:
                 raise ScmError(f"variable {var!r} lists itself as a parent")
         if mech.expression is not None:
-            allowed = set(mech.parents) | frozen
             for ref in sorted(free_variables(mech.expression)):
-                if ref not in allowed:
+                if ref not in mech.parents:
                     raise ScmError(
                         f"equation for {var!r} references {ref!r}, "
                         "which is not a parent"
@@ -289,8 +275,6 @@ def build_scm(
         variables=variables,
         mechanisms=mechanisms,
         topo_order=tuple(order),
-        frozen_symbols=frozen,
-        external=frozenset(external),
     )
 
 
@@ -333,10 +317,6 @@ class Dataset:
     def column(self, column: str) -> np.ndarray:
         return self.values[:, self.index(column)]
 
-    def row_dict(self, unit: int) -> dict[str, float]:
-        row = self.values[unit]
-        return {name: float(row[i]) for i, name in enumerate(self.columns)}
-
     def column_dict(self) -> dict[str, np.ndarray]:
         return {name: self.values[:, i] for i, name in enumerate(self.columns)}
 
@@ -364,49 +344,11 @@ class SetConstant:
             raise InterventionError("intervention value must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class SetPerUnit:
-    """Pin a variable to a separate value for every unit."""
-
-    var: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or len(values) == 0:
-            raise InterventionError("per-unit values must be a nonempty vector")
-        if not np.all(np.isfinite(values)):
-            raise InterventionError("per-unit values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class SeverIncoming:
-    var: str
-
-
-@dataclass(frozen=True)
-class SeverOutgoing:
-    var: str
-
-
-@dataclass(frozen=True)
-class ReplaceMechanism:
-    var: str
-    mechanism: Mechanism
-
-
-Action = Union[SetConstant, SetPerUnit, SeverIncoming, SeverOutgoing, ReplaceMechanism]
-
-_DEFINING = (SetConstant, SetPerUnit, ReplaceMechanism)
-
-
 @dataclass(frozen=True)
 class Intervention:
-    """A set of simultaneous actions on distinct variables."""
+    """do() of constants on distinct variables, as used for controls."""
 
-    actions: tuple[Action, ...] = ()
+    actions: tuple[SetConstant, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -415,86 +357,18 @@ class Intervention:
     def do(cls, assignments: Mapping[str, float]) -> "Intervention":
         return cls(tuple(SetConstant(v, x) for v, x in assignments.items()))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.actions
-
     def validate(self, scm: Scm) -> None:
-        defining: set[str] = set()
-        severed_in: set[str] = set()
+        seen: set[str] = set()
         for action in self.actions:
             if action.var not in scm.mechanisms:
                 raise InterventionError(
                     f"intervention targets unknown variable {action.var!r}"
                 )
-            if isinstance(action, _DEFINING):
-                if action.var in defining:
-                    raise InterventionError(
-                        f"conflicting actions target {action.var!r}"
-                    )
-                defining.add(action.var)
-            elif isinstance(action, SeverIncoming):
-                severed_in.add(action.var)
-        for action in self.actions:
-            if isinstance(action, ReplaceMechanism) and action.var in severed_in:
+            if action.var in seen:
                 raise InterventionError(
                     f"conflicting actions target {action.var!r}"
                 )
-
-
-def apply_intervention(scm: Scm, intervention: Intervention) -> Scm:
-    """Graph surgery for an intervention; acyclicity is re-validated.
-
-    SetConstant replaces the mechanism with the constant and point-mass
-    zero noise. SetPerUnit removes parents and marks the variable
-    external; its values are taken from the intervention at
-    counterfactual time. SeverIncoming keeps the noise but zeroes the
-    deterministic part (a companion Set action usually supplies the
-    value). SeverOutgoing drops the variable from every child's parent
-    list; child expressions then read it as a frozen symbol bound at
-    counterfactual time.
-    """
-    intervention.validate(scm)
-    mechanisms = dict(scm.mechanisms)
-    frozen = set(scm.frozen_symbols)
-    external = set(scm.external)
-
-    for action in _ordered_actions(intervention.actions):
-        var = action.var
-        if isinstance(action, ReplaceMechanism):
-            mechanisms[var] = action.mechanism
-        elif isinstance(action, SeverOutgoing):
-            for child in list(mechanisms):
-                mech = mechanisms[child]
-                if var in mech.parents:
-                    mechanisms[child] = Mechanism(
-                        tuple(p for p in mech.parents if p != var),
-                        mech.expression,
-                        mech.noise,
-                    )
-                    frozen.add(var)
-        elif isinstance(action, SeverIncoming):
-            mechanisms[var] = Mechanism((), None, mechanisms[var].noise)
-        elif isinstance(action, SetConstant):
-            mechanisms[var] = Mechanism((), Const(action.value), NoiseSpec.point(0.0))
-            external.discard(var)
-        else:
-            mechanisms[var] = Mechanism((), None, NoiseSpec.point(0.0))
-            external.add(var)
-    return build_scm(scm.name, mechanisms, frozen_symbols=frozen, external=external)
-
-
-def _ordered_actions(actions: Sequence[Action]) -> list[Action]:
-    """Application order: replacements, severs, then pins, so companion
-    Set actions override a SeverIncoming on the same variable."""
-    rank = {
-        ReplaceMechanism: 0,
-        SeverOutgoing: 1,
-        SeverIncoming: 2,
-        SetConstant: 3,
-        SetPerUnit: 3,
-    }
-    return sorted(actions, key=lambda a: rank[type(a)])
+            seen.add(action.var)
 
 
 # --- sampling, abduction, counterfactuals ----------------------------------
@@ -506,14 +380,7 @@ def _deterministic_part(
     mech = scm.mechanisms[var]
     if mech.expression is None:
         return 0.0
-    needed = free_variables(mech.expression)
-    bindings = {}
-    for name in needed:
-        if name not in env:
-            raise ScmError(
-                f"equation for {var!r} needs a value for {name!r}"
-            )
-        bindings[name] = env[name]
+    bindings = {name: env[name] for name in free_variables(mech.expression)}
     return evaluate_batch(mech.expression, bindings, n)
 
 
@@ -526,20 +393,6 @@ def sample(scm: Scm, n: int, seed: int) -> tuple[Dataset, NoiseDataset]:
     """
     if n < 1:
         raise ScmError(f"sample size must be positive, got {n}")
-    if scm.external:
-        raise ScmError(
-            "cannot sample: variables pinned per unit: "
-            + ", ".join(sorted(scm.external))
-        )
-    for var in scm.topo_order:
-        mech = scm.mechanisms[var]
-        if mech.expression is not None:
-            hanging = free_variables(mech.expression) - set(mech.parents)
-            if hanging:
-                raise ScmError(
-                    f"cannot sample: equation for {var!r} references severed "
-                    + ", ".join(sorted(hanging))
-                )
     units = np.arange(n, dtype=np.uint64)
     values: dict[str, np.ndarray] = {}
     noise: dict[str, np.ndarray] = {}
@@ -568,112 +421,25 @@ def abduct(scm: Scm, data: Dataset) -> NoiseDataset:
     return NoiseDataset(scm.variables, matrix)
 
 
-def _pin_columns(
-    intervention: Intervention, m: int, unit: int | None
-) -> dict[str, np.ndarray]:
-    pins: dict[str, np.ndarray] = {}
-    for action in intervention.actions:
-        if isinstance(action, SetConstant):
-            pins[action.var] = np.full(m, action.value)
-        elif isinstance(action, SetPerUnit):
-            if unit is None:
-                if len(action.values) != m:
-                    raise InterventionError(
-                        f"per-unit values for {action.var!r} have length "
-                        f"{len(action.values)}, expected {m}"
-                    )
-                pins[action.var] = action.values
-            else:
-                if not 0 <= unit < len(action.values):
-                    raise InterventionError(
-                        f"unit {unit} outside per-unit values for {action.var!r}"
-                    )
-                pins[action.var] = np.full(m, action.values[unit])
-    return pins
-
-
-def _propagate(
-    scm: Scm,
-    noise: Mapping[str, np.ndarray],
-    pins: Mapping[str, np.ndarray],
-    frozen_values: Mapping[str, np.ndarray],
-    n: int,
-) -> dict[str, np.ndarray]:
-    """Recompute all variables in topological order. Pinned variables
-    take their values exactly; everything else is g(parents) + noise."""
-    out: dict[str, np.ndarray] = {}
+def counterfactual_table(
+    scm: Scm, noise: NoiseDataset, pins: Mapping[str, np.ndarray]
+) -> Dataset:
+    """Counterfactual of every unit at once. pins maps variables to
+    per-unit columns; they take those values exactly, and every other
+    variable is recomputed as g(parents) + u from the abducted noise,
+    in topological order."""
+    for var, column in pins.items():
+        scm.var_index(var)
+        if np.shape(column) != (noise.m,):
+            raise InterventionError(
+                f"pinned column for {var!r} has shape {np.shape(column)}, "
+                f"expected ({noise.m},)"
+            )
+    values: dict[str, np.ndarray] = {}
     for var in scm.topo_order:
         if var in pins:
-            out[var] = np.asarray(pins[var], dtype=np.float64)
-            continue
-        if var in scm.external:
-            raise ScmError(f"variable {var!r} requires per-unit values")
-        mech = scm.mechanisms[var]
-        env: dict[str, np.ndarray] = dict(out)
-        if mech.expression is not None:
-            for ref in free_variables(mech.expression):
-                if ref not in env:
-                    if ref in frozen_values:
-                        env[ref] = np.asarray(frozen_values[ref], dtype=np.float64)
-                    else:
-                        raise ScmError(
-                            f"severed symbol {ref!r} needs a frozen value"
-                        )
-        det = _deterministic_part(scm, var, env, n)
-        u = noise.get(var)
-        if u is None:
-            raise ScmError(f"missing exogenous value for {var!r}")
-        out[var] = det + u
-    return out
-
-
-def counterfactual_table(
-    scm: Scm,
-    data: Dataset,
-    noise: NoiseDataset,
-    intervention: Intervention,
-    frozen_values: Mapping[str, np.ndarray] | None = None,
-) -> Dataset:
-    """Counterfactual of every unit at once under one intervention.
-
-    data supplies shapes only; all information flows through the
-    abducted noise and the intervention. Per-unit pins must match the
-    unit count.
-    """
-    modified = apply_intervention(scm, intervention)
-    pins = _pin_columns(intervention, data.m, None)
-    values = _propagate(
-        modified, noise.column_dict(), pins, frozen_values or {}, data.m
-    )
+            values[var] = np.asarray(pins[var], dtype=np.float64)
+        else:
+            det = _deterministic_part(scm, var, values, noise.m)
+            values[var] = det + noise.column(var)
     return Dataset(scm.variables, np.column_stack([values[v] for v in scm.variables]))
-
-
-def counterfactual(
-    scm: Scm,
-    observed: Mapping[str, float],
-    noise: Mapping[str, float],
-    intervention: Intervention,
-    unit: int = 0,
-    frozen_values: Mapping[str, float] | None = None,
-) -> dict[str, float]:
-    """Single-unit counterfactual by action on abducted noise.
-
-    observed is unused except as a completeness check; the counterfactual
-    world is rebuilt from the noise. With an empty intervention the
-    observed row is reproduced up to floating-point rounding. unit picks
-    the row of any per-unit action vectors; frozen_values binds symbols
-    severed by SeverOutgoing.
-    """
-    for var in scm.variables:
-        if var not in observed:
-            raise ScmError(f"observed row is missing {var!r}")
-    modified = apply_intervention(scm, intervention)
-    pins = _pin_columns(intervention, 1, unit)
-    noise_cols = {
-        v: np.asarray([float(x)]) for v, x in noise.items()
-    }
-    frozen_cols = {
-        v: np.asarray([float(x)]) for v, x in (frozen_values or {}).items()
-    }
-    values = _propagate(modified, noise_cols, pins, frozen_cols, 1)
-    return {v: float(values[v][0]) for v in scm.variables}

@@ -389,7 +389,7 @@ def test_unreadable_data_exits_with_data_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error (data):")
 
 
-def test_unknown_variable_exits_with_compute_code(tmp_path, capsys):
+def test_unknown_variable_exits_with_config_code(tmp_path, capsys):
     data = tmp_path / "d.csv"
     assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"),
                  "--n", "10", "--out", str(data)]) == 0
@@ -397,8 +397,8 @@ def test_unknown_variable_exits_with_compute_code(tmp_path, capsys):
                  "--data", str(data), "--var", "Q",
                  "--closed-form", "P", "--features", "P",
                  "--out-dir", str(tmp_path / "out")])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("error (compute):")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error (config):")
 
 
 def test_broken_external_exits_with_external_code(tmp_path, capsys):
@@ -428,6 +428,90 @@ def test_bad_control_exits_with_config_code(tmp_path, capsys):
                  "--control", "F"])
     assert code == 2
     assert "expected VAR=VALUE" in capsys.readouterr().err
+
+
+def _salary_data(tmp_path):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"),
+                 "--n", "10", "--out", str(data)]) == 0
+    return data
+
+
+def _explain(tmp_path, *extra):
+    return ["explain", "--scm", str(FIXTURES / "salary.scm"),
+            "--data", str(_salary_data(tmp_path)),
+            "--out-dir", str(tmp_path / "out"), *extra]
+
+
+def _run(tmp_path, **overrides):
+    _copy_fixture(tmp_path, "salary.scm")
+    return ["run", "--config", str(_write_config(tmp_path, **overrides))]
+
+
+def _render(tmp_path, text):
+    csv_path = tmp_path / "c.csv"
+    if text is not None:
+        csv_path.write_text(text, encoding="utf-8")
+    return ["render", "--csv", str(csv_path), "--svg", str(tmp_path / "c.svg")]
+
+
+def _mute_external(tmp_path):
+    script = tmp_path / "mute.py"
+    script.write_text("import sys\nsys.stdin.readline()\nprint('NOPE')\n",
+                      encoding="utf-8")
+    return _explain(tmp_path, "--var", "P", "--external", f"{sys.executable} {script}",
+                    "--features", "P,F", "--timeout", "5")
+
+
+def _discover_label_map(tmp_path):
+    return ["discover", "--data", str(_salary_data(tmp_path)), "--label-map", "{bad"]
+
+
+def _model_file(tmp_path, text):
+    model = tmp_path / "model.json"
+    if text is not None:
+        model.write_text(text, encoding="utf-8")
+    return _explain(tmp_path, "--var", "P", "--model", str(model))
+
+
+EXIT_CASES = {
+    "success": (0, lambda t: _explain(t, "--var", "P", "--closed-form", "P",
+                                      "--features", "P")),
+    "run-variable-not-in-model": (2, lambda t: _run(t, variables=["Q"])),
+    "run-control-unknown-variable": (
+        2, lambda t: _run(t, plots=["PCDP"], controls={"Q": 1.0})),
+    "run-control-on-explained-variable": (
+        2, lambda t: _run(t, variables=["P", "F"], plots=["PCDP"],
+                          controls={"F": 1.0})),
+    "explain-control-unknown-variable": (
+        2, lambda t: _explain(t, "--var", "P", "--plots", "PCDP", "--control", "Q=1",
+                              "--closed-form", "P", "--features", "P")),
+    "explain-missing-model": (2, lambda t: _model_file(t, None)),
+    "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
+    "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
+    "discover-bad-label-map": (2, _discover_label_map),
+    "render-missing-csv": (3, lambda t: _render(t, None)),
+    "render-non-numeric-cell": (
+        3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nTDP,0,0.5,abc\n"
+                                "TDP,mean,0.5,1\n")),
+    "render-bad-header": (3, lambda t: _render(t, "a,b\n1,2\n")),
+    "explain-compute-failure": (4, lambda t: _explain(t, "--var", "P", "--closed-form",
+                                                      "log(P - 10)", "--features", "P")),
+    "external-protocol-failure": (5, _mute_external),
+}
+
+EXIT_KINDS = {2: "config", 3: "data", 4: "compute", 5: "external predictor"}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_table(tmp_path, capsys, case):
+    code, argv = EXIT_CASES[case]
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"error ({EXIT_KINDS[code]}):")
+    else:
+        assert err == ""
 
 
 # --- the run pipeline ------------------------------------------------------
@@ -522,12 +606,19 @@ def test_run_output_dir_flag_overrides_the_config(tmp_path):
 
 
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
+    # P's curves are written before ICE fails on S, which is a model
+    # variable but not a predictor feature
     _copy_fixture(tmp_path, "salary.scm")
-    config = _write_config(tmp_path, variables=["P", "Q"])
+    config = _write_config(
+        tmp_path,
+        predictor={"kind": "ols", "target": "S", "features": ["P", "F"]},
+        variables=["P", "S"],
+        plots=["ICE"],
+    )
     assert main(["run", "--config", str(config)]) == 4
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
-    assert "Q" in capsys.readouterr().err
+    assert "S" in capsys.readouterr().err
 
 
 def test_run_discovery_records_the_graph(tmp_path):

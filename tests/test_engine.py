@@ -65,7 +65,7 @@ def _dataset(**columns):
 
 def test_build_ecm_wires_features():
     ecm = build_ecm(mediation_scm(), correct_model())
-    assert ecm.node == PREDICTION_NODE
+    assert ecm.scm.name == "mediation"
     assert ecm.predictor.features == ("X", "M")
 
 
@@ -235,22 +235,6 @@ def test_pcdp_control_may_not_touch_var():
     ecm = build_ecm(scm, correct_model())
     with pytest.raises(EngineError, match="X"):
         pcdp(ecm, data, "X", Grid("X", np.array([0.0])), Intervention.do({"X": 1.0}))
-
-
-def test_pcdp_control_must_be_constants():
-    from cdplot.scm import SeverIncoming
-
-    scm = mediation_scm()
-    data, _ = sample(scm, 5, seed=0)
-    ecm = build_ecm(scm, correct_model())
-    with pytest.raises(EngineError, match="constant"):
-        pcdp(
-            ecm,
-            data,
-            "X",
-            Grid("X", np.array([0.0])),
-            Intervention((SeverIncoming("M"),)),
-        )
 
 
 # --- nddp ------------------------------------------------------------------

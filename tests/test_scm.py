@@ -9,17 +9,12 @@ from cdplot.scm import (
     Dataset,
     Intervention,
     Mechanism,
+    NoiseDataset,
     NoiseSpec,
-    ReplaceMechanism,
     ScmError,
     SetConstant,
-    SetPerUnit,
-    SeverIncoming,
-    SeverOutgoing,
     abduct,
-    apply_intervention,
     build_scm,
-    counterfactual,
     counterfactual_table,
     sample,
 )
@@ -187,29 +182,6 @@ def test_abduct_requires_all_columns():
 # --- interventions ---------------------------------------------------------
 
 
-def test_set_constant_surgery():
-    scm = apply_intervention(salary_scm(), Intervention.do({"P": 1.0}))
-    assert scm.mechanisms["P"].parents == ()
-    data, _ = sample(scm, 50, seed=0)
-    assert np.all(data.column("P") == 1.0)
-    # downstream still responds to the pinned value
-    assert np.allclose(data.column("F"), 2.0, atol=1.0)
-
-
-def test_empty_intervention_is_identity():
-    scm = salary_scm()
-    assert apply_intervention(scm, Intervention(())) == scm
-
-
-def test_sever_outgoing_freezes_symbol():
-    scm = apply_intervention(
-        mediation_scm(), Intervention((SeverOutgoing("X"),))
-    )
-    assert scm.mechanisms["M"].parents == ()
-    assert scm.mechanisms["Y"].parents == ("M",)
-    assert "X" in scm.frozen_symbols
-
-
 def test_conflicting_actions_rejected():
     bad = Intervention((SetConstant("P", 1.0), SetConstant("P", 2.0)))
     with pytest.raises(ScmError, match="conflict"):
@@ -221,29 +193,17 @@ def test_unknown_variable_rejected():
         Intervention.do({"Q": 1.0}).validate(salary_scm())
 
 
-def test_replace_mechanism():
-    replacement = Mechanism(("P",), parse("P"), NoiseSpec.point(0.0))
-    scm = apply_intervention(
-        salary_scm(), Intervention((ReplaceMechanism("F", replacement),))
-    )
-    assert scm.mechanisms["F"] == replacement
-
-
-def test_surgery_rejects_introduced_cycle():
-    replacement = Mechanism(("S",), parse("S"), NoiseSpec.point(0.0))
-    with pytest.raises(ScmError, match="cycle"):
-        apply_intervention(
-            salary_scm(), Intervention((ReplaceMechanism("F", replacement),))
-        )
-
-
 # --- counterfactuals -------------------------------------------------------
+
+
+def _noise_row(scm, **values):
+    return NoiseDataset(scm.variables, np.array([[values[v] for v in scm.variables]]))
 
 
 def test_empty_intervention_reproduces_observed():
     scm = salary_scm()
     data, noise = sample(scm, 300, seed=4)
-    table = counterfactual_table(scm, data, noise, Intervention(()))
+    table = counterfactual_table(scm, noise, {})
     assert np.max(np.abs(table.values - data.values)) < 1e-12
 
 
@@ -251,50 +211,36 @@ def test_mediation_counterfactual_do_x0():
     # unit (x=1, m=1.5): u_M = 1.5 - 0.5 = 1.0; under do(X=0),
     # m_cf = 0.5*0^3 + 1.0 = 1.0
     scm = mediation_scm()
-    observed = {"X": 1.0, "M": 1.5, "Y": 2.0}
-    noise = {
-        "X": 1.0,
-        "M": 1.0,
-        "Y": observed["Y"] - (1.5**2 - 0.5),
-    }
-    result = counterfactual(scm, observed, noise, Intervention.do({"X": 0.0}))
-    assert result["X"] == 0.0
-    assert result["M"] == 1.0
+    noise = _noise_row(scm, X=1.0, M=1.0, Y=2.0 - (1.5**2 - 0.5))
+    table = counterfactual_table(scm, noise, {"X": np.array([0.0])})
+    assert table.column("X")[0] == 0.0
+    assert table.column("M")[0] == 1.0
 
 
 def test_salary_counterfactual_do_p12():
     # with u_F = 0, do(P=1.2) gives f_cf = 2*1.2^3 = 3.456
     scm = salary_scm()
-    observed = {"P": 1.0, "F": 2.0, "S": 1.5}
-    noise = {"P": 1.0, "F": 0.0, "S": 0.5}
-    result = counterfactual(scm, observed, noise, Intervention.do({"P": 1.2}))
-    assert result["P"] == 1.2
-    assert abs(result["F"] - 3.456) < 1e-15
-
-
-def test_counterfactual_requires_complete_observed_row():
-    scm = salary_scm()
-    with pytest.raises(ScmError, match="S"):
-        counterfactual(scm, {"P": 1.0, "F": 2.0}, {}, Intervention(()))
+    noise = _noise_row(scm, P=1.0, F=0.0, S=0.5)
+    table = counterfactual_table(scm, noise, {"P": np.array([1.2])})
+    assert table.column("P")[0] == 1.2
+    assert abs(table.column("F")[0] - 3.456) < 1e-15
 
 
 def test_set_per_unit_pins_each_row():
     scm = salary_scm()
     data, noise = sample(scm, 4, seed=2)
     pinned = np.array([0.1, 0.2, 0.3, 0.4])
-    table = counterfactual_table(
-        scm, data, noise, Intervention((SetPerUnit("P", pinned),))
-    )
+    table = counterfactual_table(scm, noise, {"P": pinned})
     assert np.array_equal(table.column("P"), pinned)
     expected_f = 2 * pinned**3 + noise.column("F")
     assert np.allclose(table.column("F"), expected_f, atol=1e-12)
 
 
 def test_sever_incoming_with_companion_set():
+    # a pin on M overrides its mechanism, as severing its parents would
     scm = mediation_scm()
     data, noise = sample(scm, 5, seed=8)
-    intervention = Intervention((SeverIncoming("M"), SetConstant("M", 2.0)))
-    table = counterfactual_table(scm, data, noise, intervention)
+    table = counterfactual_table(scm, noise, {"M": np.full(5, 2.0)})
     assert np.all(table.column("M") == 2.0)
     # X keeps its observed values, Y responds to the pinned M
     assert np.allclose(table.column("X"), data.column("X"), atol=1e-12)
@@ -302,28 +248,40 @@ def test_sever_incoming_with_companion_set():
     assert np.allclose(table.column("Y"), expected_y, atol=1e-12)
 
 
-def test_sever_outgoing_counterfactual_uses_frozen_values():
-    scm = mediation_scm()
-    data, noise = sample(scm, 6, seed=3)
-    frozen = {"X": data.column("X")}
-    table = counterfactual_table(
-        scm, data, noise, Intervention((SeverOutgoing("X"),)), frozen
-    )
-    # with X frozen at its observed values everything reproduces
-    assert np.max(np.abs(table.values - data.values)) < 1e-12
+def test_counterfactual_requires_complete_observed_row():
+    # the noise row abducted from an observed row needs every variable
+    scm = salary_scm()
+    noise = NoiseDataset(("P", "F"), np.array([[1.0, 0.0]]))
+    with pytest.raises(ScmError, match="S"):
+        counterfactual_table(scm, noise, {})
 
 
 def test_counterfactual_table_matches_single_unit_calls():
     scm = salary_scm()
     data, noise = sample(scm, 10, seed=5)
-    intervention = Intervention.do({"P": 0.7})
-    table = counterfactual_table(scm, data, noise, intervention)
+    pins = {"P": np.full(10, 0.7)}
+    table = counterfactual_table(scm, noise, pins)
     for unit in range(10):
-        row = counterfactual(
-            scm, data.row_dict(unit), noise.row_dict(unit), intervention
+        row = counterfactual_table(
+            scm,
+            NoiseDataset(noise.columns, noise.values[unit:unit + 1]),
+            {"P": np.array([0.7])},
         )
-        for var in scm.variables:
-            assert row[var] == table.column(var)[unit]
+        assert np.array_equal(row.values[0], table.values[unit])
+
+
+def test_pins_must_name_model_variables():
+    scm = salary_scm()
+    _, noise = sample(scm, 3, seed=1)
+    with pytest.raises(ScmError, match="Q"):
+        counterfactual_table(scm, noise, {"Q": np.zeros(3)})
+
+
+def test_pins_must_have_one_value_per_unit():
+    scm = salary_scm()
+    _, noise = sample(scm, 3, seed=1)
+    with pytest.raises(ScmError, match="'P'"):
+        counterfactual_table(scm, noise, {"P": np.zeros(4)})
 
 
 def test_dataset_rejects_bad_shapes():
@@ -333,11 +291,3 @@ def test_dataset_rejects_bad_shapes():
         Dataset(("A", "A"), np.zeros((3, 2)))
     with pytest.raises(ScmError):
         Dataset(("A",), np.array([[np.inf]]))
-
-
-def test_sample_errors_on_severed_model():
-    scm = apply_intervention(
-        mediation_scm(), Intervention((SeverOutgoing("X"),))
-    )
-    with pytest.raises(ScmError, match="frozen|sever"):
-        sample(scm, 10, seed=0)
