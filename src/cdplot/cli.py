@@ -359,13 +359,21 @@ def _label_map(raw) -> dict[str, float]:
 
 
 def _check_request(
-    scm: Scm, variables: Sequence[str], plots: Sequence[str], control: Intervention
+    scm: Scm,
+    variables: Sequence[str],
+    plots: Sequence[str],
+    control: Intervention,
+    feature_sets: Sequence[Sequence[str]],
 ) -> None:
-    """Explained variables must be model variables, and PCDP controls
-    must name distinct model variables other than the explained ones."""
+    """Explained variables must be model variables, and features of every
+    predictor when ICE or PDP vary them; PCDP controls must name distinct
+    model variables other than the explained ones."""
     for var in variables:
         if var not in scm.variables:
             raise ConfigError(f"variable {var!r} is not in the model")
+        if "ICE" in plots or "PDP" in plots:
+            if any(var not in features for features in feature_sets):
+                raise ConfigError(f"ICE/PDP variable {var!r} is not a predictor feature")
     if "PCDP" not in plots:
         return
     try:
@@ -483,12 +491,16 @@ def _config_hash(raw: dict) -> str:
 # --- predictors from config ------------------------------------------------
 
 
+def _block_features(
+    block: PredictorBlock, default_features: tuple[str, ...]
+) -> tuple[str, ...]:
+    return block.features or tuple(f for f in default_features if f != block.target)
+
+
 def _build_predictor(
     block: PredictorBlock, data: Dataset, default_features: tuple[str, ...]
 ) -> Predictor:
-    features = block.features or tuple(
-        f for f in default_features if f != block.target
-    )
+    features = _block_features(block, default_features)
     if block.kind == "ols":
         return fit_ols(data, block.target, features, int(block.params.get("degree", 1)))
     if block.kind == "forest":
@@ -515,6 +527,15 @@ def _build_predictor(
 # --- the pipeline ----------------------------------------------------------
 
 
+def _write_file(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a
+    configuration error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 class _Outputs:
     """Tracks files written so a failed run leaves nothing behind."""
 
@@ -523,9 +544,12 @@ class _Outputs:
         self.written: list[Path] = []
 
     def write(self, name: str, text: str) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {self.directory}: {exc}") from None
         target = self.directory / name
-        target.write_text(text, encoding="utf-8")
+        _write_file(target, text)
         self.written.append(target)
 
     def discard_all(self) -> None:
@@ -605,7 +629,8 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     control = Intervention(
         tuple(SetConstant(v, x) for v, x in sorted(config.controls.items()))
     )
-    _check_request(scm, config.variables, config.plots, control)
+    features = [_block_features(block, scm.variables) for block in config.predictors]
+    _check_request(scm, config.variables, config.plots, control, features)
 
     band_scms = [load_scm_spec(p) for p in config.band_scms]
     if band_scms:
@@ -695,9 +720,9 @@ def _compute_plot(
 def _cmd_simulate(args) -> int:
     scm = load_scm_spec(args.scm)
     data, noise = sample(scm, args.n, args.seed)
-    Path(args.out).write_text(write_dataset_csv(data), encoding="utf-8")
+    _write_file(args.out, write_dataset_csv(data))
     if args.noise_out:
-        Path(args.noise_out).write_text(write_dataset_csv(noise), encoding="utf-8")
+        _write_file(args.noise_out, write_dataset_csv(noise))
     print(f"wrote {data.m} rows of {len(data.columns)} variables to {args.out}")
     return 0
 
@@ -720,7 +745,7 @@ def _cmd_discover(args) -> int:
     cpdag = disc.orient_cpdag(skeleton, sepsets)
     text = disc.cpdag_to_text(cpdag)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -742,9 +767,7 @@ def _cmd_fit(args) -> int:
         )
         predictor = fit_forest(data, args.target, features, config)
     blob = save_predictor(predictor)
-    Path(args.out).write_text(
-        json.dumps(blob, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_file(args.out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
     print(f"fitted {predictor.describe()} on {data.m} rows -> {args.out}")
     return 0
 
@@ -775,7 +798,6 @@ def _cmd_explain(args) -> int:
         if kind not in PLOT_KINDS:
             raise ConfigError(f"unknown plot kind {kind!r}")
     control = _parse_controls(args.control)
-    _check_request(scm, (args.var,), plots, control)
     if args.model:
         try:
             blob = json.loads(Path(args.model).read_text(encoding="utf-8"))
@@ -799,6 +821,7 @@ def _cmd_explain(args) -> int:
         raise ConfigError("need one of --model, --closed-form, --external")
     outputs = _Outputs(Path(args.out_dir))
     try:
+        _check_request(scm, (args.var,), plots, control, [predictor.features])
         ecm = None
         if any(kind not in ("ICE", "PDP") for kind in plots):
             ecm = engine.build_ecm(scm, predictor)
@@ -826,7 +849,7 @@ def _cmd_render(args) -> int:
         raise DataError(f"cannot read curve table {args.csv}: {exc}") from None
     except CdpError as exc:
         raise DataError(f"{args.csv}: {exc}") from None
-    Path(args.svg).write_text(render.render_curves(curve_set), encoding="utf-8")
+    _write_file(args.svg, render.render_curves(curve_set))
     print(f"wrote {args.svg}")
     return 0
 

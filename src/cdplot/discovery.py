@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import CdpError
-from .expr import BinOp, Const, Expression, Neg, Var
+from .expr import BinOp, Const, Expression, Neg, Var, evaluate_batch
 from .predictors import fit_ols
 from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm
 
@@ -114,13 +114,6 @@ class Cpdag:
                 raise DiscoveryError(f"bad undirected edge {(a, b)!r}")
         if _has_cycle(self.variables, self.directed):
             raise DiscoveryError("directed part contains a cycle")
-
-    def adjacent(self, a: str, b: str) -> bool:
-        return (
-            (a, b) in self.directed
-            or (b, a) in self.directed
-            or _edge(a, b) in self.undirected
-        )
 
 
 @dataclass(frozen=True)
@@ -501,8 +494,6 @@ def fit_anm(dag: Dag, data: Dataset, degree: int = 3) -> Scm:
     for var in dag.variables:
         data.index(var)
     order = tuple(v for v in data.columns if v in set(dag.variables))
-    from .expr import evaluate_batch  # local import to avoid cycle at top
-
     mechanisms: dict[str, Mechanism] = {}
     for var in order:
         parents = dag.parents(var)

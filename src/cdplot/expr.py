@@ -359,76 +359,19 @@ def free_variables(expr: Expression) -> set[str]:
 # --- evaluation ------------------------------------------------------------
 
 
-def _check_finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite result in {what}")
-    return value
-
-
 def evaluate(expr: Expression, env: Mapping[str, float]) -> float:
-    """Evaluate the tree with scalar bindings; raises EvaluationError."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return _check_finite(float(env[expr.name]), f"variable '{expr.name}'")
-        except KeyError:
-            raise EvaluationError(f"unbound variable '{expr.name}'") from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return _check_finite(left + right, "'+'")
-        if expr.op == "-":
-            return _check_finite(left - right, "'-'")
-        if expr.op == "*":
-            return _check_finite(left * right, "'*'")
-        if expr.op == "/":
-            if right == 0.0:
-                raise EvaluationError("division by zero")
-            return _check_finite(left / right, "'/'")
-        return _pow(left, right)
-    return _call(expr, env)
-
-
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return _check_finite(math.pow(base, exponent), "'^'")
-    except (ValueError, OverflowError):
-        raise EvaluationError(
-            f"domain error in '^' for base {base!r}, exponent {exponent!r}"
-        ) from None
-
-
-def _call(expr: Call, env: Mapping[str, float]) -> float:
-    args = [evaluate(a, env) for a in expr.args]
-    func = expr.func
-    if func == "log":
-        if args[0] <= 0.0:
-            raise EvaluationError(f"log of nonpositive value {args[0]!r}")
-        return math.log(args[0])
-    if func == "sqrt":
-        if args[0] < 0.0:
-            raise EvaluationError(f"sqrt of negative value {args[0]!r}")
-        return math.sqrt(args[0])
-    if func == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            raise EvaluationError(f"overflow in exp({args[0]!r})") from None
-    if func == "sin":
-        return math.sin(args[0])
-    if func == "cos":
-        return math.cos(args[0])
-    if func == "abs":
-        return abs(args[0])
-    if func == "min":
-        return min(args)
-    if func == "max":
-        return max(args)
-    return _pow(args[0], args[1])
+    """Evaluate the tree with scalar bindings; raises EvaluationError.
+    This is evaluate_batch on one-row columns, so a scalar result is
+    bit for bit the batch result for the same row."""
+    columns = {}
+    for name in free_variables(expr):
+        if name not in env:
+            raise EvaluationError(f"unbound variable '{name}'")
+        value = float(env[name])
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite result in variable '{name}'")
+        columns[name] = np.array([value])
+    return float(evaluate_batch(expr, columns, 1)[0])
 
 
 def _batch_check(value, what: str):
@@ -484,8 +427,8 @@ def _eval_array(expr: Expression, env: Mapping[str, np.ndarray]):
 
 def evaluate_batch(expr: Expression, env: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """Evaluate over length-n column bindings; the bulk path used by the
-    model machinery. Semantics match evaluate applied element by element,
-    with the same hard errors for domain problems."""
+    model machinery. Each row's value depends only on that row, and any
+    domain problem (non-finite intermediate) is a hard error."""
     result = _eval_array(expr, env)
     if np.ndim(result) == 0:
         return np.full(n, float(result))

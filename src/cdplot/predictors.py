@@ -17,8 +17,12 @@ stdin/stdout (UTF-8, LF newlines):
     engine -> QUIT
 
 Floats travel with 17 significant digits so values round-trip exactly.
-A child that exits nonzero before QUIT, answers with the wrong row
-count, or goes silent past the timeout raises ExternalPredictorError.
+Each request is written from one buffer while its answer is read, so a
+child may answer each row as soon as it reads it; the timeout bounds
+any stall on either pipe. A protocol error (timeout, early exit, broken
+pipe, bad handshake, short answer, malformed line, or output beyond the
+answer) raises ExternalPredictorError, kills the child, and makes every
+later request raise too.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ import os
 import select
 import shlex
 import subprocess
-import threading
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -69,7 +72,8 @@ class ExternalPredictorError(PredictorError):
 
 def _fmt17(value: float) -> str:
     """17 significant digits, so a float survives the text round trip
-    exactly; every float the package writes goes through here."""
+    exactly; every float the package writes goes through here, except
+    external requests, whose one "%.17g" format gives the same bytes."""
     return format(float(value), ".17g")
 
 
@@ -336,12 +340,10 @@ def _grow(tree, x, y, idx, depth, config, mtry, rng):
 
 
 class ForestPredictor(Predictor):
-    def __init__(self, features, config: ForestConfig, trees, y_min: float, y_max: float):
+    def __init__(self, features, config: ForestConfig, trees):
         self.features = tuple(features)
         self.config = config
         self.trees = list(trees)
-        self.y_min = float(y_min)
-        self.y_max = float(y_max)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros(x.shape[0])
@@ -398,43 +400,18 @@ def fit_forest(
         tree = _Tree()
         _grow(tree, x, y, np.asarray(idx), 0, config, mtry, rng)
         trees.append(tree.freeze())
-    return ForestPredictor(features, config, trees, float(np.min(y)), float(np.max(y)))
+    return ForestPredictor(features, config, trees)
 
 
 # --- external subprocess ---------------------------------------------------
 
 
-class _LineChannel:
-    """Buffered line reads from a pipe with a per-read timeout."""
-
-    def __init__(self, fd: int):
-        self.fd = fd
-        self.buffer = bytearray()
-        self.eof = False
-
-    def readline(self, timeout: float) -> bytes | None:
-        while True:
-            newline = self.buffer.find(b"\n")
-            if newline >= 0:
-                line = bytes(self.buffer[:newline])
-                del self.buffer[: newline + 1]
-                return line
-            if self.eof:
-                return None
-            ready, _, _ = select.select([self.fd], [], [], timeout)
-            if not ready:
-                raise ExternalPredictorError(
-                    f"external predictor timed out after {timeout} s"
-                )
-            chunk = os.read(self.fd, 65536)
-            if not chunk:
-                self.eof = True
-                continue
-            self.buffer.extend(chunk)
-
-
 class ExternalPredictor(Predictor):
-    """Bridges predict calls to a subprocess speaking the line protocol."""
+    """Bridges predict calls to a subprocess speaking the line protocol.
+
+    After any protocol error the child is killed and every later call
+    raises, so a late answer can never be read as the answer to a later
+    request."""
 
     def __init__(self, command: str | Sequence[str], features: Sequence[str], timeout: float = 30.0):
         self.features = tuple(features)
@@ -444,8 +421,7 @@ class ExternalPredictor(Predictor):
         else:
             argv = list(command)
         self.command = argv
-        self._lock = threading.Lock()
-        self._quit_sent = False
+        self._broken: str | None = None
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -455,79 +431,98 @@ class ExternalPredictor(Predictor):
             )
         except OSError as exc:
             raise ExternalPredictorError(f"could not start {argv!r}: {exc}") from None
-        assert self._proc.stdout is not None
-        self._channel = _LineChannel(self._proc.stdout.fileno())
-        hello = f"HELLO CDP/1 {len(self.features)} {','.join(self.features)}"
-        self._send(hello)
-        answer = self._read_line()
-        if answer != "READY":
-            self._terminate()
-            raise ExternalPredictorError(
-                f"handshake failed: expected READY, got {answer!r}"
-            )
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        hello = f"HELLO CDP/1 {len(self.features)} {','.join(self.features)}\n"
+        answer = self._exchange(hello.encode("utf-8"), 1)[0].rstrip(b"\r")
+        if answer != b"READY":
+            self._fail(f"handshake failed: expected READY, got {answer!r}")
 
-    def _send(self, line: str) -> None:
-        assert self._proc.stdin is not None
-        try:
-            self._proc.stdin.write((line + "\n").encode("utf-8"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            raise ExternalPredictorError(
-                f"external predictor exited (status {self._proc.poll()}) "
-                "before QUIT"
-            ) from None
+    def _fail(self, message: str) -> NoReturn:
+        """Kill the child and refuse every later request."""
+        self._broken = message
+        self._terminate()
+        raise ExternalPredictorError(message)
 
-    def _read_line(self) -> str:
-        raw = self._channel.readline(self.timeout)
-        if raw is None:
+    def _exchange(self, request: bytes, lines: int) -> list[bytes]:
+        """Write the whole request and read exactly `lines` answer lines.
+
+        Writes and reads share one select loop, so a child that answers
+        each row as soon as it reads it never stalls on a full output
+        pipe while the request is still being written. The timeout
+        bounds any stall on either pipe."""
+        if self._broken is not None:
             raise ExternalPredictorError(
-                f"external predictor exited (status {self._proc.poll()}) "
-                "before QUIT"
+                f"external predictor is unusable: {self._broken}"
             )
-        return raw.decode("utf-8").rstrip("\r")
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        pending = memoryview(request)
+        received = bytearray()
+        count = 0
+        while pending or count < lines:
+            readable, writable, _ = select.select(
+                [stdout], [stdin] if pending else [], [], self.timeout
+            )
+            if not readable and not writable:
+                self._fail(f"external predictor timed out after {self.timeout} s")
+            if readable:
+                chunk = os.read(stdout, 65536)
+                if not chunk:
+                    self._fail(
+                        f"external predictor exited (status {self._proc.poll()}) "
+                        f"before QUIT: expected {lines} answer line(s), got {count}"
+                    )
+                if len(pending) == len(request):
+                    self._fail(f"unexpected output before the request: {chunk[:80]!r}")
+                received += chunk
+                count += chunk.count(b"\n")
+            if writable:
+                try:
+                    written = os.write(stdin, pending)
+                except OSError as exc:
+                    self._fail(
+                        f"external predictor stopped reading (status {self._proc.poll()}) "
+                        f"before QUIT: {exc}"
+                    )
+                pending = pending[written:]
+        *answers, tail = bytes(received).split(b"\n")
+        if tail or count > lines:
+            self._fail(f"external predictor sent more than {lines} answer line(s)")
+        return answers
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
-        with self._lock:
-            n = x.shape[0]
-            self._send(f"PREDICT {n}")
-            for row in x:
-                self._send(",".join(_fmt17(v) for v in row))
-            out = np.empty(n)
-            for i in range(n):
-                raw = self._channel.readline(self.timeout)
-                if raw is None:
-                    raise ExternalPredictorError(
-                        f"wrong row count: expected {n} predictions, got {i} "
-                        f"(subprocess exited with status {self._proc.poll()})"
-                    )
-                text = raw.decode("utf-8").strip()
-                try:
-                    out[i] = float(text)
-                except ValueError:
-                    raise ExternalPredictorError(
-                        f"malformed response line {text!r}"
-                    ) from None
-            return out
+        n, k = x.shape
+        rows = (",".join(["%.17g"] * k) + "\n") * n
+        request = f"PREDICT {n}\n" + rows % tuple(x.ravel().tolist())
+        answers = self._exchange(request.encode("utf-8"), n)
+        out = np.empty(n)
+        for i, line in enumerate(answers):
+            try:
+                out[i] = float(line)
+            except ValueError:
+                self._fail(f"malformed response line {line!r}")
+        return out
 
     def describe(self) -> str:
         return f"external({' '.join(self.command)})"
 
     def close(self) -> None:
-        if self._proc.poll() is None and not self._quit_sent:
-            self._quit_sent = True
+        """Send QUIT and give the child 5 s to exit. A broken predictor's
+        child is already dead, so closing it does not wait."""
+        if self._broken is None:
+            self._broken = "it was closed"
             try:
-                self._send("QUIT")
-            except ExternalPredictorError:
+                os.write(self._proc.stdin.fileno(), b"QUIT\n")
+                self._proc.wait(timeout=5.0)
+            except (OSError, subprocess.TimeoutExpired):
                 pass
-        try:
-            self._proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            self._terminate()
+        self._terminate()
 
     def _terminate(self) -> None:
         if self._proc.poll() is None:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdin.close()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalPredictor":
         return self
@@ -581,8 +576,6 @@ def save_predictor(predictor: Predictor) -> dict:
                 "bootstrap": cfg.bootstrap,
                 "seed": cfg.seed,
             },
-            "y_min": predictor.y_min,
-            "y_max": predictor.y_max,
             "trees": [
                 {name: arr.tolist() for name, arr in tree.items()}
                 for tree in predictor.trees
@@ -615,7 +608,6 @@ def load_predictor(blob: Mapping) -> Predictor:
             }
             for tree in blob["trees"]
         ]
-        return ForestPredictor(
-            blob["features"], config, trees, blob["y_min"], blob["y_max"]
-        )
+        # blobs saved by older versions also carry y_min/y_max; they are ignored
+        return ForestPredictor(blob["features"], config, trees)
     raise PredictorError(f"unknown predictor kind {kind!r}")

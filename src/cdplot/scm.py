@@ -182,9 +182,6 @@ class Scm:
         except ValueError:
             raise ScmError(f"unknown variable {var!r}") from None
 
-    def parents(self, var: str) -> tuple[str, ...]:
-        return self._mechanism(var).parents
-
     def children(self, var: str) -> tuple[str, ...]:
         self._mechanism(var)
         return tuple(
@@ -319,11 +316,6 @@ class Dataset:
 
     def column_dict(self) -> dict[str, np.ndarray]:
         return {name: self.values[:, i] for i, name in enumerate(self.columns)}
-
-    @classmethod
-    def from_columns(cls, columns: Mapping[str, np.ndarray]) -> "Dataset":
-        names = tuple(columns)
-        return cls(names, np.column_stack([columns[n] for n in names]))
 
 
 class NoiseDataset(Dataset):

@@ -474,6 +474,18 @@ def _model_file(tmp_path, text):
     return _explain(tmp_path, "--var", "P", "--model", str(model))
 
 
+def _render_into_missing_dir(tmp_path):
+    argv = _render(tmp_path, "plot_kind,unit,grid_value,value\nTDP,0,0.5,1\n"
+                             "TDP,mean,0.5,1\n")
+    return argv[:-1] + [str(tmp_path / "nodir" / "c.svg")]
+
+
+def _run_into_a_file(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    return _run(tmp_path, output_dir=str(blocker))
+
+
 EXIT_CASES = {
     "success": (0, lambda t: _explain(t, "--var", "P", "--closed-form", "P",
                                       "--features", "P")),
@@ -490,6 +502,23 @@ EXIT_CASES = {
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
     "discover-bad-label-map": (2, _discover_label_map),
+    "simulate-out-missing-dir": (
+        2, lambda t: ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "5",
+                      "--out", str(t / "nodir" / "d.csv")]),
+    "discover-out-missing-dir": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)),
+                      "--out", str(t / "nodir" / "g.txt")]),
+    "fit-out-missing-dir": (
+        2, lambda t: ["fit", "--data", str(_salary_data(t)), "--target", "S",
+                      "--out", str(t / "nodir" / "m.json")]),
+    "render-svg-missing-dir": (2, _render_into_missing_dir),
+    "run-output-dir-is-a-file": (2, _run_into_a_file),
+    "run-ice-on-non-feature": (
+        2, lambda t: _run(t, variables=["F"], plots=["ICE"],
+                          predictor={"kind": "ols", "target": "S", "features": ["P"]})),
+    "explain-pdp-on-non-feature": (
+        2, lambda t: _explain(t, "--var", "F", "--plots", "PDP", "--closed-form", "P",
+                              "--features", "P")),
     "render-missing-csv": (3, lambda t: _render(t, None)),
     "render-non-numeric-cell": (
         3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nTDP,0,0.5,abc\n"
@@ -606,19 +635,22 @@ def test_run_output_dir_flag_overrides_the_config(tmp_path):
 
 
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
-    # P's curves are written before ICE fails on S, which is a model
-    # variable but not a predictor feature
+    # The TDP curves are written before ICE fails: in the TDP world F
+    # follows 2*P^3, so the log's argument stays near 1, while ICE pairs
+    # a high grid P with a low observed F and takes the log of a
+    # negative number.
     _copy_fixture(tmp_path, "salary.scm")
     config = _write_config(
         tmp_path,
-        predictor={"kind": "ols", "target": "S", "features": ["P", "F"]},
-        variables=["P", "S"],
-        plots=["ICE"],
+        predictor={"kind": "closed_form", "features": ["P", "F"],
+                   "expression": "log(F - 2*P^3 + 1)"},
+        variables=["P"],
+        plots=["TDP", "ICE"],
     )
     assert main(["run", "--config", str(config)]) == 4
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
-    assert "S" in capsys.readouterr().err
+    assert "log" in capsys.readouterr().err
 
 
 def test_run_discovery_records_the_graph(tmp_path):

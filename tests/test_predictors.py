@@ -2,6 +2,8 @@
 
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +213,18 @@ def test_save_load_round_trip():
         assert np.array_equal(clone.predict(grid), model.predict(grid))
 
 
+def test_forest_blob_with_legacy_bounds_still_loads():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=60)
+    data = _dataset(x=x, y=x + rng.normal(scale=0.1, size=60))
+    model = fit_forest(data, "y", ("x",), ForestConfig(n_trees=2, seed=0))
+    blob = save_predictor(model)
+    assert "y_min" not in blob and "y_max" not in blob
+    clone = load_predictor({**blob, "y_min": -1.0, "y_max": 1.0})
+    grid = np.linspace(-2, 2, 5).reshape(-1, 1)
+    assert np.array_equal(clone.predict(grid), model.predict(grid))
+
+
 # --- external bridge -------------------------------------------------------
 
 
@@ -315,6 +329,118 @@ def test_external_timeout(tmp_path):
             model.predict(np.zeros((1, 1)))
     finally:
         model.close()
+
+
+# Answers request r with r on every row, except that the answer to the
+# first request goes wrong in the way the mode names.
+DESYNC_SCRIPT = """\
+    import sys, time
+    mode = sys.argv[1]
+    sys.stdin.readline()
+    sys.stdout.write("READY\\n"); sys.stdout.flush()
+    request = 0
+    while True:
+        req = sys.stdin.readline().split()
+        if not req or req == ["QUIT"]:
+            break
+        n = int(req[1])
+        for _ in range(n):
+            sys.stdin.readline()
+        request += 1
+        lines = ["%d.0\\n" % request] * n
+        if request == 1 and mode == "late":
+            time.sleep(0.5)
+        elif request == 1 and mode == "short":
+            sys.stdout.write(lines.pop()); sys.stdout.flush()
+            time.sleep(0.5)
+        elif request == 1 and mode == "malformed":
+            lines[0] = "banana\\n"
+        elif request == 1 and mode == "extra":
+            lines.append(lines[0])
+        elif request == 1 and mode == "stray":
+            sys.stdout.write("".join(lines)); sys.stdout.flush()
+            time.sleep(0.3)
+            lines = lines[:1]
+        sys.stdout.write("".join(lines)); sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, first_error",
+    [
+        ("late", "timed out"),
+        ("short", "timed out"),
+        ("malformed", "banana"),
+        ("extra", "more than 2 answer"),
+    ],
+)
+def test_external_refuses_requests_after_a_protocol_error(tmp_path, mode, first_error):
+    command = _script(tmp_path, "desync.py", DESYNC_SCRIPT) + f" {mode}"
+    model = open_external(command, ("x",), timeout=0.2)
+    try:
+        with pytest.raises(ExternalPredictorError, match=first_error):
+            model.predict(np.zeros((2, 1)))
+        time.sleep(0.7)  # the first answer would be complete by now
+        # the second request must not be answered with the first one's rows
+        with pytest.raises(ExternalPredictorError, match=first_error):
+            model.predict(np.zeros((2, 1)))
+    finally:
+        model.close()
+
+
+def test_external_output_before_a_request_is_a_protocol_error(tmp_path):
+    command = _script(tmp_path, "desync.py", DESYNC_SCRIPT) + " stray"
+    model = open_external(command, ("x",), timeout=0.2)
+    try:
+        assert model.predict(np.zeros((2, 1))).tolist() == [1.0, 1.0]
+        time.sleep(0.7)  # the stray line has arrived by now
+        with pytest.raises(ExternalPredictorError, match="before the request"):
+            model.predict(np.zeros((2, 1)))
+    finally:
+        model.close()
+
+
+def test_external_child_answering_row_by_row_does_not_deadlock(tmp_path):
+    # SUM_SCRIPT writes each answer as it reads the row, so its output
+    # pipe fills long before a 200k-row request has been written
+    command = _script(tmp_path, "sum.py", SUM_SCRIPT)
+    rows = np.arange(200_000, dtype=np.float64).reshape(-1, 1)
+    model = open_external(command, ("x",), timeout=5.0)
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.update(out=model.predict(rows)), daemon=True
+    )
+    worker.start()
+    worker.join(30)
+    hung = worker.is_alive()
+    if hung:
+        model._proc.kill()  # unblock the writer so the test fails, not hangs
+        worker.join(10)
+    model.close()
+    assert not hung, "predict deadlocked"
+    assert np.array_equal(result["out"], rows[:, 0])
+
+
+def test_external_close_after_protocol_error_is_prompt(tmp_path):
+    command = _script(
+        tmp_path,
+        "garbage_then_sleep.py",
+        """\
+        import sys, time
+        sys.stdin.readline()
+        sys.stdout.write("READY\\n"); sys.stdout.flush()
+        sys.stdin.readline()
+        sys.stdin.readline()
+        sys.stdout.write("banana\\n"); sys.stdout.flush()
+        time.sleep(10)
+        """,
+    )
+    model = open_external(command, ("x",))
+    with pytest.raises(ExternalPredictorError, match="banana"):
+        model.predict(np.zeros((1, 1)))
+    start = time.monotonic()
+    model.close()
+    assert time.monotonic() - start < 1.0
 
 
 def test_external_bad_handshake(tmp_path):
