@@ -72,8 +72,9 @@ class ExternalPredictorError(PredictorError):
 
 def _fmt17(value: float) -> str:
     """17 significant digits, so a float survives the text round trip
-    exactly; every float the package writes goes through here, except
-    external requests, whose one "%.17g" format gives the same bytes."""
+    exactly. Every float the package writes goes through here or through
+    a "%.17g" template (curve CSV values, external requests), which
+    gives the same bytes."""
     return format(float(value), ".17g")
 
 
@@ -157,9 +158,8 @@ def _monomial_exponents(k: int, degree: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for total in range(degree + 1):
         level = [
-            e
-            for e in itertools.product(range(total + 1), repeat=k)
-            if sum(e) == total
+            tuple(factors.count(i) for i in range(k))
+            for factors in itertools.combinations_with_replacement(range(k), total)
         ]
         # graded lexicographic: within a level, earlier features first,
         # so degree 1 reads (intercept, feature coefficients in order)
@@ -500,6 +500,10 @@ class ExternalPredictor(Predictor):
                 out[i] = float(line)
             except ValueError:
                 self._fail(f"malformed response line {line!r}")
+        # float() also parses nan and inf, which are no answer either
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            self._fail(f"malformed response line {answers[bad[0]]!r}")
         return out
 
     def describe(self) -> str:

@@ -13,6 +13,10 @@ CSV schema (UTF-8, LF, '.' decimal, 17 significant digits)::
 unit is a 0-based integer or the literal "mean"; band files use the
 model index plus the literals "lower" and "upper". Rows are ordered by
 (unit, grid_value) with the named rows after the numbered ones.
+
+The CSV and SVG writers format each curve with one "%": values through
+"%.17g" and pixel coordinates through "%.2f", which give the same bytes
+as `_fmt17` and `_coord` on each value.
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ def _tick_label(value: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates onto the pixel canvas."""
+    """Maps data coordinates onto the pixel canvas. sx and sy use only
+    -, /, * and +, so a numpy array maps to the same values as each of
+    its floats on its own."""
 
     def __init__(self, style, x_lo, x_hi, y_lo, y_hi):
         self.style = style
@@ -119,11 +125,10 @@ class _Frame:
         frac = (value - self.y_lo) / (self.y_hi - self.y_lo)
         return self.bottom - frac * (self.bottom - self.top)
 
-    def polyline_points(self, xs, ys) -> str:
-        return " ".join(
-            f"{_coord(self.sx(float(x)))},{_coord(self.sy(float(y)))}"
-            for x, y in zip(xs, ys)
-        )
+    def points(self, xs, rows) -> list[str]:
+        """The points attribute of one polyline per row of y values."""
+        template = " ".join(f"{_coord(x)},%.2f" for x in self.sx(xs).tolist())
+        return [template % tuple(ys) for ys in self.sy(np.asarray(rows)).tolist()]
 
 
 def _open_svg(style: PlotStyle) -> list[str]:
@@ -222,17 +227,18 @@ def render_curves(curve_set: CurveSet, style: PlotStyle | None = None) -> str:
         f"{_escape(caption)}</text>"
     )
     parts.extend(_axes(frame, style, style.x_label or curve_set.grid.var))
-    for row in curve_set.curves:
+    for points in frame.points(xs, curve_set.curves):
         parts.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{style.curve_width}" '
             f'stroke-opacity="{style.curve_opacity}" '
-            f'points="{frame.polyline_points(xs, row)}"/>'
+            f'points="{points}"/>'
         )
+    (mean_points,) = frame.points(xs, [curve_set.mean])
     parts.append(
         f'<polyline fill="none" stroke="{color}" '
         f'stroke-width="{style.mean_width}" '
-        f'points="{frame.polyline_points(xs, curve_set.mean)}"/>'
+        f'points="{mean_points}"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -252,18 +258,18 @@ def render_band(band: BandSet, style: PlotStyle | None = None) -> str:
         f"{_escape(band.kind + ' model uncertainty')}</text>"
     )
     parts.extend(_axes(frame, style, style.x_label or band.grid.var))
-    forward = frame.polyline_points(xs, band.upper)
-    backward = frame.polyline_points(xs[::-1], band.lower[::-1])
+    (forward,) = frame.points(xs, [band.upper])
+    (backward,) = frame.points(xs[::-1], [band.lower[::-1]])
     parts.append(
         f'<polygon fill="#9ecae1" fill-opacity="0.45" stroke="none" '
         f'points="{forward} {backward}"/>'
     )
-    for i, label in enumerate(band.labels):
+    for i, points in enumerate(frame.points(xs, band.curves)):
         color = _BAND_PALETTE[i % len(_BAND_PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{style.mean_width}" '
-            f'points="{frame.polyline_points(xs, band.curves[i])}"/>'
+            f'points="{points}"/>'
         )
     for i, label in enumerate(band.labels):
         color = _BAND_PALETTE[i % len(_BAND_PALETTE)]
@@ -283,33 +289,26 @@ def render_band(band: BandSet, style: PlotStyle | None = None) -> str:
 # --- delimited export ------------------------------------------------------
 
 
+def _table(kind: str, grid: Grid, rows) -> str:
+    """CSV of (label, values) rows over one grid, one "%" per row."""
+    cells = [f"{_fmt17(x)},%.17g\n" for x in grid.values]
+    kind = kind.replace("%", "%%")
+    parts = ["plot_kind,unit,grid_value,value\n"]
+    for label, values in rows:
+        prefix = f"{kind},{label},"
+        parts.append((prefix + prefix.join(cells)) % tuple(values.tolist()))
+    return "".join(parts)
+
+
 def export_csv(curve_set: CurveSet) -> str:
     """Stable delimited form of a curve set; see the module docstring."""
-    lines = ["plot_kind,unit,grid_value,value"]
-    for unit in range(curve_set.units):
-        for gi, x in enumerate(curve_set.grid.values):
-            lines.append(
-                f"{curve_set.kind},{unit},{_fmt17(x)},"
-                f"{_fmt17(curve_set.curves[unit, gi])}"
-            )
-    for gi, x in enumerate(curve_set.grid.values):
-        lines.append(
-            f"{curve_set.kind},mean,{_fmt17(x)},{_fmt17(curve_set.mean[gi])}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [*enumerate(curve_set.curves), ("mean", curve_set.mean)]
+    return _table(curve_set.kind, curve_set.grid, rows)
 
 
 def export_band_csv(band: BandSet) -> str:
-    lines = ["plot_kind,unit,grid_value,value"]
-    for i in range(len(band.labels)):
-        for gi, x in enumerate(band.grid.values):
-            lines.append(
-                f"{band.kind},{i},{_fmt17(x)},{_fmt17(band.curves[i, gi])}"
-            )
-    for name, row in (("lower", band.lower), ("upper", band.upper)):
-        for gi, x in enumerate(band.grid.values):
-            lines.append(f"{band.kind},{name},{_fmt17(x)},{_fmt17(row[gi])}")
-    return "\n".join(lines) + "\n"
+    rows = [*enumerate(band.curves), ("lower", band.lower), ("upper", band.upper)]
+    return _table(band.kind, band.grid, rows)
 
 
 def import_csv(text: str, var: str = "x") -> CurveSet:

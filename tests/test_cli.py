@@ -463,6 +463,22 @@ def _mute_external(tmp_path):
                     "--features", "P,F", "--timeout", "5")
 
 
+def _nan_external(tmp_path):
+    script = tmp_path / "nan.py"
+    script.write_text(
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "print('READY', flush=True)\n"
+        "for request in iter(sys.stdin.readline, 'QUIT\\n'):\n"
+        "    n = int(request.split()[1])\n"
+        "    [sys.stdin.readline() for _ in range(n)]\n"
+        "    print('nan\\n' * n, end='', flush=True)\n",
+        encoding="utf-8",
+    )
+    return _explain(tmp_path, "--var", "P", "--external", f"{sys.executable} {script}",
+                    "--features", "P,F", "--plots", "ICE", "--timeout", "5")
+
+
 def _discover_label_map(tmp_path):
     return ["discover", "--data", str(_salary_data(tmp_path)), "--label-map", "{bad"]
 
@@ -527,6 +543,7 @@ EXIT_CASES = {
     "explain-compute-failure": (4, lambda t: _explain(t, "--var", "P", "--closed-form",
                                                       "log(P - 10)", "--features", "P")),
     "external-protocol-failure": (5, _mute_external),
+    "external-nan-answer": (5, _nan_external),
 }
 
 EXIT_KINDS = {2: "config", 3: "data", 4: "compute", 5: "external predictor"}

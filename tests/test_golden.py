@@ -1,4 +1,4 @@
-"""Byte-level regression check of the curve engine.
+"""Byte-level regression check of the curve engine and the writers.
 
 For three models and all six plot kinds, the sha256 of the exported
 curve CSV must match a recorded digest. The CSV keeps 17 significant
@@ -7,6 +7,9 @@ digest. The third model is an additive-noise model fitted to simulated
 data, whose recomputed non-root variables differ from the data by an
 ulp for some units; it pins down how counterfactual worlds treat
 variables that are not descendants of the explained one.
+
+The SVG of every one of those curve sets, and the CSV and SVG of a
+two-model uncertainty band, are pinned the same way.
 """
 
 import dataclasses
@@ -18,10 +21,20 @@ import pytest
 
 from cdplot.cli import load_scm_spec
 from cdplot.discovery import Dag, fit_anm
-from cdplot.engine import build_ecm, ice, make_grid, nddp, nidp, pcdp, tdp
+from cdplot.engine import (
+    band_kinds,
+    build_ecm,
+    ice,
+    make_grid,
+    nddp,
+    nidp,
+    pcdp,
+    tdp,
+    uncertainty_band,
+)
 from cdplot.expr import parse
 from cdplot.predictors import ClosedFormPredictor, fit_ols
-from cdplot.render import export_csv
+from cdplot.render import export_band_csv, export_csv, render_band, render_curves
 from cdplot.scm import Intervention, Mechanism, NoiseSpec, build_scm, sample
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
@@ -69,7 +82,11 @@ def _chain_anm():
 CASES = {"salary": _salary, "mediation": _mediation, "chain_anm": _chain_anm}
 
 
-def _digests(case: str) -> dict[str, str]:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digests(case: str, writer=export_csv) -> dict[str, str]:
     scm, data, predictor, controls = CASES[case]()
     ecm = build_ecm(scm, predictor)
     out = {}
@@ -84,8 +101,21 @@ def _digests(case: str) -> dict[str, str]:
         }
         curve_sets["PDP"] = dataclasses.replace(curve_sets["ICE"], kind="PDP")
         for kind, curve_set in curve_sets.items():
-            text = export_csv(curve_set)
-            out[f"{var}/{kind}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            out[f"{var}/{kind}"] = _sha256(writer(curve_set))
+    return out
+
+
+def _band_digests() -> dict[str, str]:
+    scm, data, predictor, _ = _salary()
+    independent = load_scm_spec(FIXTURES / "salary_independent.scm")
+    ecms = [build_ecm(scm, predictor), build_ecm(independent, predictor)]
+    out = {}
+    for var in ("P", "F"):
+        grid = make_grid(data, var)
+        for kind in band_kinds():
+            band = uncertainty_band(ecms, data, var, grid, kind)
+            out[f"{var}/{kind}/csv"] = _sha256(export_band_csv(band))
+            out[f"{var}/{kind}/svg"] = _sha256(render_band(band))
     return out
 
 
@@ -141,9 +171,91 @@ GOLDEN = {
 }
 
 
+GOLDEN_SVG = {
+    "chain_anm": {
+        "B/ICE": "8069beff2a36f3700032129da0e4722f12f5f34a69c581825be758af452e9b8b",
+        "B/TDP": "511ab9c0d992de22720459691d52b95b833341531e79d784ed3d13eb685a3858",
+        "B/PCDP": "32b0986684d1fbc36fcf432deb1169f4b5b61debdd8fcc81ecaa1ad67217078c",
+        "B/NDDP": "a3dc56cd9eb15684108fef90a626fa992f6702866e0733955de720493fa69fc6",
+        "B/NIDP": "31ade2135a1091df1b239183ce5c74ee20c770f3e26572e3d9e4e164c00f5129",
+        "B/PDP": "1591dc80e3d446a4bad7e5b399e479ecc90162cc22b3044769297ad12a2dc8b8",
+        "C/ICE": "5c1b8bd2176edd1edf7568b9d62082e3dd2bce521d5f20fb9bcdae726e12c914",
+        "C/TDP": "4c348678c39ec545137eb49d8fdd7c95eba640a1ffe6773c932d0405533db619",
+        "C/PCDP": "36f4a9dc41527618e7ec016736ac6885702532b17c35b9a9a26ef5d5f0fb921c",
+        "C/NDDP": "edb5dc483992defad046040d4c713deed58705dcad2c8ad2bad77017a533337e",
+        "C/NIDP": "1e68769c472d1b787190477b3006e78761b584a9fa8231458277360d1a5bae3d",
+        "C/PDP": "97d26c43468b63a6a4eb4a27f26bd742739b3fd81dd5ed4468f8fa1326ba20cc",
+    },
+    "mediation": {
+        "X/ICE": "14237eca5c2aea6b32f994226c4348c6db333bfb9a924890e2d67ae7ba6d5a24",
+        "X/TDP": "00e65f25c48b9f514d1ba08f2e778cba23935dca4915c25be6eb7b6c069f45da",
+        "X/PCDP": "b99b42feb98407f3954bf51bc9b46dc134d35bc72e58d873fdc32743744c375b",
+        "X/NDDP": "d31a6d23481533344c7032a4259e49d1ce3c4b042cf4db0f7f9195a1946a58b7",
+        "X/NIDP": "a8c5d188139823aee374ecf4480b384da7d8bd5d8e7624f9e74a7ee5fdd070af",
+        "X/PDP": "9195b66ce659e3f755dd44d0074aedc83dec61a261a0f2276d5920264453fb06",
+        "M/ICE": "3e9e80cd3e0e8329c4f2bb14cc79c15aa98efa4ecf29e0951a4f1f824754c344",
+        "M/TDP": "2a17e83a8560d20ab7606106ec4d4ca5203c06f8da75f85bd5532267063d5f9f",
+        "M/PCDP": "df0b0364f5c48e7d30c39ce17a24a351fba7c016ac180c1721bb020423ad42c4",
+        "M/NDDP": "650a1275060aefc74b5ea7fc4ea10280acd6ed7ab3c71892494438ab0ee45433",
+        "M/NIDP": "a0cda00142ccefebea7bcea33472a73a1513104cd94308ed1af07f81c4136261",
+        "M/PDP": "854fdeb64927c1bfc2f38617decb6301531e85d0d59e0bb2a702a645d7e7abdd",
+        "Y/ICE": "77b2a3de8359df027c1d88c178b73e7ce61045b92fda167e1712814a680604a4",
+        "Y/TDP": "4396f7f9caa914a9e8d7a4ed72fbd04f2b140ee6d351202134405dab4fb22e7e",
+        "Y/PCDP": "2e36375bb91523cc18320ac2c03b50085fdae22107f49d73ed88c65be48091c8",
+        "Y/NDDP": "1017efc1235fd6eda1d5312c41dbbbbc4d291fd39dee2778006ce2c13a861a3b",
+        "Y/NIDP": "1a110fa7d6b4f7df09aec42c34dbfa39533d34d4e997ce9982050a5d61b7bba4",
+        "Y/PDP": "4caaf911433ff40683f8975e80cc2ab473044e31ec682fd3b1dd58a884d6620c",
+    },
+    "salary": {
+        "P/ICE": "38d8e9f57dacab7d15f0ca365c9759b12eb09fab03188ef6653589b3a8e303b1",
+        "P/TDP": "cb76aefdc104af28c35f7e52b9370af93956e2a202d715a338139d3f6da4d05f",
+        "P/PCDP": "f8a12e86e7991115d438647e42779cdc7f2217e08ebfb510186bea1175b114d7",
+        "P/NDDP": "e11e3fbe3074e95ea9ac41269d39fd2b1a748675314d221fe685fd148617c42f",
+        "P/NIDP": "c13d0f52276d28efa4576a31c71b89177380107772de9c6a25c01c46febbc9be",
+        "P/PDP": "838436c9e0e3339e36c5f8794abfcab8435e74b3f76516cf227b3227d5bcb166",
+        "F/ICE": "e76791c042ead92d916aa69d6a9b83faefc58bdd97c7972f87193ed238345b41",
+        "F/TDP": "e3c081f6ea5144b29cdbf47cb4b92db66274aba697fcca7b4b8e286314b88ab6",
+        "F/PCDP": "2d251bf1304918754feb580c78d865ed31a37ca9b4142e8b492f093136757a7f",
+        "F/NDDP": "3463db0a02265649662a8d6c48577e196d37bf9f9a72fc72ab428275dc159d40",
+        "F/NIDP": "dcc21ce3a32878555d14ce05e0cdf83b77455421c282eb6379981c2b7094e584",
+        "F/PDP": "ce1ff9b7b79d5364799302faab2fe85c9b4d506d694738c631deafa666b10d9c",
+    },
+}
+
+GOLDEN_BAND = {
+    "P/TDP/csv": "a1e1633137cc9ab98634ead8707dd787989f854a7a00063eccc066f883dac3c4",
+    "P/TDP/svg": "9ae727b137aba8969561cb72e1ce4bd9835c23e9c5479cc616ca95075c03541e",
+    "P/NDDP/csv": "023e3352e8945293e2504e05d45e3d87a7e9fe9f42f64da91857bf94d7295343",
+    "P/NDDP/svg": "d4b2a6b594c684ece612d467340ec2644a3b1b5da6724c6da420130ee649fdac",
+    "P/NIDP/csv": "b8ab3a68dcf8f6a8993b3e4dca238c3d83678d243f8de6390177e04d4e758860",
+    "P/NIDP/svg": "6b95ebc434bab06f0b18133c1adffb30bacd528f33a46f17e0d22d41a0b5a164",
+    "F/TDP/csv": "ed043a94503de508ad46c9ecfe74c720f18ffef2ae3cb7771c77115d1abc5232",
+    "F/TDP/svg": "8ae033714dc235e64fd41a60d0f258d050e71b108d604f35feb8332bbfe0854e",
+    "F/NDDP/csv": "305d7d1fc720d6083a8f96387a990f22cff7ffd6b412971818408094a36868b7",
+    "F/NDDP/svg": "0d0c8803c8bfa344e6410419404d64f30860a372f93cd7a4d5192a053c80a247",
+    "F/NIDP/csv": "8e1d0015d8fcfce799a6eb0bab6419ffb95b9ebe9d68fd62eb6954da6642800c",
+    "F/NIDP/svg": "86f6fd1517f423e0df5eeb3ea15941a096a28863b6af04049b8e464ec03ac910",
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_curve_csv_bytes_are_unchanged(case):
     got = _digests(case)
     changed = sorted(k for k in GOLDEN[case] if got.get(k) != GOLDEN[case][k])
     assert sorted(got) == sorted(GOLDEN[case])
     assert not changed, f"curve CSV bytes changed for {case}: {changed}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_curve_svg_bytes_are_unchanged(case):
+    got = _digests(case, render_curves)
+    changed = sorted(k for k in GOLDEN_SVG[case] if got.get(k) != GOLDEN_SVG[case][k])
+    assert sorted(got) == sorted(GOLDEN_SVG[case])
+    assert not changed, f"curve SVG bytes changed for {case}: {changed}"
+
+
+def test_band_csv_and_svg_bytes_are_unchanged():
+    got = _band_digests()
+    changed = sorted(k for k in GOLDEN_BAND if got.get(k) != GOLDEN_BAND[k])
+    assert sorted(got) == sorted(GOLDEN_BAND)
+    assert not changed, f"band bytes changed: {changed}"

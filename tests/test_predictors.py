@@ -1,5 +1,6 @@
 """Built-in learners and the external predictor bridge."""
 
+import itertools
 import sys
 import textwrap
 import threading
@@ -14,6 +15,7 @@ from cdplot.predictors import (
     ForestConfig,
     OlsPredictor,
     PredictorError,
+    _monomial_exponents,
     fit_forest,
     fit_ols,
     load_predictor,
@@ -30,6 +32,26 @@ def _dataset(**columns):
 
 
 # --- ols -------------------------------------------------------------------
+
+
+def _monomial_exponents_by_scan(k, degree):
+    """Scans all (total + 1)^k tuples per degree level; the reference
+    for `_monomial_exponents`."""
+    out = []
+    for total in range(degree + 1):
+        level = [
+            e
+            for e in itertools.product(range(total + 1), repeat=k)
+            if sum(e) == total
+        ]
+        out.extend(sorted(level, reverse=True))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("degree", range(0, 4))
+def test_monomial_exponents_match_the_scan(k, degree):
+    assert _monomial_exponents(k, degree) == _monomial_exponents_by_scan(k, degree)
 
 
 def test_ols_recovers_exact_line():
@@ -355,6 +377,8 @@ DESYNC_SCRIPT = """\
             time.sleep(0.5)
         elif request == 1 and mode == "malformed":
             lines[0] = "banana\\n"
+        elif request == 1 and mode in ("nan", "inf"):
+            lines[0] = mode + "\\n"
         elif request == 1 and mode == "extra":
             lines.append(lines[0])
         elif request == 1 and mode == "stray":
@@ -371,6 +395,8 @@ DESYNC_SCRIPT = """\
         ("late", "timed out"),
         ("short", "timed out"),
         ("malformed", "banana"),
+        ("nan", "malformed response line b'nan'"),
+        ("inf", "malformed response line b'inf'"),
         ("extra", "more than 2 answer"),
     ],
 )

@@ -5,11 +5,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdplot.engine import BandSet, CurveSet, EngineError, Grid
+from cdplot.predictors import _fmt17
 from cdplot.render import (
     KIND_COLORS,
     PlotStyle,
+    _axes,
+    _Frame,
     export_band_csv,
     export_csv,
     import_csv,
@@ -253,3 +258,123 @@ def test_band_export_envelope_values():
     upper = [float(r[3]) for r in rows if r[1] == "upper"]
     assert lower == [0.0, 3.0]
     assert upper == [1.0, 4.0]
+
+
+# --- byte equality with the per-point writers --------------------------------
+# The writers format whole rows at once. These are the per-point writers
+# they replaced, kept as the reference: the bytes must not differ.
+
+
+def _scalar_csv(kind, grid_values, rows):
+    lines = ["plot_kind,unit,grid_value,value"]
+    for label, values in rows:
+        for gi, x in enumerate(grid_values):
+            lines.append(f"{kind},{label},{_fmt17(x)},{_fmt17(values[gi])}")
+    return "\n".join(lines) + "\n"
+
+
+def _scalar_points(frame, xs, ys):
+    return " ".join(
+        f"{format(frame.sx(float(x)), '.2f')},{format(frame.sy(float(y)), '.2f')}"
+        for x, y in zip(xs, ys)
+    )
+
+
+def _axes_error(frame):
+    """The exception the axes raise for this frame, if any. The writers
+    draw the axes before any curve, so the per-point writers failed
+    exactly when the axes did."""
+    try:
+        _axes(frame, frame.style, "x")
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return None
+
+
+def _svg_points(svg):
+    return re.findall(r'points="([^"]*)"', svg)
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300)
+_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@st.composite
+def _matrices(draw, min_rows=1):
+    grid = sorted(draw(st.lists(_values, min_size=1, max_size=5, unique=True)))
+    rows = draw(st.integers(min_rows, 4))
+    if draw(st.booleans()):
+        # all curves equal: the frame pads a zero range by 0.5 each way
+        curves = np.full((rows, len(grid)), draw(_values))
+    else:
+        row = st.lists(_values, min_size=len(grid), max_size=len(grid))
+        curves = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    return Grid("x", np.asarray(grid)), curves
+
+
+def _curve_set_of(grid, curves):
+    return CurveSet("ICE", grid, curves, curves.mean(axis=0))
+
+
+def _band_of(grid, curves):
+    labels = tuple(f"m{i}" for i in range(len(curves)))
+    return BandSet("TDP", grid, labels, curves, curves.min(axis=0), curves.max(axis=0))
+
+
+@settings(deadline=None)
+@given(_matrices())
+@example((Grid("x", np.asarray([-0.0])), np.asarray([[-0.0]])))
+@example((Grid("x", np.asarray([0.5])), np.asarray([[5e-324]])))
+@example((Grid("x", np.asarray([-1e300, 1e300])), np.asarray([[1e300, -1e300], [0.0, 5e-324]])))
+@example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.full((3, 3), 7.25)))
+@example((Grid("x", np.asarray([0.0, 1.0])), np.full((2, 2), 1e300)))
+def test_curve_writers_match_the_per_point_writers(matrix):
+    curve_set = _curve_set_of(*matrix)
+    xs = curve_set.grid.values
+    rows = [*enumerate(curve_set.curves), ("mean", curve_set.mean)]
+    assert export_csv(curve_set) == _scalar_csv("ICE", xs, rows)
+    y_lo = float(min(curve_set.curves.min(), curve_set.mean.min()))
+    y_hi = float(max(curve_set.curves.max(), curve_set.mean.max()))
+    frame = _Frame(PlotStyle(), float(xs[0]), float(xs[-1]), y_lo, y_hi)
+    error = _axes_error(frame)
+    if error is not None:
+        with pytest.raises(error):
+            render_curves(curve_set)
+        return
+    expected = [_scalar_points(frame, xs, ys) for _, ys in rows]
+    assert _svg_points(render_curves(curve_set)) == expected
+
+
+@pytest.mark.parametrize("kind", ["100%", "%s%.17g%%"])
+def test_export_keeps_percent_signs_in_the_kind(kind):
+    curve_set = _curve_set(kind=kind, curves=[[0.5, 2.0]])
+    rows = [(0, curve_set.curves[0]), ("mean", curve_set.mean)]
+    assert export_csv(curve_set) == _scalar_csv(kind, curve_set.grid.values, rows)
+
+
+@settings(deadline=None)
+@given(_matrices())
+@example((Grid("x", np.asarray([-0.0])), np.asarray([[-0.0]])))
+@example((Grid("x", np.asarray([-1e300, 1e300])), np.asarray([[1e300, -1e300], [0.0, 5e-324]])))
+@example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.full((2, 3), -3.5)))
+def test_band_writers_match_the_per_point_writers(matrix):
+    band = _band_of(*matrix)
+    xs = band.grid.values
+    rows = [*enumerate(band.curves), ("lower", band.lower), ("upper", band.upper)]
+    assert export_band_csv(band) == _scalar_csv("TDP", xs, rows)
+    frame = _Frame(PlotStyle(), float(xs[0]), float(xs[-1]),
+                   float(band.lower.min()), float(band.upper.max()))
+    error = _axes_error(frame)
+    if error is not None:
+        with pytest.raises(error):
+            render_band(band)
+        return
+    envelope = (
+        f"{_scalar_points(frame, xs, band.upper)} "
+        f"{_scalar_points(frame, xs[::-1], band.lower[::-1])}"
+    )
+    expected = [envelope] + [_scalar_points(frame, xs, ys) for ys in band.curves]
+    assert _svg_points(render_band(band)) == expected
