@@ -43,6 +43,7 @@ from .predictors import (
     ExternalPredictorError,
     ForestConfig,
     Predictor,
+    PredictorError,
     fit_forest,
     fit_ols,
     load_predictor,
@@ -651,9 +652,10 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
                 ecm = engine.build_ecm(scm, predictor)
             for var in config.variables:
                 grid = engine.make_grid(explain_data, var, config.grid_resolution)
+                memo: dict[str, engine.CurveSet] = {}
                 for kind in config.plots:
                     curve_set = _compute_plot(
-                        kind, ecm, predictor, explain_data, var, grid, control
+                        kind, ecm, predictor, explain_data, var, grid, control, memo
                     )
                     if kind == "NIDP":
                         note = curve_set.metadata.get("notes")
@@ -698,17 +700,28 @@ def _compute_plot(
     var: str,
     grid: engine.Grid,
     control: Intervention,
+    memo: dict[str, engine.CurveSet],
 ) -> engine.CurveSet:
+    """The curve set of one plot kind. memo keeps the ICE and TDP curve
+    sets of this (predictor, variable): PDP is ICE under its own label,
+    and PCDP without controls pins exactly what TDP pins, so each
+    relabels the curves instead of running the same sweep again."""
     if kind in ("ICE", "PDP"):
-        curve_set = engine.ice(predictor, data, var, grid)
-        if kind == "PDP":
-            curve_set = dataclasses.replace(curve_set, kind="PDP")
-        return curve_set
+        if "ICE" not in memo:
+            memo["ICE"] = engine.ice(predictor, data, var, grid)
+        if kind == "ICE":
+            return memo["ICE"]
+        return dataclasses.replace(memo["ICE"], kind="PDP")
     assert ecm is not None
-    if kind == "TDP":
-        return engine.tdp(ecm, data, var, grid)
-    if kind == "PCDP":
+    if kind == "PCDP" and control.actions:
         return engine.pcdp(ecm, data, var, grid, control)
+    if kind in ("TDP", "PCDP"):
+        if "TDP" not in memo:
+            memo["TDP"] = engine.tdp(ecm, data, var, grid)
+        if kind == "TDP":
+            return memo["TDP"]
+        metadata = engine.pcdp_metadata(ecm, var, control)
+        return dataclasses.replace(memo["TDP"], kind="PCDP", metadata=metadata)
     if kind == "NDDP":
         return engine.nddp(ecm, data, var, grid)
     return engine.nidp(ecm, data, var, grid)
@@ -807,7 +820,7 @@ def _cmd_explain(args) -> int:
             raise ConfigError(f"{args.model}: invalid JSON: {exc}") from None
         try:
             predictor: Predictor = load_predictor(blob)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, PredictorError) as exc:
             raise ConfigError(f"{args.model}: not a saved predictor: {exc!r}") from None
     elif args.closed_form:
         if not args.features:
@@ -826,8 +839,11 @@ def _cmd_explain(args) -> int:
         if any(kind not in ("ICE", "PDP") for kind in plots):
             ecm = engine.build_ecm(scm, predictor)
         grid = engine.make_grid(data, args.var, args.grid_resolution)
+        memo: dict[str, engine.CurveSet] = {}
         for kind in plots:
-            curve_set = _compute_plot(kind, ecm, predictor, data, args.var, grid, control)
+            curve_set = _compute_plot(
+                kind, ecm, predictor, data, args.var, grid, control, memo
+            )
             outputs.write(f"{args.var}_{kind.lower()}.csv", render.export_csv(curve_set))
     except BaseException:
         outputs.discard_all()

@@ -50,6 +50,7 @@ __all__ = [
     "nddp",
     "nidp",
     "pcdp",
+    "pcdp_metadata",
     "tdp",
     "uncertainty_band",
 ]
@@ -253,9 +254,14 @@ def pcdp(
     curves = _counterfactual_sweep(
         ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
     )
+    return _curveset("PCDP", grid, curves, pcdp_metadata(ecm, var, control))
+
+
+def pcdp_metadata(ecm: Ecm, var: str, control: Intervention) -> dict[str, str]:
+    """The metadata of a PCDP curve set; its intervention names the
+    controls, which the SVG caption prints."""
     described = ", ".join(f"{a.var}={a.value!r}" for a in control.actions)
-    kind_meta = _base_metadata(ecm, f"do({var}=grid), control({described})")
-    return _curveset("PCDP", grid, curves, kind_meta)
+    return _base_metadata(ecm, f"do({var}=grid), control({described})")
 
 
 def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:

@@ -340,39 +340,85 @@ def _grow(tree, x, y, idx, depth, config, mtry, rng):
 
 
 class ForestPredictor(Predictor):
+    """Bagged regression forest.
+
+    `trees` holds one dict of flat node arrays per tree, as fitted and
+    saved (feature -1 marks a leaf). The constructor checks them and
+    packs all trees once into concatenated node arrays, in the
+    data-parallel layout of Asadi, Lin & de Vries (IEEE TKDE 2014): the
+    children are one interleaved (left, right) array and every leaf is
+    a self-loop with threshold +inf, so `depth` rounds of one gather
+    over a (trees x rows) node matrix take every row to its leaf in
+    every tree. The leaf values are added in tree order, so predictions
+    are the same floats as walking each tree on its own."""
+
     def __init__(self, features, config: ForestConfig, trees):
         self.features = tuple(features)
         self.config = config
         self.trees = list(trees)
+        if not self.trees:
+            raise PredictorError("a forest needs at least one tree")
+        for tree in self.trees:
+            _check_tree(tree, len(self.features))
+        sizes = [len(tree["feature"]) for tree in self.trees]
+        offsets = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([tree["feature"] for tree in self.trees])
+        leaf = feature < 0
+        itself = np.arange(len(feature))
+        kids = np.empty(2 * len(feature), dtype=np.int64)
+        for side, name in enumerate(("left", "right")):
+            child = np.concatenate(
+                [tree[name] + offset for tree, offset in zip(self.trees, offsets)]
+            )
+            kids[side::2] = np.where(leaf, itself, child)
+        threshold = np.concatenate([tree["threshold"] for tree in self.trees])
+        self._feature = np.where(leaf, 0, feature)
+        self._threshold = np.where(leaf, np.inf, threshold)
+        self._kids = kids
+        self._value = np.concatenate([tree["value"] for tree in self.trees])
+        self._roots = offsets[:, None]
+        # rounds until the deepest leaf; children follow their parent in
+        # each tree, so the frontier empties after at most len(tree) rounds
+        self._depth = 0
+        frontier = offsets[~leaf[offsets]]
+        while frontier.size:
+            frontier = np.unique(kids[2 * frontier[:, None] + [0, 1]])
+            frontier = frontier[~leaf[frontier]]
+            self._depth += 1
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
+        flat = x.ravel()
+        base = np.arange(x.shape[0]) * x.shape[1]
+        node = np.broadcast_to(self._roots, (len(self.trees), x.shape[0]))
+        for _ in range(self._depth):
+            value = flat.take(base + self._feature.take(node))
+            node = self._kids.take(2 * node + (value > self._threshold.take(node)))
         total = np.zeros(x.shape[0])
-        for tree in self.trees:
-            total += _tree_predict(tree, x)
+        for leaves in self._value.take(node):
+            total += leaves
         return total / len(self.trees)
 
     def describe(self) -> str:
         return f"forest(trees={self.config.n_trees}, depth={self.config.max_depth})"
 
 
-def _tree_predict(tree: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    rows = np.arange(x.shape[0])
-    while True:
-        feature = tree["feature"][node]
-        internal = feature >= 0
-        if not np.any(internal):
-            break
-        go_left = np.zeros(len(node), dtype=bool)
-        go_left[internal] = (
-            x[rows[internal], feature[internal]] <= tree["threshold"][node[internal]]
-        )
-        node = np.where(
-            internal,
-            np.where(go_left, tree["left"][node], tree["right"][node]),
-            node,
-        )
-    return tree["value"][node]
+def _check_tree(tree: Mapping[str, np.ndarray], k: int) -> None:
+    """Reject node arrays no fitted tree has: arrays of unequal length,
+    a child that does not follow its parent (which rules out cycles),
+    a feature index beyond the k features, or a NaN threshold."""
+    n = len(tree["feature"])
+    names = ("feature", "threshold", "left", "right", "value")
+    if n == 0 or any(np.shape(tree[name]) != (n,) for name in names):
+        raise PredictorError("tree arrays must be nonempty vectors of one length")
+    internal = np.flatnonzero(tree["feature"] >= 0)
+    for name in ("left", "right"):
+        child = tree[name][internal]
+        if np.any(child <= internal) or np.any(child >= n):
+            raise PredictorError(f"tree has a {name} child out of range")
+    if np.any(tree["feature"][internal] >= k):
+        raise PredictorError(f"tree splits on a feature index beyond {k} features")
+    if np.any(np.isnan(tree["threshold"][internal])):
+        raise PredictorError("tree has a NaN threshold")
 
 
 def fit_forest(

@@ -22,6 +22,7 @@ as `_fmt17` and `_coord` on each value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,16 +77,25 @@ def _coord(value: float) -> str:
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
+    if lo < hi:
+        pad = 0.05 * (hi - lo)
+        return lo - pad, hi + pad
+    lo, hi = lo - 0.5, hi + 0.5
     if lo == hi:
-        return lo - 0.5, hi + 0.5
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+        # from 2^52 on the floats are at least 1 apart and the pad can round away
+        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Around `target` ticks at 1/2/5 x 10^k multiples inside [lo, hi]."""
-    span = hi - lo
-    raw = span / max(target - 1, 1)
+    """Around `target` ticks at 1/2/5 x 10^k multiples inside [lo, hi];
+    finite for any finite lo <= hi."""
+    if lo == hi:
+        return [round(lo, 12)]
+    raw = (hi - lo) / max(target - 1, 1)
+    # a span of a few subnormals would give a zero step, and a span
+    # beyond the largest float an infinite one
+    raw = min(max(raw, sys.float_info.min), sys.float_info.max / 10)
     power = math.floor(math.log10(raw))
     best = None
     for mantissa in (1.0, 2.0, 5.0, 10.0):

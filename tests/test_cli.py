@@ -1,6 +1,9 @@
 """Spec files, dataset files, run configs, and the command line."""
 
+import contextlib
+import dataclasses
 import json
+import signal
 import sys
 from importlib import resources
 from pathlib import Path
@@ -8,17 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdplot import engine, render
 from cdplot.cli import (
     load_run_config,
     load_scm_spec,
     main,
     read_dataset_csv,
+    run_pipeline,
     save_scm_spec,
     write_dataset_csv,
 )
 from cdplot.errors import ConfigError, DataError
+from cdplot.predictors import ForestConfig, Predictor, fit_forest, fit_ols, save_predictor
 from cdplot.render import import_csv
-from cdplot.scm import Dataset
+from cdplot.scm import Dataset, Intervention, sample
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
 
@@ -490,6 +496,14 @@ def _model_file(tmp_path, text):
     return _explain(tmp_path, "--var", "P", "--model", str(model))
 
 
+def _damaged_forest(tmp_path, damage):
+    data = read_dataset_csv(_salary_data(tmp_path))
+    model = fit_forest(data, "S", ("P", "F"), ForestConfig(n_trees=2, max_depth=3, min_leaf=2))
+    blob = save_predictor(model)
+    damage(blob["trees"][0])
+    return _model_file(tmp_path, json.dumps(blob))
+
+
 def _render_into_missing_dir(tmp_path):
     argv = _render(tmp_path, "plot_kind,unit,grid_value,value\nTDP,0,0.5,1\n"
                              "TDP,mean,0.5,1\n")
@@ -517,6 +531,11 @@ EXIT_CASES = {
     "explain-missing-model": (2, lambda t: _model_file(t, None)),
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
+    "explain-forest-blob-with-a-cycle": (
+        2, lambda t: _damaged_forest(t, lambda tree: tree["left"].__setitem__(0, 0))),
+    "explain-forest-blob-child-out-of-range": (
+        2, lambda t: _damaged_forest(
+            t, lambda tree: tree["right"].__setitem__(0, len(tree["feature"])))),
     "discover-bad-label-map": (2, _discover_label_map),
     "simulate-out-missing-dir": (
         2, lambda t: ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "5",
@@ -549,10 +568,32 @@ EXIT_CASES = {
 EXIT_KINDS = {2: "config", 3: "data", 4: "compute", 5: "external predictor"}
 
 
+class _Hang(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Hang in the block if it runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise _Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_exit_code_table(tmp_path, capsys, case):
     code, argv = EXIT_CASES[case]
-    assert main(argv(tmp_path)) == code
+    argv = argv(tmp_path)
+    with _deadline(60):
+        assert main(argv) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith(f"error ({EXIT_KINDS[code]}):")
@@ -695,3 +736,62 @@ def test_run_discovery_records_the_graph(tmp_path):
     # the manifest records the full chosen orientation of the skeleton
     pairs = {tuple(sorted(edge.split(" -> "))) for edge in block["chosen_dag"]}
     assert pairs == {("M", "X"), ("M", "Y")}
+
+
+def _count_predict_rows(monkeypatch):
+    """Record the row count of every Predictor.predict call."""
+    rows = []
+    predict = Predictor.predict
+
+    def counting(self, x):
+        rows.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(Predictor, "predict", counting)
+    return rows
+
+
+@pytest.mark.parametrize("plots, controls, sweeps", [
+    (["ICE", "PDP"], {}, 1),
+    (["PDP", "ICE"], {}, 1),
+    (["TDP", "PCDP"], {}, 1),
+    (["PCDP", "TDP"], {}, 1),
+    (["ICE", "PDP", "TDP", "PCDP"], {}, 2),
+    (["TDP", "PCDP"], {"F": 1.0}, 2),
+    (["PDP", "PCDP"], {"F": 1.0}, 2),
+])
+def test_run_sweeps_each_distinct_curve_once(tmp_path, monkeypatch, plots, controls, sweeps):
+    _copy_fixture(tmp_path, "salary.scm")
+    config = load_run_config(_write_config(tmp_path, plots=plots, controls=controls))
+    rows = _count_predict_rows(monkeypatch)
+    run_pipeline(config)
+    grid_points, units = 5, 80
+    assert rows == [units] * (sweeps * grid_points)
+
+
+def test_reused_pdp_and_pcdp_curves_match_the_engine(tmp_path):
+    _copy_fixture(tmp_path, "salary.scm")
+    config = _write_config(tmp_path, plots=["ICE", "PDP", "TDP", "PCDP"])
+    assert main(["run", "--config", str(config)]) == 0
+    scm = load_scm_spec(FIXTURES / "salary.scm")
+    data, _ = sample(scm, 80, 5)
+    predictor = fit_ols(data, "S", ("P", "F"), 2)
+    grid = engine.make_grid(data, "P", 5)
+    pdp = dataclasses.replace(engine.ice(predictor, data, "P", grid), kind="PDP")
+    pcdp = engine.pcdp(engine.build_ecm(scm, predictor), data, "P", grid, Intervention(()))
+    out = tmp_path / "out"
+    for name, curve_set in (("P_pdp", pdp), ("P_pcdp", pcdp)):
+        assert (out / f"{name}.csv").read_text(encoding="utf-8") == render.export_csv(curve_set)
+        assert (out / f"{name}.svg").read_text(encoding="utf-8") == render.render_curves(curve_set)
+    assert "control()" in (out / "P_pcdp.svg").read_text(encoding="utf-8")
+
+
+def test_flat_curve_beyond_two_to_the_53_renders(tmp_path, capsys):
+    # all values equal 1e17, where a +-0.5 pad around the y range is lost
+    argv = _explain(tmp_path, "--var", "P", "--plots", "ICE",
+                    "--closed-form", "P*0 + 100000000000000000", "--features", "P")
+    assert main(argv) == 0
+    svg = tmp_path / "P_ice.svg"
+    assert main(["render", "--csv", str(tmp_path / "out" / "P_ice.csv"),
+                 "--svg", str(svg)]) == 0
+    assert svg.read_text(encoding="utf-8").count("<polyline") == 11

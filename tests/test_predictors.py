@@ -1,6 +1,7 @@
 """Built-in learners and the external predictor bridge."""
 
 import itertools
+import json
 import sys
 import textwrap
 import threading
@@ -8,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdplot.predictors import (
     ClosedFormPredictor,
@@ -197,6 +200,114 @@ def test_forest_config_validation():
         ForestConfig(max_depth=0)
     with pytest.raises(PredictorError):
         ForestConfig(min_leaf=0)
+
+
+def _tree_predict(tree, x):
+    """Walks one tree a level at a time, row by row through the node
+    arrays; the forest's inference before packing, kept as the
+    reference for the packed forest."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    while True:
+        feature = tree["feature"][node]
+        internal = feature >= 0
+        if not np.any(internal):
+            break
+        go_left = np.zeros(len(node), dtype=bool)
+        go_left[internal] = (
+            x[rows[internal], feature[internal]] <= tree["threshold"][node[internal]]
+        )
+        node = np.where(
+            internal,
+            np.where(go_left, tree["left"][node], tree["right"][node]),
+            node,
+        )
+    return tree["value"][node]
+
+
+def _forest_by_tree(model, x):
+    total = np.zeros(x.shape[0])
+    for tree in model.trees:
+        total += _tree_predict(tree, x)
+    return total / len(model.trees)
+
+
+def _on_thresholds(model, x):
+    """One row per split, sitting exactly on its threshold."""
+    rows = []
+    for tree in model.trees:
+        for i in np.flatnonzero(tree["feature"] >= 0):
+            row = x[i % len(x)].copy()
+            row[tree["feature"][i]] = tree["threshold"][i]
+            rows.append(row)
+    return np.array(rows).reshape(-1, x.shape[1])
+
+
+_cells = st.one_of(st.integers(-3, 3).map(float), st.floats(-5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_forest_matches_the_per_tree_walk(data):
+    k = data.draw(st.integers(1, 4), label="features")
+    n = data.draw(st.integers(10, 60), label="rows")
+    x = np.array(data.draw(st.lists(
+        st.lists(_cells, min_size=k, max_size=k), min_size=n, max_size=n)))
+    if data.draw(st.booleans(), label="constant target"):
+        y = np.full(n, 2.5)
+    else:
+        y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    config = ForestConfig(
+        n_trees=data.draw(st.integers(1, 6), label="n_trees"),
+        max_depth=data.draw(st.integers(1, 9), label="max_depth"),
+        min_leaf=data.draw(st.integers(1, 5), label="min_leaf"),
+        bootstrap=data.draw(st.booleans(), label="bootstrap"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    names = [f"x{j}" for j in range(k)]
+    model = fit_forest(_dataset(**dict(zip(names, x.T)), y=y), "y", names, config)
+    rows = np.vstack([x, _on_thresholds(model, x)])
+    expected = _forest_by_tree(model, rows).view(np.int64)
+    assert np.array_equal(model.predict(rows).view(np.int64), expected)
+    clone = load_predictor(json.loads(json.dumps(save_predictor(model))))
+    assert np.array_equal(clone.predict(rows).view(np.int64), expected)
+
+
+def test_rows_on_a_threshold_go_left():
+    data = _dataset(x=[0.0] * 5 + [1.0] * 5, y=[0.0] * 5 + [1.0] * 5)
+    config = ForestConfig(n_trees=1, max_depth=1, min_leaf=1, bootstrap=False)
+    model = fit_forest(data, "y", ("x",), config)
+    assert model.trees[0]["threshold"][0] == 0.5
+    assert np.array_equal(model.predict(np.array([[0.5], [np.nextafter(0.5, 1)]])), [0.0, 1.0])
+
+
+def _damaged_forest_blob(damage):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=80)
+    data = _dataset(x=x, z=rng.normal(size=80), y=x + rng.normal(scale=0.1, size=80))
+    model = fit_forest(data, "y", ("x", "z"), ForestConfig(n_trees=2, max_depth=3, seed=0))
+    blob = json.loads(json.dumps(save_predictor(model)))
+    tree = blob["trees"][0]
+    assert tree["feature"][0] >= 0 and len(tree["feature"]) > 2
+    damage(blob, tree)
+    return blob
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda b, t: t["left"].__setitem__(0, 0), "left child"),
+    (lambda b, t: t["right"].__setitem__(0, len(t["feature"])), "right child"),
+    (lambda b, t: t["right"].__setitem__(0, -1), "right child"),
+    (lambda b, t: t["feature"].__setitem__(0, 2), "feature index"),
+    (lambda b, t: t["value"].pop(), "one length"),
+    (lambda b, t: t.__setitem__("threshold", [[v] for v in t["threshold"]]), "one length"),
+    (lambda b, t: t["threshold"].__setitem__(0, float("nan")), "NaN"),
+    (lambda b, t: b.__setitem__("trees", []), "one tree"),
+    (lambda b, t: b["trees"].append({name: [] for name in t}), "nonempty"),
+], ids=["cycle", "child-past-the-end", "negative-child", "feature-index",
+        "short-array", "matrix", "nan-threshold", "no-trees", "empty-tree"])
+def test_malformed_forest_blobs_are_rejected(damage, message):
+    with pytest.raises(PredictorError, match=message):
+        load_predictor(_damaged_forest_blob(damage))
 
 
 # --- predict interface -----------------------------------------------------

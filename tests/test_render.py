@@ -15,6 +15,7 @@ from cdplot.render import (
     PlotStyle,
     _axes,
     _Frame,
+    _nice_ticks,
     export_band_csv,
     export_csv,
     import_csv,
@@ -164,6 +165,30 @@ def test_degenerate_band_still_renders():
     points = match.group(1).split()
     # identical models collapse the envelope onto a single line
     assert sorted(points[:2]) == sorted(points[2:])
+
+
+@pytest.mark.parametrize("values", [
+    (5e-324, 1.5e-323),  # a range of 2 subnormal steps: a quarter underflows
+    (0.0, 5e-324),
+    (1e17, 1e17),  # flat beyond 2^53, where a +-0.5 pad is lost
+    (2.0**52 + 2, 2.0**52 + 2),  # both halves of the pad round to even
+    (-2.0**60, -2.0**60),
+])
+def test_curves_with_a_vanishing_y_range_render(values):
+    svg = render_curves(_curve_set(curves=(values, values[::-1])))
+    assert svg.count("<polyline") == 3
+    for points in _polyline_points(svg):
+        assert all(math.isfinite(c) for point in points for c in point)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5e-324, 1.5e-323), (0.0, 5e-324), (-1e-320, 1e-320), (7.0, 7.0),
+    (1e17, 1e17), (-1.7976931348623157e308, 1.7976931348623157e308),
+])
+def test_nice_ticks_are_finite_for_any_finite_range(lo, hi):
+    ticks = _nice_ticks(lo, hi)
+    assert 0 < len(ticks) <= 20
+    assert all(math.isfinite(t) for t in ticks)
 
 
 # --- delimited export ------------------------------------------------------
