@@ -30,7 +30,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,13 +54,10 @@ from .predictors import (
 )
 from .scm import (
     Dataset,
-    Intervention,
-    InterventionError,
     Mechanism,
     NoiseDataset,
     NoiseSpec,
     Scm,
-    SetConstant,
     build_scm,
     sample,
 )
@@ -359,16 +356,52 @@ def _label_map(raw) -> dict[str, float]:
         raise ConfigError("'label_map' must map strings to numbers") from None
 
 
+def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
+    """PCDP controls as {variable: value}, in the order given: finite
+    numbers on distinct names."""
+    controls: dict[str, float] = {}
+    for name, value in pairs:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad control value {value!r} for {name!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"control value for {name!r} must be finite")
+        if name in controls:
+            raise ConfigError(f"control {name!r} is set twice")
+        controls[name] = number
+    return controls
+
+
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _alpha(value: float) -> float:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {value}")
+    return value
+
+
+def _forest_config(**knobs) -> ForestConfig:
+    try:
+        return ForestConfig(**knobs)
+    except PredictorError as exc:
+        raise ConfigError(f"bad forest settings: {exc}") from None
+
+
 def _check_request(
     scm: Scm,
     variables: Sequence[str],
     plots: Sequence[str],
-    control: Intervention,
+    control: Mapping[str, float],
     feature_sets: Sequence[Sequence[str]],
 ) -> None:
     """Explained variables must be model variables, and features of every
-    predictor when ICE or PDP vary them; PCDP controls must name distinct
-    model variables other than the explained ones."""
+    predictor when ICE or PDP vary them; PCDP controls must name model
+    variables other than the explained ones."""
     for var in variables:
         if var not in scm.variables:
             raise ConfigError(f"variable {var!r} is not in the model")
@@ -377,13 +410,11 @@ def _check_request(
                 raise ConfigError(f"ICE/PDP variable {var!r} is not a predictor feature")
     if "PCDP" not in plots:
         return
-    try:
-        control.validate(scm)
-    except InterventionError as exc:
-        raise ConfigError(f"bad control: {exc}") from None
-    for action in control.actions:
-        if action.var in variables:
-            raise ConfigError(f"control on explained variable {action.var!r}")
+    for name in control:
+        if name not in scm.variables:
+            raise ConfigError(f"control on unknown variable {name!r}")
+        if name in variables:
+            raise ConfigError(f"control on explained variable {name!r}")
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -414,11 +445,11 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError("'discovery' must be an object")
         try:
             discovery = DiscoveryBlock(
-                alpha=float(block.get("alpha", 0.05)),
-                max_cond=int(block.get("max_cond", 3)),
-                degree=int(block.get("degree", 3)),
+                alpha=_alpha(float(block.get("alpha", 0.05))),
+                max_cond=_at_least("max_cond", int(block.get("max_cond", 3)), 0),
+                degree=_at_least("degree", int(block.get("degree", 3)), 1),
                 variables=tuple(block.get("variables", ())),
-                cap=int(block.get("cap", 64)),
+                cap=_at_least("cap", int(block.get("cap", 64)), 1),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad discovery block: {exc}") from None
@@ -436,8 +467,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             data_source = SimulateBlock(n=int(sim["n"]), seed=int(sim.get("seed", raw.get("seed", 0))))
         except (KeyError, TypeError, ValueError):
             raise ConfigError("bad simulate block; need {'n': int}") from None
-        if data_source.n < 1:
-            raise ConfigError("simulate n must be positive")
+        _at_least("simulate n", data_source.n, 1)
     else:
         raise ConfigError("'data' must be a path or a {'simulate': ...} object")
 
@@ -451,16 +481,13 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"unknown plot kind {kind!r}")
     if not plots:
         raise ConfigError("'plots' must be nonempty")
-    resolution = int(raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT))
-    if resolution < 2:
-        raise ConfigError("grid_resolution must be at least 2")
+    resolution = _at_least(
+        "grid_resolution", int(raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT)), 2
+    )
     controls_raw = raw.get("controls", {})
     if not isinstance(controls_raw, dict):
         raise ConfigError("'controls' must be an object")
-    try:
-        controls = {str(k): float(v) for k, v in controls_raw.items()}
-    except (TypeError, ValueError):
-        raise ConfigError("control values must be numbers") from None
+    controls = _controls(sorted(controls_raw.items()))
     band_scms = tuple(base / p for p in raw.get("band_scms", ()))
     if len(band_scms) == 1:
         raise ConfigError("'band_scms' needs at least two model specs")
@@ -503,9 +530,10 @@ def _build_predictor(
 ) -> Predictor:
     features = _block_features(block, default_features)
     if block.kind == "ols":
-        return fit_ols(data, block.target, features, int(block.params.get("degree", 1)))
+        degree = _at_least("degree", int(block.params.get("degree", 1)), 1)
+        return fit_ols(data, block.target, features, degree)
     if block.kind == "forest":
-        config = ForestConfig(
+        config = _forest_config(
             n_trees=int(block.params.get("trees", 100)),
             max_depth=int(block.params.get("depth", 8)),
             min_leaf=int(block.params.get("min_leaf", 5)),
@@ -627,11 +655,8 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
             if var not in data.columns:
                 raise DataError(f"model variable {var!r} missing from the data")
 
-    control = Intervention(
-        tuple(SetConstant(v, x) for v, x in sorted(config.controls.items()))
-    )
     features = [_block_features(block, scm.variables) for block in config.predictors]
-    _check_request(scm, config.variables, config.plots, control, features)
+    _check_request(scm, config.variables, config.plots, config.controls, features)
 
     band_scms = [load_scm_spec(p) for p in config.band_scms]
     if band_scms:
@@ -655,7 +680,7 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
                 memo: dict[str, engine.CurveSet] = {}
                 for kind in config.plots:
                     curve_set = _compute_plot(
-                        kind, ecm, predictor, explain_data, var, grid, control, memo
+                        kind, ecm, predictor, explain_data, var, grid, config.controls, memo
                     )
                     if kind == "NIDP":
                         note = curve_set.metadata.get("notes")
@@ -699,7 +724,7 @@ def _compute_plot(
     data: Dataset,
     var: str,
     grid: engine.Grid,
-    control: Intervention,
+    control: Mapping[str, float],
     memo: dict[str, engine.CurveSet],
 ) -> engine.CurveSet:
     """The curve set of one plot kind. memo keeps the ICE and TDP curve
@@ -713,7 +738,7 @@ def _compute_plot(
             return memo["ICE"]
         return dataclasses.replace(memo["ICE"], kind="PDP")
     assert ecm is not None
-    if kind == "PCDP" and control.actions:
+    if kind == "PCDP" and control:
         return engine.pcdp(ecm, data, var, grid, control)
     if kind in ("TDP", "PCDP"):
         if "TDP" not in memo:
@@ -732,7 +757,7 @@ def _compute_plot(
 
 def _cmd_simulate(args) -> int:
     scm = load_scm_spec(args.scm)
-    data, noise = sample(scm, args.n, args.seed)
+    data, noise = sample(scm, _at_least("--n", args.n, 1), args.seed)
     _write_file(args.out, write_dataset_csv(data))
     if args.noise_out:
         _write_file(args.noise_out, write_dataset_csv(noise))
@@ -754,7 +779,9 @@ def _cmd_discover(args) -> int:
             if name not in data.columns:
                 raise DataError(f"unknown variable {name!r}")
         data = Dataset(names, np.column_stack([data.column(n) for n in names]))
-    skeleton, sepsets = disc.pc_skeleton(data, args.alpha, args.max_cond)
+    skeleton, sepsets = disc.pc_skeleton(
+        data, _alpha(args.alpha), _at_least("--max-cond", args.max_cond, 0)
+    )
     cpdag = disc.orient_cpdag(skeleton, sepsets)
     text = disc.cpdag_to_text(cpdag)
     if args.out:
@@ -769,9 +796,10 @@ def _cmd_fit(args) -> int:
         c for c in data.columns if c != args.target
     )
     if args.kind == "ols":
-        predictor: Predictor = fit_ols(data, args.target, features, args.degree)
+        degree = _at_least("--degree", args.degree, 1)
+        predictor: Predictor = fit_ols(data, args.target, features, degree)
     else:
-        config = ForestConfig(
+        config = _forest_config(
             n_trees=args.trees,
             max_depth=args.depth,
             min_leaf=args.min_leaf,
@@ -785,19 +813,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _parse_controls(spec: str | None) -> Intervention:
-    if not spec:
-        return Intervention(())
-    actions = []
-    for part in spec.split(","):
-        name, _, value = part.partition("=")
-        if not _:
+def _parse_controls(spec: str | None) -> dict[str, float]:
+    """--control A=1,B=2 as {"A": 1.0, "B": 2.0}, in flag order."""
+    pairs = []
+    for part in spec.split(",") if spec else ():
+        name, equals, value = part.partition("=")
+        if not equals:
             raise ConfigError(f"bad control {part!r}; expected VAR=VALUE")
-        try:
-            actions.append(SetConstant(name.strip(), float(value)))
-        except ValueError:
-            raise ConfigError(f"bad control value in {part!r}") from None
-    return Intervention(tuple(actions))
+        pairs.append((name.strip(), value))
+    return _controls(pairs)
 
 
 def _cmd_explain(args) -> int:
@@ -811,6 +835,7 @@ def _cmd_explain(args) -> int:
         if kind not in PLOT_KINDS:
             raise ConfigError(f"unknown plot kind {kind!r}")
     control = _parse_controls(args.control)
+    resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
     if args.model:
         try:
             blob = json.loads(Path(args.model).read_text(encoding="utf-8"))
@@ -838,7 +863,7 @@ def _cmd_explain(args) -> int:
         ecm = None
         if any(kind not in ("ICE", "PDP") for kind in plots):
             ecm = engine.build_ecm(scm, predictor)
-        grid = engine.make_grid(data, args.var, args.grid_resolution)
+        grid = engine.make_grid(data, args.var, resolution)
         memo: dict[str, engine.CurveSet] = {}
         for kind in plots:
             curve_set = _compute_plot(

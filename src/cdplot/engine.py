@@ -1,8 +1,9 @@
 """Per-unit dependence curves for a predictor coupled to a causal model.
 
 An Ecm ("explained causal model") pairs a fitted predictor with a model
-over its input features: the prediction is treated as one more variable
-with the predictor as its structural equation and no noise of its own.
+over its input features. The model is never extended with the
+prediction: each world is a table of the features, and the predictor is
+applied to it afterwards.
 
 Every plot kind is the same sweep: for each grid value x, build a world
 (one column per predictor feature, one row per data unit), predict on
@@ -14,7 +15,8 @@ everything else through the model (scm.counterfactual_table):
 
 - TDP:  total dependence; pin the variable at x, so downstream
         features respond.
-- PCDP: as TDP, plus the control variables pinned at their constants.
+- PCDP: as TDP, plus the controls, a mapping {variable: value}, pinned
+        at their constants.
 - NDDP: natural direct dependence; pin the variable at x and its
         children at their observed values, so only the direct edge
         into the predictor moves.
@@ -25,6 +27,7 @@ everything else through the model (scm.counterfactual_table):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import CdpError
 from .predictors import Predictor
-from .scm import Dataset, Intervention, NoiseDataset, Scm, abduct, counterfactual_table
+from .scm import Dataset, NoiseDataset, Scm, abduct, counterfactual_table
 
 __all__ = [
     "BandSet",
@@ -41,7 +44,6 @@ __all__ = [
     "EffectDifference",
     "EngineError",
     "Grid",
-    "PREDICTION_NODE",
     "band_kinds",
     "build_ecm",
     "effect_difference",
@@ -55,7 +57,6 @@ __all__ = [
     "uncertainty_band",
 ]
 
-PREDICTION_NODE = "__yhat"
 GRID_RESOLUTION_DEFAULT = 40
 ORDINAL_CUTOFF = 15
 
@@ -82,9 +83,7 @@ class Ecm:
 
 def build_ecm(scm: Scm, predictor: Predictor) -> Ecm:
     """Couple a predictor to a model; every feature must be a model
-    variable and the reserved prediction node name must be free."""
-    if PREDICTION_NODE in scm.variables:
-        raise EngineError(f"model already defines {PREDICTION_NODE!r}")
+    variable."""
     missing = [f for f in predictor.features if f not in scm.variables]
     if missing:
         raise EngineError(
@@ -158,6 +157,8 @@ class CurveSet:
             raise EngineError("curves contain non-finite values")
         if mean.shape != (len(self.grid),):
             raise EngineError("mean curve length does not match grid")
+        if not np.all(np.isfinite(mean)):
+            raise EngineError("mean curve contains non-finite values")
         if np.max(np.abs(mean - curves.mean(axis=0))) > 1e-12:
             raise EngineError("mean curve is not the column mean")
         curves.flags.writeable = False
@@ -172,7 +173,9 @@ class CurveSet:
 
 def _curveset(kind: str, grid: Grid, curves: np.ndarray, metadata: dict[str, str]) -> CurveSet:
     curves = np.asarray(curves, dtype=np.float64)
-    return CurveSet(kind, grid, curves, curves.mean(axis=0), metadata)
+    with np.errstate(over="ignore"):  # CurveSet rejects a mean that overflows
+        mean = curves.mean(axis=0)
+    return CurveSet(kind, grid, curves, mean, metadata)
 
 
 def _base_metadata(ecm: Ecm, intervention: str) -> dict[str, str]:
@@ -242,25 +245,28 @@ def tdp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
 
 
 def pcdp(
-    ecm: Ecm, data: Dataset, var: str, grid: Grid, control: Intervention
+    ecm: Ecm, data: Dataset, var: str, grid: Grid, control: Mapping[str, float]
 ) -> CurveSet:
-    """Partially controlled dependence: TDP with extra variables held
-    at constants. An empty control reduces to TDP exactly."""
-    for action in control.actions:
-        if action.var == var:
-            raise EngineError(f"control intervention touches {var!r}")
-    control.validate(ecm.scm)
-    held = {a.var: np.full(data.m, a.value) for a in control.actions}
+    """Partially controlled dependence: TDP with the control variables
+    held at their values. An empty control reduces to TDP exactly."""
+    for name, value in control.items():
+        if name == var:
+            raise EngineError(f"control touches {var!r}")
+        if name not in ecm.scm.variables:
+            raise EngineError(f"control on unknown variable {name!r}")
+        if not math.isfinite(value):
+            raise EngineError(f"control value for {name!r} must be finite")
+    held = {name: np.full(data.m, float(value)) for name, value in control.items()}
     curves = _counterfactual_sweep(
         ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
     )
     return _curveset("PCDP", grid, curves, pcdp_metadata(ecm, var, control))
 
 
-def pcdp_metadata(ecm: Ecm, var: str, control: Intervention) -> dict[str, str]:
+def pcdp_metadata(ecm: Ecm, var: str, control: Mapping[str, float]) -> dict[str, str]:
     """The metadata of a PCDP curve set; its intervention names the
     controls, which the SVG caption prints."""
-    described = ", ".join(f"{a.var}={a.value!r}" for a in control.actions)
+    described = ", ".join(f"{name}={float(value)!r}" for name, value in control.items())
     return _base_metadata(ecm, f"do({var}=grid), control({described})")
 
 

@@ -634,6 +634,17 @@ def save_predictor(predictor: Predictor) -> dict:
     raise PredictorError(f"cannot save predictor {predictor.describe()}")
 
 
+def _node_indices(values) -> np.ndarray:
+    """A saved feature or child array as int64; a value that is not a
+    whole number would otherwise be truncated silently."""
+    raw = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        indices = raw.astype(np.int64)
+    if not np.array_equal(indices, raw):
+        raise PredictorError("tree node indices must be integers")
+    return indices
+
+
 def load_predictor(blob: Mapping) -> Predictor:
     """Inverse of save_predictor."""
     kind = blob.get("kind")
@@ -650,10 +661,10 @@ def load_predictor(blob: Mapping) -> Predictor:
         config = ForestConfig(**blob["config"])
         trees = [
             {
-                "feature": np.asarray(tree["feature"], dtype=np.int64),
+                "feature": _node_indices(tree["feature"]),
                 "threshold": np.asarray(tree["threshold"], dtype=np.float64),
-                "left": np.asarray(tree["left"], dtype=np.int64),
-                "right": np.asarray(tree["right"], dtype=np.int64),
+                "left": _node_indices(tree["left"]),
+                "right": _node_indices(tree["right"]),
                 "value": np.asarray(tree["value"], dtype=np.float64),
             }
             for tree in blob["trees"]

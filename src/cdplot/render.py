@@ -122,6 +122,9 @@ class _Frame:
         self.style = style
         self.x_lo, self.x_hi = _pad_range(x_lo, x_hi)
         self.y_lo, self.y_hi = _pad_range(y_lo, y_hi)
+        for lo, hi in ((self.x_lo, self.x_hi), (self.y_lo, self.y_hi)):
+            if not math.isfinite(hi - lo):
+                raise EngineError(f"plot range [{lo!r}, {hi!r}] is too wide to draw")
         self.left = style.margin
         self.right = style.width - style.margin
         self.top = style.margin

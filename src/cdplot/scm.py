@@ -36,14 +36,11 @@ from .expr import Expression, evaluate_batch, free_variables
 
 __all__ = [
     "Dataset",
-    "Intervention",
-    "InterventionError",
     "Mechanism",
     "NoiseDataset",
     "NoiseSpec",
     "Scm",
     "ScmError",
-    "SetConstant",
     "abduct",
     "build_scm",
     "counterfactual_table",
@@ -53,10 +50,6 @@ __all__ = [
 
 class ScmError(CdpError):
     """Invalid model structure or operation on a model."""
-
-
-class InterventionError(ScmError):
-    """Invalid intervention for the model it is applied to."""
 
 
 # --- hashed substreams -----------------------------------------------------
@@ -322,47 +315,6 @@ class NoiseDataset(Dataset):
     """Exogenous draws, one column per model variable."""
 
 
-# --- interventions ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetConstant:
-    var: str
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        if not np.isfinite(self.value):
-            raise InterventionError("intervention value must be finite")
-
-
-@dataclass(frozen=True)
-class Intervention:
-    """do() of constants on distinct variables, as used for controls."""
-
-    actions: tuple[SetConstant, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
-
-    @classmethod
-    def do(cls, assignments: Mapping[str, float]) -> "Intervention":
-        return cls(tuple(SetConstant(v, x) for v, x in assignments.items()))
-
-    def validate(self, scm: Scm) -> None:
-        seen: set[str] = set()
-        for action in self.actions:
-            if action.var not in scm.mechanisms:
-                raise InterventionError(
-                    f"intervention targets unknown variable {action.var!r}"
-                )
-            if action.var in seen:
-                raise InterventionError(
-                    f"conflicting actions target {action.var!r}"
-                )
-            seen.add(action.var)
-
-
 # --- sampling, abduction, counterfactuals ----------------------------------
 
 
@@ -423,7 +375,7 @@ def counterfactual_table(
     for var, column in pins.items():
         scm.var_index(var)
         if np.shape(column) != (noise.m,):
-            raise InterventionError(
+            raise ScmError(
                 f"pinned column for {var!r} has shape {np.shape(column)}, "
                 f"expected ({noise.m},)"
             )

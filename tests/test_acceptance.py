@@ -34,7 +34,6 @@ from cdplot.predictors import (
 )
 from cdplot.scm import (
     Dataset,
-    Intervention,
     Mechanism,
     NoiseSpec,
     build_scm,
@@ -242,7 +241,7 @@ def test_criterion_08_controlled_direct_effect():
     data, _ = sample(scm, 100, 3)
     ecm = build_ecm(scm, ClosedFormPredictor(CORRECT_FORM, ("X", "M")))
     grid = Grid("X", np.arange(-2.0, 2.5, 0.5))
-    curves = pcdp(ecm, data, "X", grid, Intervention.do({"M": 0.0}))
+    curves = pcdp(ecm, data, "X", grid, {"M": 0.0})
     diff = effect_difference(curves, 0.0, 2.0)
     gap = abs(diff.mean - (-2.0))
     _report(8, gap < 1e-9, f"PCDP do(M=0) effect 0 -> 2 = {diff.mean:.12f}")

@@ -24,7 +24,7 @@ from cdplot.cli import (
 from cdplot.errors import ConfigError, DataError
 from cdplot.predictors import ForestConfig, Predictor, fit_forest, fit_ols, save_predictor
 from cdplot.render import import_csv
-from cdplot.scm import Dataset, Intervention, sample
+from cdplot.scm import Dataset, sample
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
 
@@ -504,6 +504,22 @@ def _damaged_forest(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
+def _run_discovery(tmp_path, **block):
+    config = {
+        "discovery": block,
+        "data": str(_salary_data(tmp_path)),
+        "predictor": {"kind": "ols", "target": "S"},
+        "variables": ["P"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    return ["run", "--config", str(_spec(tmp_path, json.dumps(config), "run.json"))]
+
+
+def _fit(tmp_path, *extra):
+    return ["fit", "--data", str(_salary_data(tmp_path)), "--target", "S",
+            "--out", str(tmp_path / "m.json"), *extra]
+
+
 def _render_into_missing_dir(tmp_path):
     argv = _render(tmp_path, "plot_kind,unit,grid_value,value\nTDP,0,0.5,1\n"
                              "TDP,mean,0.5,1\n")
@@ -528,6 +544,32 @@ EXIT_CASES = {
     "explain-control-unknown-variable": (
         2, lambda t: _explain(t, "--var", "P", "--plots", "PCDP", "--control", "Q=1",
                               "--closed-form", "P", "--features", "P")),
+    "explain-control-not-finite": (
+        2, lambda t: _explain(t, "--var", "P", "--plots", "PCDP", "--control", "F=inf",
+                              "--closed-form", "P", "--features", "P")),
+    "run-control-not-finite": (2, lambda t: _run(t, controls={"F": float("nan")})),
+    "explain-control-set-twice": (
+        2, lambda t: _explain(t, "--var", "P", "--plots", "PCDP", "--control", "F=1,F=2",
+                              "--closed-form", "P", "--features", "P")),
+    "simulate-n-zero": (
+        2, lambda t: ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "0",
+                      "--out", str(t / "d.csv")]),
+    "explain-grid-resolution-one": (
+        2, lambda t: _explain(t, "--var", "P", "--closed-form", "P", "--features", "P",
+                              "--grid-resolution", "1")),
+    "fit-trees-zero": (2, lambda t: _fit(t, "--kind", "forest", "--trees", "0")),
+    "fit-degree-zero": (2, lambda t: _fit(t, "--degree", "0")),
+    "discover-alpha-two": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)), "--alpha", "2"]),
+    "discover-max-cond-negative": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)), "--max-cond", "-1"]),
+    "run-forest-trees-zero": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": 0})),
+    "run-ols-degree-zero": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "degree": 0})),
+    "run-discovery-alpha-two": (2, lambda t: _run_discovery(t, alpha=2)),
+    "run-discovery-cap-zero": (2, lambda t: _run_discovery(t, cap=0)),
+    "run-discovery-degree-zero": (2, lambda t: _run_discovery(t, degree=0)),
     "explain-missing-model": (2, lambda t: _model_file(t, None)),
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
@@ -536,6 +578,8 @@ EXIT_CASES = {
     "explain-forest-blob-child-out-of-range": (
         2, lambda t: _damaged_forest(
             t, lambda tree: tree["right"].__setitem__(0, len(tree["feature"])))),
+    "explain-forest-blob-fractional-index": (
+        2, lambda t: _damaged_forest(t, lambda tree: tree["feature"].__setitem__(0, 0.7))),
     "discover-bad-label-map": (2, _discover_label_map),
     "simulate-out-missing-dir": (
         2, lambda t: ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "5",
@@ -559,8 +603,14 @@ EXIT_CASES = {
         3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nTDP,0,0.5,abc\n"
                                 "TDP,mean,0.5,1\n")),
     "render-bad-header": (3, lambda t: _render(t, "a,b\n1,2\n")),
+    "render-inf-mean": (
+        3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nICE,0,0.5,1.5e308\n"
+                                "ICE,1,0.5,1.5e308\nICE,mean,0.5,inf\n")),
     "explain-compute-failure": (4, lambda t: _explain(t, "--var", "P", "--closed-form",
                                                       "log(P - 10)", "--features", "P")),
+    "explain-mean-overflows": (
+        4, lambda t: _explain(t, "--var", "P", "--plots", "ICE", "--closed-form", "P*1e308",
+                              "--features", "P")),
     "external-protocol-failure": (5, _mute_external),
     "external-nan-answer": (5, _nan_external),
 }
@@ -778,7 +828,7 @@ def test_reused_pdp_and_pcdp_curves_match_the_engine(tmp_path):
     predictor = fit_ols(data, "S", ("P", "F"), 2)
     grid = engine.make_grid(data, "P", 5)
     pdp = dataclasses.replace(engine.ice(predictor, data, "P", grid), kind="PDP")
-    pcdp = engine.pcdp(engine.build_ecm(scm, predictor), data, "P", grid, Intervention(()))
+    pcdp = engine.pcdp(engine.build_ecm(scm, predictor), data, "P", grid, {})
     out = tmp_path / "out"
     for name, curve_set in (("P_pdp", pdp), ("P_pcdp", pcdp)):
         assert (out / f"{name}.csv").read_text(encoding="utf-8") == render.export_csv(curve_set)

@@ -5,7 +5,6 @@ import pytest
 
 from cdplot.engine import (
     NIDP_NOTE,
-    PREDICTION_NODE,
     EngineError,
     Grid,
     band_kinds,
@@ -23,7 +22,6 @@ from cdplot.expr import parse
 from cdplot.predictors import ClosedFormPredictor, OlsPredictor, fit_ols
 from cdplot.scm import (
     Dataset,
-    Intervention,
     Mechanism,
     NoiseSpec,
     build_scm,
@@ -72,14 +70,6 @@ def test_build_ecm_wires_features():
 def test_build_ecm_rejects_unknown_feature():
     with pytest.raises(EngineError, match="Q"):
         build_ecm(mediation_scm(), ClosedFormPredictor("Q", ("Q",)))
-
-
-def test_build_ecm_rejects_reserved_name():
-    scm = build_scm(
-        "clash", {PREDICTION_NODE: Mechanism((), None, NoiseSpec.normal(0, 1))}
-    )
-    with pytest.raises(EngineError):
-        build_ecm(scm, ClosedFormPredictor(PREDICTION_NODE, (PREDICTION_NODE,)))
 
 
 def test_make_grid_ordinal_mode():
@@ -197,7 +187,7 @@ def test_pcdp_mediator_pinned_to_zero():
     data, _ = sample(scm, 10, seed=1)
     ecm = build_ecm(scm, correct_model())
     curves = pcdp(
-        ecm, data, "X", Grid("X", np.array([2.0])), Intervention.do({"M": 0.0})
+        ecm, data, "X", Grid("X", np.array([2.0])), {"M": 0.0}
     )
     assert np.max(np.abs(curves.curves - (-2.0))) < 1e-12
 
@@ -207,7 +197,7 @@ def test_pcdp_empty_control_is_tdp():
     data, _ = sample(scm, 15, seed=9)
     ecm = build_ecm(scm, correct_model())
     grid = make_grid(data, "X", resolution=5)
-    a = pcdp(ecm, data, "X", grid, Intervention(()))
+    a = pcdp(ecm, data, "X", grid, {})
     b = tdp(ecm, data, "X", grid)
     assert np.array_equal(a.curves, b.curves)
 
@@ -224,7 +214,7 @@ def test_pcdp_all_controlled_linear_is_affine():
     model = OlsPredictor(("X", "M"), 1, ((0, 0), (1, 0), (0, 1)), np.array([1.0, 3.0, -2.0]))
     ecm = build_ecm(scm, model)
     grid = Grid("X", np.array([0.0, 1.0, 2.0]))
-    curves = pcdp(ecm, data, "X", grid, Intervention.do({"M": 0.5}))
+    curves = pcdp(ecm, data, "X", grid, {"M": 0.5})
     slopes = np.diff(curves.curves, axis=1)
     assert np.max(np.abs(slopes - 3.0)) < 1e-12
 
@@ -234,7 +224,36 @@ def test_pcdp_control_may_not_touch_var():
     data, _ = sample(scm, 5, seed=0)
     ecm = build_ecm(scm, correct_model())
     with pytest.raises(EngineError, match="X"):
-        pcdp(ecm, data, "X", Grid("X", np.array([0.0])), Intervention.do({"X": 1.0}))
+        pcdp(ecm, data, "X", Grid("X", np.array([0.0])), {"X": 1.0})
+
+
+@pytest.mark.parametrize("control, message", [
+    ({"Q": 1.0}, "unknown variable 'Q'"),
+    ({"M": float("inf")}, "finite"),
+    ({"M": float("nan")}, "finite"),
+], ids=["unknown-variable", "infinite-value", "nan-value"])
+def test_pcdp_rejects_bad_controls_before_predicting(control, message):
+    scm = mediation_scm()
+    data, _ = sample(scm, 5, seed=0)
+    calls = []
+
+    class Counting(ClosedFormPredictor):
+        def predict(self, x):
+            calls.append(len(x))
+            return super().predict(x)
+
+    ecm = build_ecm(scm, Counting("M^2 - 0.5*X^2", ("X", "M")))
+    with pytest.raises(EngineError, match=message):
+        pcdp(ecm, data, "X", Grid("X", np.array([0.0])), control)
+    assert calls == []
+
+
+def test_pcdp_caption_prints_control_values_as_floats():
+    scm = mediation_scm()
+    data, _ = sample(scm, 5, seed=0)
+    ecm = build_ecm(scm, correct_model())
+    curves = pcdp(ecm, data, "X", Grid("X", np.array([0.0])), {"M": 0})
+    assert curves.metadata["intervention"] == "do(X=grid), control(M=0.0)"
 
 
 # --- nddp ------------------------------------------------------------------
@@ -390,7 +409,7 @@ def test_effect_difference_controlled_direct():
         data,
         "X",
         Grid("X", np.array([0.0, 1.0, 2.0])),
-        Intervention.do({"M": 0.0}),
+        {"M": 0.0},
     )
     diff = effect_difference(curves, 0.0, 2.0)
     assert abs(diff.mean - (-2.0)) < 1e-9
@@ -403,7 +422,7 @@ def test_effect_difference_linear_slope():
     model = OlsPredictor(("P", "F"), 1, ((0, 0), (1, 0), (0, 1)), np.array([0.0, 4.0, 0.0]))
     ecm = build_ecm(scm, model)
     curves = pcdp(
-        ecm, data, "P", Grid("P", np.array([0.0, 1.0])), Intervention.do({"F": 1.0})
+        ecm, data, "P", Grid("P", np.array([0.0, 1.0])), {"F": 1.0}
     )
     diff = effect_difference(curves, 0.0, 1.0)
     assert np.max(np.abs(diff.per_unit - 4.0)) < 1e-12

@@ -35,7 +35,7 @@ from cdplot.engine import (
 from cdplot.expr import parse
 from cdplot.predictors import ClosedFormPredictor, fit_ols
 from cdplot.render import export_band_csv, export_csv, render_band, render_curves
-from cdplot.scm import Intervention, Mechanism, NoiseSpec, build_scm, sample
+from cdplot.scm import Mechanism, NoiseSpec, build_scm, sample
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
 
@@ -44,7 +44,7 @@ def _salary():
     scm = load_scm_spec(FIXTURES / "salary.scm")
     data, _ = sample(scm, 200, seed=7)
     predictor = fit_ols(data, "S", ("P", "F"), degree=3)
-    controls = {"P": Intervention.do({"F": 1.0}), "F": Intervention(())}
+    controls = {"P": {"F": 1.0}, "F": {}}
     return scm, data, predictor, controls
 
 
@@ -53,9 +53,9 @@ def _mediation():
     data, _ = sample(scm, 100, seed=3)
     predictor = ClosedFormPredictor("M^2 - 0.5*X^2 + 0.25*Y", ("X", "M", "Y"))
     controls = {
-        "X": Intervention.do({"M": 0.0}),
-        "M": Intervention.do({"X": 0.5}),
-        "Y": Intervention.do({"M": 0.0}),
+        "X": {"M": 0.0},
+        "M": {"X": 0.5},
+        "Y": {"M": 0.0},
     }
     return scm, data, predictor, controls
 
@@ -75,7 +75,7 @@ def _chain_anm():
     dag = Dag(("A", "B", "C", "D"), frozenset({("A", "B"), ("B", "C"), ("C", "D")}))
     scm = fit_anm(dag, data, degree=2)
     predictor = fit_ols(data, "Y", ("A", "B", "C", "D"), degree=2)
-    controls = {"B": Intervention.do({"D": 0.5}), "C": Intervention.do({"A": 0.0})}
+    controls = {"B": {"D": 0.5}, "C": {"A": 0.0}}
     return scm, data, predictor, controls
 
 

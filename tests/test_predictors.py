@@ -298,12 +298,15 @@ def _damaged_forest_blob(damage):
     (lambda b, t: t["right"].__setitem__(0, len(t["feature"])), "right child"),
     (lambda b, t: t["right"].__setitem__(0, -1), "right child"),
     (lambda b, t: t["feature"].__setitem__(0, 2), "feature index"),
+    (lambda b, t: t["feature"].__setitem__(0, 0.7), "integers"),
+    (lambda b, t: t["left"].__setitem__(0, t["left"][0] + 0.5), "integers"),
     (lambda b, t: t["value"].pop(), "one length"),
     (lambda b, t: t.__setitem__("threshold", [[v] for v in t["threshold"]]), "one length"),
     (lambda b, t: t["threshold"].__setitem__(0, float("nan")), "NaN"),
     (lambda b, t: b.__setitem__("trees", []), "one tree"),
     (lambda b, t: b["trees"].append({name: [] for name in t}), "nonempty"),
 ], ids=["cycle", "child-past-the-end", "negative-child", "feature-index",
+        "fractional-feature", "fractional-child",
         "short-array", "matrix", "nan-threshold", "no-trees", "empty-tree"])
 def test_malformed_forest_blobs_are_rejected(damage, message):
     with pytest.raises(PredictorError, match=message):

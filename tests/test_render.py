@@ -181,6 +181,17 @@ def test_curves_with_a_vanishing_y_range_render(values):
         assert all(math.isfinite(c) for point in points for c in point)
 
 
+def test_a_y_range_too_wide_to_pad_is_rejected():
+    # the span 2e308 overflows to inf; 1.6e308 and its 5% pads still fit
+    with pytest.raises(EngineError, match="too wide"):
+        render_curves(_curve_set(curves=((-1e308, 1e308),)))
+    with pytest.raises(EngineError, match="too wide"):
+        render_band(_band([[-1e308, 0.0], [0.0, 1e308]]))
+    svg = render_curves(_curve_set(curves=((-8e307, 8e307),)))
+    for points in _polyline_points(svg):
+        assert all(math.isfinite(c) for point in points for c in point)
+
+
 @pytest.mark.parametrize("lo, hi", [
     (5e-324, 1.5e-323), (0.0, 5e-324), (-1e-320, 1e-320), (7.0, 7.0),
     (1e17, 1e17), (-1.7976931348623157e308, 1.7976931348623157e308),

@@ -1,4 +1,4 @@
-"""Model construction, sampling, abduction, interventions, counterfactuals."""
+"""Model construction, sampling, abduction, counterfactuals."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,10 @@ from scipy import stats
 from cdplot.expr import parse
 from cdplot.scm import (
     Dataset,
-    Intervention,
     Mechanism,
     NoiseDataset,
     NoiseSpec,
     ScmError,
-    SetConstant,
     abduct,
     build_scm,
     counterfactual_table,
@@ -177,20 +175,6 @@ def test_abduct_requires_all_columns():
     data = Dataset(("P", "F"), np.array([[1.0, 2.0]]))
     with pytest.raises(ScmError, match="S"):
         abduct(salary_scm(), data)
-
-
-# --- interventions ---------------------------------------------------------
-
-
-def test_conflicting_actions_rejected():
-    bad = Intervention((SetConstant("P", 1.0), SetConstant("P", 2.0)))
-    with pytest.raises(ScmError, match="conflict"):
-        bad.validate(salary_scm())
-
-
-def test_unknown_variable_rejected():
-    with pytest.raises(ScmError, match="Q"):
-        Intervention.do({"Q": 1.0}).validate(salary_scm())
 
 
 # --- counterfactuals -------------------------------------------------------
