@@ -373,6 +373,26 @@ def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
     return controls
 
 
+def _number(name: str, value, kind: type = float):
+    """A run-config number as `kind` (int or float). Anything that is
+    not a number, and a fractional value for an int, is a ConfigError
+    rather than a traceback or a silent truncation."""
+    if kind is int and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass  # "40.0" is still a whole number; "40.5" and "x" fail below
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _at_least(name: str, value: int, low: int) -> int:
     if value < low:
         raise ConfigError(f"{name} must be at least {low}, got {value}")
@@ -382,6 +402,12 @@ def _at_least(name: str, value: int, low: int) -> int:
 def _alpha(value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {value}")
+    return value
+
+
+def _timeout(value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"timeout must be a positive number of seconds, got {value}")
     return value
 
 
@@ -445,13 +471,15 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError("'discovery' must be an object")
         try:
             discovery = DiscoveryBlock(
-                alpha=_alpha(float(block.get("alpha", 0.05))),
-                max_cond=_at_least("max_cond", int(block.get("max_cond", 3)), 0),
-                degree=_at_least("degree", int(block.get("degree", 3)), 1),
+                alpha=_alpha(_number("alpha", block.get("alpha", 0.05))),
+                max_cond=_at_least(
+                    "max_cond", _number("max_cond", block.get("max_cond", 3), int), 0
+                ),
+                degree=_at_least("degree", _number("degree", block.get("degree", 3), int), 1),
                 variables=tuple(block.get("variables", ())),
-                cap=_at_least("cap", int(block.get("cap", 64)), 1),
+                cap=_at_least("cap", _number("cap", block.get("cap", 64), int), 1),
             )
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"bad discovery block: {exc}") from None
 
     data_raw = raw.get("data")
@@ -464,8 +492,11 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         if has_discovery:
             raise ConfigError("simulated data requires an 'scm' entry")
         try:
-            data_source = SimulateBlock(n=int(sim["n"]), seed=int(sim.get("seed", raw.get("seed", 0))))
-        except (KeyError, TypeError, ValueError):
+            data_source = SimulateBlock(
+                n=_number("simulate n", sim["n"], int),
+                seed=_number("simulate seed", sim.get("seed", raw.get("seed", 0)), int),
+            )
+        except (KeyError, TypeError):
             raise ConfigError("bad simulate block; need {'n': int}") from None
         _at_least("simulate n", data_source.n, 1)
     else:
@@ -481,9 +512,8 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"unknown plot kind {kind!r}")
     if not plots:
         raise ConfigError("'plots' must be nonempty")
-    resolution = _at_least(
-        "grid_resolution", int(raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT)), 2
-    )
+    resolution = raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT)
+    resolution = _at_least("grid_resolution", _number("grid_resolution", resolution, int), 2)
     controls_raw = raw.get("controls", {})
     if not isinstance(controls_raw, dict):
         raise ConfigError("'controls' must be an object")
@@ -506,7 +536,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         controls=controls,
         band_scms=band_scms,
         output_dir=Path(raw.get("output_dir", "out")),
-        seed=int(raw.get("seed", 0)),
+        seed=_number("seed", raw.get("seed", 0), int),
         label_map=label_map,
     )
 
@@ -530,16 +560,23 @@ def _build_predictor(
 ) -> Predictor:
     features = _block_features(block, default_features)
     if block.kind == "ols":
-        degree = _at_least("degree", int(block.params.get("degree", 1)), 1)
+        degree = _at_least("degree", _number("degree", block.params.get("degree", 1), int), 1)
         return fit_ols(data, block.target, features, degree)
     if block.kind == "forest":
+        params = block.params
+        per_split = params.get("features_per_split")
+        bootstrap = params.get("bootstrap", True)
+        if not isinstance(bootstrap, bool):
+            raise ConfigError(f"bootstrap must be true or false, got {bootstrap!r}")
         config = _forest_config(
-            n_trees=int(block.params.get("trees", 100)),
-            max_depth=int(block.params.get("depth", 8)),
-            min_leaf=int(block.params.get("min_leaf", 5)),
-            features_per_split=block.params.get("features_per_split"),
-            bootstrap=bool(block.params.get("bootstrap", True)),
-            seed=int(block.params.get("seed", 0)),
+            n_trees=_number("trees", params.get("trees", 100), int),
+            max_depth=_number("depth", params.get("depth", 8), int),
+            min_leaf=_number("min_leaf", params.get("min_leaf", 5), int),
+            features_per_split=None if per_split is None else _number(
+                "features_per_split", per_split, int
+            ),
+            bootstrap=bootstrap,
+            seed=_number("seed", params.get("seed", 0), int),
         )
         return fit_forest(data, block.target, features, config)
     if block.kind == "closed_form":
@@ -550,7 +587,8 @@ def _build_predictor(
     command = block.params.get("command")
     if not command:
         raise ConfigError(f"predictor {block.label!r} needs a command")
-    return open_external(command, features, float(block.params.get("timeout", 30.0)))
+    timeout = _timeout(_number("timeout", block.params.get("timeout", 30.0)))
+    return open_external(command, features, timeout)
 
 
 # --- the pipeline ----------------------------------------------------------
@@ -854,7 +892,9 @@ def _cmd_explain(args) -> int:
     elif args.external:
         if not args.features:
             raise ConfigError("--external needs --features")
-        predictor = open_external(args.external, args.features.split(","), args.timeout)
+        predictor = open_external(
+            args.external, args.features.split(","), _timeout(args.timeout)
+        )
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
     outputs = _Outputs(Path(args.out_dir))

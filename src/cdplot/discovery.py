@@ -15,7 +15,13 @@ the input is fully closed under the propagation rules this is exactly
 the set of graphs with the same skeleton and colliders; inputs with
 unpropagated edges may also yield candidates that complete a collider
 with a pre-directed edge, which is deliberate so structure uncertainty
-around a partially oriented output can be explored.
+around a partially oriented output can be explored. The candidates come
+from a depth-first search over the edges in sorted order that drops a
+partial orientation as soon as it closes a cycle or such a collider.
+Both defects persist as more edges are oriented, so nothing valid is
+lost, and the search stops one candidate past the cap: its work follows
+the candidates found and the branches pruned, not the 2^k orientations
+of k undirected edges.
 
 fit_anm turns one candidate DAG into a concrete additive-noise model
 by polynomial least squares, so abduction on the training data returns
@@ -153,6 +159,21 @@ def _has_cycle(variables, edges) -> bool:
     return seen != len(variables)
 
 
+def _reaches(children: dict[str, list[str]], start: str, goal: str) -> bool:
+    """Is there a directed path from start to goal?"""
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for child in children[node]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
 # --- independence testing --------------------------------------------------
 
 
@@ -168,7 +189,10 @@ def fisher_z_test(
     Returns (statistic, independent). The statistic is
     sqrt(n - |s| - 3) * |z| for the Fisher transform z of the partial
     correlation of i and j given s; independence is declared when it
-    does not exceed the two-sided normal quantile for alpha.
+    does not exceed the two-sided normal quantile for alpha. The
+    correlations are the [i, j, s] block of the dataset's correlation
+    matrix, which is computed once per Dataset and shared by every test
+    on it; only a constant column among i, j and s makes the test fail.
     """
     conditioning = tuple(conditioning)
     names = tuple(sorted((i, j))) + conditioning  # bitwise symmetric in i, j
@@ -181,9 +205,8 @@ def fisher_z_test(
         raise DiscoveryError(
             f"need more than |s| + 3 = {len(conditioning) + 3} rows, got {n}"
         )
-    matrix = np.column_stack([data.column(name) for name in names])
-    with np.errstate(invalid="ignore"):
-        corr = np.corrcoef(matrix, rowvar=False)
+    index = [data.index(name) for name in names]
+    corr = data.correlation[np.ix_(index, index)]
     if not np.all(np.isfinite(corr)):
         raise DiscoveryError(
             "correlation undefined (constant column among "
@@ -264,7 +287,8 @@ def pc_skeleton(
 
 def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
     """Orient unshielded colliders, then close under the propagation
-    rules. Edges pushed both ways are logged and left undirected."""
+    rules. Edges pushed both ways, and edges whose propagated direction
+    would close a directed cycle, are logged and left undirected."""
     ordered = tuple(sorted(skeleton.variables))
     adjacent = {
         v: set(skeleton.neighbors(v)) for v in ordered
@@ -283,11 +307,12 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
     directed: set[tuple[str, str]] = set()
     for a, b in sorted(votes):
         if (b, a) in votes:
-            logger.warning(
-                "conflicting collider orientations for %s - %s; leaving undirected",
-                a,
-                b,
-            )
+            if a < b:
+                logger.warning(
+                    "conflicting collider orientations for %s - %s; leaving undirected",
+                    a,
+                    b,
+                )
             continue
         directed.add((a, b))
 
@@ -339,8 +364,18 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
                 contested.add((a, b))
                 changed = True
             elif forward or backward:
-                undirected.discard((a, b))
-                directed.add((a, b) if forward else (b, a))
+                x, y = (a, b) if forward else (b, a)
+                if _has_cycle(ordered, directed | {(x, y)}):
+                    logger.warning(
+                        "orienting %s -> %s would close a directed cycle; "
+                        "leaving undirected",
+                        x,
+                        y,
+                    )
+                    contested.add((a, b))
+                else:
+                    undirected.discard((a, b))
+                    directed.add((x, y))
                 changed = True
             if changed:
                 break
@@ -356,52 +391,70 @@ class DagEnumeration:
     truncated: bool
 
 
-def _colliders(variables, edges, adjacent) -> set[tuple[str, str, str]]:
-    found = set()
-    by_child: dict[str, list[str]] = {}
-    for a, b in edges:
-        by_child.setdefault(b, []).append(a)
-    for child, parents in by_child.items():
-        for p, q in itertools.combinations(sorted(parents), 2):
-            if q not in adjacent[p]:
-                found.add((p, child, q))
-    return found
-
-
 def enumerate_dags(cpdag: Cpdag, cap: int = 64) -> DagEnumeration:
     """Candidate orientations of the undirected edges, in lexicographic
     order of the orientation vector (0 keeps the name-sorted direction).
-    Stops after cap results and flags truncation."""
+    Stops after cap results and flags truncation.
+
+    A depth-first search orients the edges in sorted order, trying the
+    name-sorted direction first, and abandons a branch as soon as the
+    new edge closes a directed cycle or forms a collider with another
+    re-oriented edge. Neither defect can be undone by orienting more
+    edges, so the leaves reached are exactly the valid orientations."""
     if cap < 1:
         raise DiscoveryError(f"cap must be positive, got {cap}")
     undirected = sorted(cpdag.undirected)
     adjacent: dict[str, set[str]] = {v: set() for v in cpdag.variables}
+    children: dict[str, list[str]] = {v: [] for v in cpdag.variables}
     for a, b in cpdag.directed:
         adjacent[a].add(b)
         adjacent[b].add(a)
+        children[a].append(b)
     for a, b in undirected:
         adjacent[a].add(b)
         adjacent[b].add(a)
-    k = len(undirected)
+    # Tails of the re-oriented edges into each node. Two non-adjacent
+    # tails would make a collider that the input does not have.
+    reoriented_parents: dict[str, list[str]] = {v: [] for v in cpdag.variables}
+
+    def oriented(position: int, flip: int) -> tuple[str, str]:
+        a, b = undirected[position]
+        return (b, a) if flip else (a, b)
+
+    flips: list[int] = []  # the direction chosen at each oriented position
+    flip = 0  # the next direction to try at position len(flips)
     dags: list[Dag] = []
     truncated = False
-    for bits in range(2 ** k):
-        oriented = set()
-        for position, (a, b) in enumerate(undirected):
-            flip = (bits >> (k - 1 - position)) & 1
-            oriented.add((b, a) if flip else (a, b))
-        edges = set(cpdag.directed) | oriented
-        if _has_cycle(cpdag.variables, edges):
+    while True:
+        position = len(flips)
+        if position < len(undirected) and flip < 2:
+            tail, head = oriented(position, flip)
+            # A collider completed with a pre-directed edge stays a
+            # candidate; one assembled out of two re-oriented edges does not.
+            collider = any(p not in adjacent[tail] for p in reoriented_parents[head])
+            if collider or _reaches(children, head, tail):
+                flip += 1
+            else:
+                children[tail].append(head)
+                reoriented_parents[head].append(tail)
+                flips.append(flip)
+                flip = 0
             continue
-        # Reject colliders assembled out of two re-oriented edges; a
-        # collider completed with a pre-directed edge stays a candidate.
-        new_colliders = _colliders(cpdag.variables, oriented, adjacent)
-        if new_colliders:
-            continue
-        if len(dags) == cap:
-            truncated = True
+        if position == len(undirected):
+            if len(dags) == cap:
+                truncated = True
+                break
+            edges = set(cpdag.directed)
+            edges.update(oriented(i, f) for i, f in enumerate(flips))
+            dags.append(Dag(cpdag.variables, frozenset(edges)))
+        if not flips:
             break
-        dags.append(Dag(cpdag.variables, frozenset(edges)))
+        # backtrack: undo the last edge and try its other direction
+        last = flips.pop()
+        tail, head = oriented(len(flips), last)
+        children[tail].pop()
+        reoriented_parents[head].pop()
+        flip = last + 1
     return DagEnumeration(tuple(dags), truncated)
 
 

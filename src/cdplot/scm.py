@@ -26,6 +26,7 @@ only to within an ulp for some units of a fitted model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -309,6 +310,17 @@ class Dataset:
 
     def column_dict(self) -> dict[str, np.ndarray]:
         return {name: self.values[:, i] for i, name in enumerate(self.columns)}
+
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        """Read-only Pearson correlation matrix of the columns, in column
+        order; a constant column's row and column are NaN. It is computed
+        on first use and kept, which is safe because the values are
+        read-only."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.atleast_2d(np.corrcoef(self.values, rowvar=False))
+        corr.flags.writeable = False
+        return corr
 
 
 class NoiseDataset(Dataset):

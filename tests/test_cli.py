@@ -1,9 +1,7 @@
 """Spec files, dataset files, run configs, and the command line."""
 
-import contextlib
 import dataclasses
 import json
-import signal
 import sys
 from importlib import resources
 from pathlib import Path
@@ -570,6 +568,33 @@ EXIT_CASES = {
     "run-discovery-alpha-two": (2, lambda t: _run_discovery(t, alpha=2)),
     "run-discovery-cap-zero": (2, lambda t: _run_discovery(t, cap=0)),
     "run-discovery-degree-zero": (2, lambda t: _run_discovery(t, degree=0)),
+    "run-discovery-cap-fractional": (2, lambda t: _run_discovery(t, cap=2.5)),
+    "run-grid-resolution-not-a-number": (2, lambda t: _run(t, grid_resolution="fine")),
+    "run-grid-resolution-fractional": (2, lambda t: _run(t, grid_resolution=40.5)),
+    "run-seed-not-a-number": (2, lambda t: _run(t, seed="x")),
+    "run-simulate-n-fractional": (2, lambda t: _run(t, data={"simulate": {"n": 80.5}})),
+    "run-ols-degree-not-a-number": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "degree": "two"})),
+    "run-forest-trees-not-a-number": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": "many"})),
+    "run-forest-depth-fractional": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": 2,
+                                        "depth": 2.5})),
+    "run-forest-bootstrap-not-a-bool": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": 2,
+                                        "bootstrap": "false"})),
+    "run-forest-seed-not-a-number": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": 2,
+                                        "seed": "x"})),
+    "run-external-timeout-negative": (
+        2, lambda t: _run(t, predictor={"kind": "external", "command": "true",
+                                        "features": ["P", "F"], "timeout": -1})),
+    "explain-external-timeout-nan": (
+        2, lambda t: _explain(t, "--var", "P", "--external", "true", "--features", "P,F",
+                              "--timeout", "nan")),
+    "run-external-timeout-not-a-number": (
+        2, lambda t: _run(t, predictor={"kind": "external", "command": "true",
+                                        "features": ["P", "F"], "timeout": "soon"})),
     "explain-missing-model": (2, lambda t: _model_file(t, None)),
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
@@ -618,31 +643,11 @@ EXIT_CASES = {
 EXIT_KINDS = {2: "config", 3: "data", 4: "compute", 5: "external predictor"}
 
 
-class _Hang(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise _Hang in the block if it runs longer than `seconds`."""
-
-    def expire(signum, frame):
-        raise _Hang(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-def test_exit_code_table(tmp_path, capsys, case):
+def test_exit_code_table(tmp_path, capsys, deadline, case):
     code, argv = EXIT_CASES[case]
     argv = argv(tmp_path)
-    with _deadline(60):
+    with deadline(60):
         assert main(argv) == code
     err = capsys.readouterr().err
     if code:

@@ -1,7 +1,11 @@
 """Structure learning: independence tests, skeleton, orientation, ANM fit."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdplot.discovery import (
     Cpdag,
@@ -83,6 +87,43 @@ def test_fisher_z_input_validation():
     tiny = _dataset(X=np.arange(4.0), M=np.arange(4.0) ** 2, Y=np.arange(4.0) ** 3)
     with pytest.raises(DiscoveryError, match="rows"):
         fisher_z_test(tiny, "X", "Y", ("M",), alpha=0.05)
+
+
+def _fisher_z_reference(data, i, j, conditioning):
+    """The statistic from a fresh np.corrcoef of the tested columns only."""
+    names = tuple(sorted((i, j))) + tuple(conditioning)
+    corr = np.corrcoef(np.column_stack([data.column(n) for n in names]), rowvar=False)
+    if conditioning:
+        precision = np.linalg.inv(corr)
+        r = -precision[0, 1] / np.sqrt(precision[0, 0] * precision[1, 1])
+    else:
+        r = corr[0, 1]
+    return np.sqrt(data.m - len(conditioning) - 3) * abs(np.arctanh(r))
+
+
+def test_fisher_z_matches_a_per_subset_correlation():
+    rng = np.random.default_rng(11)
+    mixed = rng.normal(size=(500, 5)) @ rng.normal(size=(5, 5))
+    data = Dataset(("A", "B", "C", "D", "E"), mixed)
+    for i, j in itertools.combinations(data.columns, 2):
+        rest = [v for v in data.columns if v not in (i, j)]
+        for size in range(4):
+            for conditioning in itertools.combinations(rest, size):
+                statistic, _ = fisher_z_test(data, i, j, conditioning)
+                expected = _fisher_z_reference(data, i, j, conditioning)
+                assert statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_fisher_z_constant_column_fails_only_the_tests_using_it():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=200)
+    data = _dataset(X=x, Y=x + rng.normal(size=200), C=np.full(200, 2.0))
+    _, independent = fisher_z_test(data, "X", "Y", (), alpha=0.05)
+    assert not independent
+    with pytest.raises(DiscoveryError, match="constant column among X, Y, C"):
+        fisher_z_test(data, "X", "Y", ("C",), alpha=0.05)
+    with pytest.raises(DiscoveryError, match="constant column among C, X"):
+        fisher_z_test(data, "X", "C", (), alpha=0.05)
 
 
 def test_fisher_z_perfect_correlation_is_dependent():
@@ -250,7 +291,37 @@ def test_conflicting_votes_leave_edge_undirected(caplog):
     assert ("B", "C") in cpdag.undirected
     assert ("D", "C") in cpdag.directed
     assert ("E", "B") in cpdag.directed
-    assert any("conflict" in r.message for r in caplog.records)
+    collider_conflicts = [
+        r for r in caplog.records if "conflicting collider" in r.getMessage()
+    ]
+    assert len(collider_conflicts) == 1  # once per edge, not per direction
+
+
+def _random_linear_gaussian(seed, k=12, p=0.2, n=3000):
+    rng = np.random.default_rng(seed)
+    adjacency = np.triu(rng.random((k, k)) < p, 1)
+    weights = adjacency * rng.uniform(0.5, 1.5, (k, k)) * rng.choice([-1, 1], (k, k))
+    values = np.zeros((n, k))
+    for j in range(k):
+        values[:, j] = values @ weights[:, j] + rng.normal(size=n)
+    return Dataset(tuple(f"V{j:02d}" for j in range(k)), values)
+
+
+@pytest.mark.parametrize("seed, candidates", [(20, 0), (24, 2)])
+def test_propagation_never_closes_a_cycle(caplog, seed, candidates):
+    # conflicting collider votes in finite samples once let the
+    # propagation rules close a directed cycle here, and orient_cpdag
+    # raised instead of returning
+    skeleton, sepsets = pc_skeleton(_random_linear_gaussian(seed), 0.05, 3)
+    with caplog.at_level("WARNING", logger="cdplot.discovery"):
+        cpdag = orient_cpdag(skeleton, sepsets)
+    guarded = [
+        r.getMessage()
+        for r in caplog.records
+        if "would close a directed cycle" in r.getMessage()
+    ]
+    assert guarded and len(guarded) == len(set(guarded))
+    assert len(enumerate_dags(cpdag).dags) == candidates
 
 
 def test_cpdag_text_round_trip():
@@ -357,6 +428,81 @@ def test_enumerated_dags_keep_skeleton_and_old_v_structures():
     for dag in result.dags:
         assert skeleton_of(dag.edges) == want_skeleton
         assert base_v <= v_structures(dag.edges)
+
+
+def _scan_dags(cpdag, cap):
+    """Reference enumeration: every one of the 2^k orientations, in
+    lexicographic order of the orientation vector."""
+    undirected = sorted(cpdag.undirected)
+    adjacent = {v: set() for v in cpdag.variables}
+    for a, b in set(cpdag.directed) | set(undirected):
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    k = len(undirected)
+    dags = []
+    for bits in range(2**k):
+        oriented = {
+            (b, a) if (bits >> (k - 1 - position)) & 1 else (a, b)
+            for position, (a, b) in enumerate(undirected)
+        }
+        try:
+            dag = Dag(cpdag.variables, frozenset(set(cpdag.directed) | oriented))
+        except DiscoveryError:  # a directed cycle
+            continue
+        parents = {}
+        for a, b in oriented:
+            parents.setdefault(b, []).append(a)
+        if any(
+            q not in adjacent[p]
+            for group in parents.values()
+            for p, q in itertools.combinations(group, 2)
+        ):
+            continue
+        if len(dags) == cap:
+            return dags, True
+        dags.append(dag)
+    return dags, False
+
+
+@st.composite
+def _small_cpdags(draw):
+    n = draw(st.integers(2, 5))
+    # the directed edges follow a random order, so the directed part is
+    # acyclic but need not follow the names
+    order = draw(st.permutations([f"V{i}" for i in range(n)]))
+    directed, undirected = set(), set()
+    for a, b in itertools.combinations(order, 2):
+        kind = draw(st.sampled_from(["none", "undirected", "undirected", "directed"]))
+        if kind == "directed":
+            directed.add((a, b))
+        elif kind == "undirected":
+            undirected.add((min(a, b), max(a, b)))
+    return Cpdag(tuple(sorted(order)), frozenset(directed), frozenset(undirected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cpdag=_small_cpdags(), extra=st.integers(1, 40))
+def test_enumeration_matches_the_full_scan(cpdag, extra):
+    total = len(_scan_dags(cpdag, 2 ** len(cpdag.undirected))[0])
+    for cap in sorted({1, 2, total - 1, total, total + 1, extra} - {-1, 0}):
+        want_dags, want_truncated = _scan_dags(cpdag, cap)
+        result = enumerate_dags(cpdag, cap)
+        assert [dag.edges for dag in result.dags] == [dag.edges for dag in want_dags]
+        assert result.truncated == want_truncated
+
+
+def test_enumeration_work_follows_the_cap(deadline):
+    # 2^40 orientations of a 40-edge chain; only 41 are collider-free,
+    # one per choice of the single source
+    names = tuple(f"X{i:02d}" for i in range(41))
+    chain = Cpdag(names, frozenset(), frozenset(zip(names, names[1:])))
+    with deadline(10):
+        result = enumerate_dags(chain, cap=3)
+    assert result.truncated
+    sources = [
+        {v for v in names if not dag.parents(v)} for dag in result.dags
+    ]
+    assert sources == [{"X00"}, {"X01"}, {"X02"}]
 
 
 # --- anm fitting -----------------------------------------------------------
