@@ -73,6 +73,8 @@ __all__ = [
 
 PLOT_KINDS = ("ICE", "PDP", "TDP", "PCDP", "NDDP", "NIDP")
 
+_WRITE_SLICE = 1 << 20  # characters encoded and written at a time
+
 _SCM_HEADER_RE = re.compile(r"scm\s+([A-Za-z_][A-Za-z0-9_]*)\s*$")
 _VAR_RE = re.compile(r"var\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*$")
 _NOISE_RE = re.compile(
@@ -373,6 +375,22 @@ def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
     return controls
 
 
+def _distinct(what: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """names with none listed twice; a repeat would sweep again and
+    overwrite the same files."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{what} {name!r} is listed twice")
+    return names
+
+
+def _plot_kinds(plots: tuple[str, ...]) -> tuple[str, ...]:
+    for kind in plots:
+        if kind not in PLOT_KINDS:
+            raise ConfigError(f"unknown plot kind {kind!r}")
+    return _distinct("plot kind", plots)
+
+
 def _number(name: str, value, kind: type = float):
     """A run-config number as `kind` (int or float). Anything that is
     not a number, and a fractional value for an int, is a ConfigError
@@ -503,13 +521,10 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         raise ConfigError("'data' must be a path or a {'simulate': ...} object")
 
     explain_data = raw.get("explain_data")
-    variables = tuple(raw.get("variables", ()))
+    variables = _distinct("variable", tuple(raw.get("variables", ())))
     if not variables:
         raise ConfigError("config needs a nonempty 'variables' list")
-    plots = tuple(raw.get("plots", ("TDP",)))
-    for kind in plots:
-        if kind not in PLOT_KINDS:
-            raise ConfigError(f"unknown plot kind {kind!r}")
+    plots = _plot_kinds(tuple(raw.get("plots", ("TDP",))))
     if not plots:
         raise ConfigError("'plots' must be nonempty")
     resolution = raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT)
@@ -596,9 +611,13 @@ def _build_predictor(
 
 def _write_file(path: str | Path, text: str) -> None:
     """Write an output file; a path that cannot be written is a
-    configuration error."""
+    configuration error. The text is encoded a slice at a time, so a
+    curve file of tens of megabytes never has its whole encoded copy in
+    memory next to the text."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -684,6 +703,8 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
         inputs["discovery"] = {
             "cpdag": disc.cpdag_to_text(cpdag).splitlines(),
             "chosen_dag": sorted(f"{a} -> {b}" for a, b in chosen.edges),
+            "collider_conflicts": [f"{a} -- {b}" for a, b in cpdag.conflicts],
+            "contested": [f"{a} -- {b}" for a, b in cpdag.contested],
             "candidates": len(enumeration.dags),
             "truncated": enumeration.truncated,
         }
@@ -715,18 +736,23 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
                 ecm = engine.build_ecm(scm, predictor)
             for var in config.variables:
                 grid = engine.make_grid(explain_data, var, config.grid_resolution)
-                memo: dict[str, engine.CurveSet] = {}
-                for kind in config.plots:
-                    curve_set = _compute_plot(
-                        kind, ecm, predictor, explain_data, var, grid, config.controls, memo
-                    )
-                    if kind == "NIDP":
+                for group in _sweep_groups(config.plots, config.controls):
+                    memo: dict[str, engine.CurveSet] = {}
+                    curve_sets = [
+                        _compute_plot(
+                            kind, ecm, predictor, explain_data, var, grid,
+                            config.controls, memo,
+                        )
+                        for kind in group
+                    ]
+                    for curve_set in curve_sets:
                         note = curve_set.metadata.get("notes")
-                        if note and note not in deviations:
+                        if curve_set.kind == "NIDP" and note and note not in deviations:
                             deviations.append(note)
-                    stem = f"{prefix}{var}_{kind.lower()}"
-                    outputs.write(f"{stem}.csv", render.export_csv(curve_set))
-                    outputs.write(f"{stem}.svg", render.render_curves(curve_set))
+                    _write_curves(
+                        outputs, f"{prefix}{var}_", curve_sets,
+                        (("csv", render.export_csv), ("svg", render.render_curves)),
+                    )
                 if band_scms:
                     candidates = [engine.build_ecm(s, predictor) for s in band_scms]
                     for kind in config.plots:
@@ -755,6 +781,29 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     return manifest
 
 
+def _sweep_groups(plots: Sequence[str], control: Mapping[str, float]) -> list[list[str]]:
+    """The kinds of plots grouped by the sweep they share, groups in the
+    order first requested: PDP shares ICE's and, without controls, PCDP
+    shares TDP's (see _compute_plot). The source kind leads its group."""
+    source_of = {"PDP": "ICE"} if control else {"PDP": "ICE", "PCDP": "TDP"}
+    groups: dict[str, list[str]] = {}
+    for kind in plots:
+        groups.setdefault(source_of.get(kind, kind), []).append(kind)
+    return [sorted(group, key=lambda kind: kind in source_of) for group in groups.values()]
+
+
+def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
+    """Write the curve sets of one sweep group through each (extension,
+    writer). Each set after the first relabels the text just written for
+    the one before; rebinding text frees that text before the next write."""
+    for ext, write in writers:
+        source = text = None
+        for curve_set in curve_sets:
+            text = write(curve_set, like=None if source is None else (source, text))
+            outputs.write(f"{stem}{curve_set.kind.lower()}.{ext}", text)
+            source = curve_set
+
+
 def _compute_plot(
     kind: str,
     ecm: engine.Ecm | None,
@@ -766,9 +815,9 @@ def _compute_plot(
     memo: dict[str, engine.CurveSet],
 ) -> engine.CurveSet:
     """The curve set of one plot kind. memo keeps the ICE and TDP curve
-    sets of this (predictor, variable): PDP is ICE under its own label,
-    and PCDP without controls pins exactly what TDP pins, so each
-    relabels the curves instead of running the same sweep again."""
+    sets of this sweep group: PDP is ICE under its own label, and PCDP
+    without controls pins exactly what TDP pins, so each relabels the
+    curves instead of running the same sweep again."""
     if kind in ("ICE", "PDP"):
         if "ICE" not in memo:
             memo["ICE"] = engine.ice(predictor, data, var, grid)
@@ -868,10 +917,7 @@ def _cmd_explain(args) -> int:
     for var in scm.variables:
         if var not in data.columns:
             raise DataError(f"model variable {var!r} missing from the data")
-    plots = tuple(args.plots.split(","))
-    for kind in plots:
-        if kind not in PLOT_KINDS:
-            raise ConfigError(f"unknown plot kind {kind!r}")
+    plots = _plot_kinds(tuple(args.plots.split(",")))
     control = _parse_controls(args.control)
     resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
     if args.model:
@@ -904,12 +950,13 @@ def _cmd_explain(args) -> int:
         if any(kind not in ("ICE", "PDP") for kind in plots):
             ecm = engine.build_ecm(scm, predictor)
         grid = engine.make_grid(data, args.var, resolution)
-        memo: dict[str, engine.CurveSet] = {}
-        for kind in plots:
-            curve_set = _compute_plot(
-                kind, ecm, predictor, data, args.var, grid, control, memo
-            )
-            outputs.write(f"{args.var}_{kind.lower()}.csv", render.export_csv(curve_set))
+        for group in _sweep_groups(plots, control):
+            memo: dict[str, engine.CurveSet] = {}
+            curve_sets = [
+                _compute_plot(kind, ecm, predictor, data, args.var, grid, control, memo)
+                for kind in group
+            ]
+            _write_curves(outputs, f"{args.var}_", curve_sets, (("csv", render.export_csv),))
     except BaseException:
         outputs.discard_all()
         raise

@@ -104,11 +104,19 @@ class SepsetTable:
 
 @dataclass(frozen=True)
 class Cpdag:
-    """Partially directed graph: some edges oriented, some not."""
+    """Partially directed graph: some edges oriented, some not.
+
+    orient_cpdag records what it could not decide, as name-sorted edges
+    in sorted order: conflicts, the edges that collider votes pushed both
+    ways, and contested, the edges propagation left undirected because
+    the rules pushed them both ways or their direction would close a
+    directed cycle."""
 
     variables: tuple[str, ...]
     directed: frozenset[tuple[str, str]]
     undirected: frozenset[tuple[str, str]]
+    conflicts: tuple[tuple[str, str], ...] = ()
+    contested: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         known = set(self.variables)
@@ -305,6 +313,7 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
                 votes.add((i, k))
                 votes.add((j, k))
     directed: set[tuple[str, str]] = set()
+    conflicts: list[tuple[str, str]] = []
     for a, b in sorted(votes):
         if (b, a) in votes:
             if a < b:
@@ -313,6 +322,7 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
                     a,
                     b,
                 )
+                conflicts.append((a, b))
             continue
         directed.add((a, b))
 
@@ -379,7 +389,13 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
                 changed = True
             if changed:
                 break
-    return Cpdag(skeleton.variables, frozenset(directed), frozenset(undirected))
+    return Cpdag(
+        skeleton.variables,
+        frozenset(directed),
+        frozenset(undirected),
+        tuple(conflicts),
+        tuple(sorted(contested)),
+    )
 
 
 # --- enumeration -----------------------------------------------------------

@@ -17,6 +17,14 @@ model index plus the literals "lower" and "upper". Rows are ordered by
 The CSV and SVG writers format each curve with one "%": values through
 "%.17g" and pixel coordinates through "%.2f", which give the same bytes
 as `_fmt17` and `_coord` on each value.
+
+Some plot kinds share a sweep: PDP holds the ICE curves and PCDP without
+controls the TDP curves. `export_csv` and `render_curves` take the text
+just written for such a source as `like=(source, text)` and relabel it
+instead of formatting the same values again. In a CSV only the kind at
+the start of each row changes; in an SVG only the caption and the curve
+color. Relabelling happens only when the grid, curves and mean are equal
+bit for bit, so the bytes are those of formatting the curve set anew.
 """
 
 from __future__ import annotations
@@ -221,38 +229,77 @@ def _escape(text: str) -> str:
     )
 
 
-def render_curves(curve_set: CurveSet, style: PlotStyle | None = None) -> str:
-    """SVG with one thin polyline per unit and a thick mean polyline."""
+def _title(style: PlotStyle, text: str) -> str:
+    """The caption element; the first text element of every SVG and the
+    only one in font size 14."""
+    return (
+        f'<text x="{_coord(style.width / 2)}" y="{style.margin - 15}" '
+        f'font-size="14" font-family="sans-serif" text-anchor="middle">'
+        f"{_escape(text)}</text>"
+    )
+
+
+def _caption(curve_set: CurveSet) -> str:
+    intervention = curve_set.metadata.get("intervention")
+    return f"{curve_set.kind}: {intervention}" if intervention else curve_set.kind
+
+
+def _stroke(style: PlotStyle, kind: str) -> str:
+    """The start of every curve polyline of a kind; no other element of
+    a curve SVG starts with "<polyline"."""
+    return f'<polyline fill="none" stroke="{style.colors.get(kind, "#333333")}" '
+
+
+def _same_values(like: tuple[CurveSet, str] | None, curve_set: CurveSet) -> bool:
+    """Whether like = (source, text) holds a source with curve_set's grid,
+    curves and mean bit for bit, so that its text needs only relabelling."""
+    if like is None:
+        return False
+    source = like[0]
+    return source.grid.var == curve_set.grid.var and all(
+        np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in (
+            (source.grid.values, curve_set.grid.values),
+            (source.curves, curve_set.curves),
+            (source.mean, curve_set.mean),
+        )
+    )
+
+
+def render_curves(
+    curve_set: CurveSet,
+    style: PlotStyle | None = None,
+    *,
+    like: tuple[CurveSet, str] | None = None,
+) -> str:
+    """SVG with one thin polyline per unit and a thick mean polyline.
+
+    like=(source, text) offers render_curves(source, style); when source
+    has the same values (see the module docstring), the result is that
+    text with the caption and the curve color swapped."""
     style = style or PlotStyle()
-    color = style.colors.get(curve_set.kind, "#333333")
+    if _same_values(like, curve_set):
+        source, text = like
+        text = text.replace(
+            _title(style, _caption(source)), _title(style, _caption(curve_set)), 1
+        )
+        return text.replace(_stroke(style, source.kind), _stroke(style, curve_set.kind))
+    stroke = _stroke(style, curve_set.kind)
     xs = curve_set.grid.values
     y_lo = float(min(curve_set.curves.min(), curve_set.mean.min()))
     y_hi = float(max(curve_set.curves.max(), curve_set.mean.max()))
     frame = _Frame(style, float(xs[0]), float(xs[-1]), y_lo, y_hi)
     parts = _open_svg(style)
-    caption = curve_set.kind
-    intervention = curve_set.metadata.get("intervention")
-    if intervention:
-        caption = f"{caption}: {intervention}"
-    parts.append(
-        f'<text x="{_coord(style.width / 2)}" y="{style.margin - 15}" '
-        f'font-size="14" font-family="sans-serif" text-anchor="middle">'
-        f"{_escape(caption)}</text>"
-    )
+    parts.append(_title(style, _caption(curve_set)))
     parts.extend(_axes(frame, style, style.x_label or curve_set.grid.var))
     for points in frame.points(xs, curve_set.curves):
         parts.append(
-            f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{style.curve_width}" '
+            f'{stroke}stroke-width="{style.curve_width}" '
             f'stroke-opacity="{style.curve_opacity}" '
             f'points="{points}"/>'
         )
     (mean_points,) = frame.points(xs, [curve_set.mean])
-    parts.append(
-        f'<polyline fill="none" stroke="{color}" '
-        f'stroke-width="{style.mean_width}" '
-        f'points="{mean_points}"/>'
-    )
+    parts.append(f'{stroke}stroke-width="{style.mean_width}" points="{mean_points}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -265,11 +312,7 @@ def render_band(band: BandSet, style: PlotStyle | None = None) -> str:
     y_hi = float(band.upper.max())
     frame = _Frame(style, float(xs[0]), float(xs[-1]), y_lo, y_hi)
     parts = _open_svg(style)
-    parts.append(
-        f'<text x="{_coord(style.width / 2)}" y="{style.margin - 15}" '
-        f'font-size="14" font-family="sans-serif" text-anchor="middle">'
-        f"{_escape(band.kind + ' model uncertainty')}</text>"
-    )
+    parts.append(_title(style, f"{band.kind} model uncertainty"))
     parts.extend(_axes(frame, style, style.x_label or band.grid.var))
     (forward,) = frame.points(xs, [band.upper])
     (backward,) = frame.points(xs[::-1], [band.lower[::-1]])
@@ -313,8 +356,15 @@ def _table(kind: str, grid: Grid, rows) -> str:
     return "".join(parts)
 
 
-def export_csv(curve_set: CurveSet) -> str:
-    """Stable delimited form of a curve set; see the module docstring."""
+def export_csv(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None) -> str:
+    """Stable delimited form of a curve set; see the module docstring.
+
+    like=(source, text) offers export_csv(source); when source has the
+    same values, the result is that text with the kind of each row
+    swapped. Every row starts with the kind after a newline."""
+    if _same_values(like, curve_set) and "\n" not in like[0].kind:
+        source, text = like
+        return text.replace(f"\n{source.kind},", f"\n{curve_set.kind},")
     rows = [*enumerate(curve_set.curves), ("mean", curve_set.mean)]
     return _table(curve_set.kind, curve_set.grid, rows)
 

@@ -1,6 +1,7 @@
 """Spec files, dataset files, run configs, and the command line."""
 
 import dataclasses
+import itertools
 import json
 import sys
 from importlib import resources
@@ -11,6 +12,7 @@ import pytest
 
 from cdplot import engine, render
 from cdplot.cli import (
+    PLOT_KINDS,
     load_run_config,
     load_scm_spec,
     main,
@@ -20,7 +22,14 @@ from cdplot.cli import (
     write_dataset_csv,
 )
 from cdplot.errors import ConfigError, DataError
-from cdplot.predictors import ForestConfig, Predictor, fit_forest, fit_ols, save_predictor
+from cdplot.predictors import (
+    ClosedFormPredictor,
+    ForestConfig,
+    Predictor,
+    fit_forest,
+    fit_ols,
+    save_predictor,
+)
 from cdplot.render import import_csv
 from cdplot.scm import Dataset, sample
 
@@ -620,6 +629,11 @@ EXIT_CASES = {
     "run-ice-on-non-feature": (
         2, lambda t: _run(t, variables=["F"], plots=["ICE"],
                           predictor={"kind": "ols", "target": "S", "features": ["P"]})),
+    "run-plot-kind-listed-twice": (2, lambda t: _run(t, plots=["ICE", "ICE"])),
+    "run-variable-listed-twice": (2, lambda t: _run(t, variables=["P", "P"])),
+    "explain-plot-kind-listed-twice": (
+        2, lambda t: _explain(t, "--var", "P", "--plots", "ICE,ICE", "--closed-form", "P",
+                              "--features", "P")),
     "explain-pdp-on-non-feature": (
         2, lambda t: _explain(t, "--var", "F", "--plots", "PDP", "--closed-form", "P",
                               "--features", "P")),
@@ -787,10 +801,41 @@ def test_run_discovery_records_the_graph(tmp_path):
     )
     block = manifest["inputs"]["discovery"]
     assert block["cpdag"] == ["M -- X", "M -- Y"]
+    assert block["collider_conflicts"] == block["contested"] == []
     assert block["candidates"] >= 1
     # the manifest records the full chosen orientation of the skeleton
     pairs = {tuple(sorted(edge.split(" -> "))) for edge in block["chosen_dag"]}
     assert pairs == {("M", "X"), ("M", "Y")}
+
+
+def test_run_discovery_records_undecided_edges(tmp_path):
+    # a latent L behind B and C: the triples B - C - D and C - B - E vote
+    # B - C both ways, and propagation pushes it both ways too
+    rng = np.random.default_rng(0)
+    latent, d, e = rng.normal(size=(3, 2000))
+    b = latent + e + 0.5 * rng.normal(size=2000)
+    c = latent + d + 0.5 * rng.normal(size=2000)
+    data = Dataset(("B", "C", "D", "E"), np.column_stack([b, c, d, e]))
+    (tmp_path / "d.csv").write_text(write_dataset_csv(data), encoding="utf-8")
+    config = {
+        "discovery": {"degree": 1},
+        "data": "d.csv",
+        "predictor": {"kind": "ols", "target": "C", "features": ["B", "D"], "degree": 1},
+        "variables": ["D"],
+        "plots": ["TDP"],
+        "grid_resolution": 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = _spec(tmp_path, json.dumps(config), "run.json")
+    assert main(["run", "--config", str(path)]) == 0
+    manifest = json.loads(
+        (tmp_path / "out" / "manifest.json").read_text(encoding="utf-8")
+    )
+    block = manifest["inputs"]["discovery"]
+    assert block["cpdag"] == ["B -- C", "D -> C", "E -> B"]
+    assert block["collider_conflicts"] == ["B -- C"]
+    assert block["contested"] == ["B -- C"]
+    assert block["candidates"] == 2
 
 
 def _count_predict_rows(monkeypatch):
@@ -824,21 +869,90 @@ def test_run_sweeps_each_distinct_curve_once(tmp_path, monkeypatch, plots, contr
     assert rows == [units] * (sweeps * grid_points)
 
 
+def _on_its_own(kind, ecm, data, var, grid, controls):
+    """The curve set of one kind, computed by the engine for itself."""
+    if kind in ("ICE", "PDP"):
+        return dataclasses.replace(engine.ice(ecm.predictor, data, var, grid), kind=kind)
+    if kind == "PCDP":
+        return engine.pcdp(ecm, data, var, grid, controls)
+    sweep = {"TDP": engine.tdp, "NDDP": engine.nddp, "NIDP": engine.nidp}[kind]
+    return sweep(ecm, data, var, grid)
+
+
+# each order puts a kind that relabels another's text before its source
+RELABEL_ORDERS = [list(PLOT_KINDS), ["PDP", "ICE", "PCDP", "TDP"]]
+
+
 def test_reused_pdp_and_pcdp_curves_match_the_engine(tmp_path):
+    # every file of a run has the bytes of its curve set exported on its
+    # own, also where PDP and PCDP relabel the ICE and TDP text
     _copy_fixture(tmp_path, "salary.scm")
-    config = _write_config(tmp_path, plots=["ICE", "PDP", "TDP", "PCDP"])
-    assert main(["run", "--config", str(config)]) == 0
     scm = load_scm_spec(FIXTURES / "salary.scm")
     data, _ = sample(scm, 80, 5)
-    predictor = fit_ols(data, "S", ("P", "F"), 2)
-    grid = engine.make_grid(data, "P", 5)
-    pdp = dataclasses.replace(engine.ice(predictor, data, "P", grid), kind="PDP")
-    pcdp = engine.pcdp(engine.build_ecm(scm, predictor), data, "P", grid, {})
-    out = tmp_path / "out"
-    for name, curve_set in (("P_pdp", pdp), ("P_pcdp", pcdp)):
-        assert (out / f"{name}.csv").read_text(encoding="utf-8") == render.export_csv(curve_set)
-        assert (out / f"{name}.svg").read_text(encoding="utf-8") == render.render_curves(curve_set)
-    assert "control()" in (out / "P_pcdp.svg").read_text(encoding="utf-8")
+    ecm = engine.build_ecm(scm, fit_ols(data, "S", ("P", "F"), 2))
+    for case, (plots, controls) in enumerate(
+        itertools.product(RELABEL_ORDERS, [{}, {"S": 1.0}])
+    ):
+        out = tmp_path / f"out{case}"
+        config = _write_config(tmp_path, variables=["P", "F"], plots=plots,
+                               controls=controls, output_dir=str(out))
+        assert main(["run", "--config", str(config)]) == 0
+        for var in ("P", "F"):
+            grid = engine.make_grid(data, var, 5)
+            for kind in plots:
+                curve_set = _on_its_own(kind, ecm, data, var, grid, controls)
+                stem = out / f"{var}_{kind.lower()}"
+                csv = stem.with_suffix(".csv").read_text(encoding="utf-8")
+                assert csv == render.export_csv(curve_set), (plots, controls, stem)
+                svg = stem.with_suffix(".svg").read_text(encoding="utf-8")
+                assert svg == render.render_curves(curve_set), (plots, controls, stem)
+        control = "control(S=1.0)" if controls else "control()"
+        assert control in (out / "P_pcdp.svg").read_text(encoding="utf-8")
+
+
+def test_explain_files_match_the_engine(tmp_path):
+    data_path = _salary_data(tmp_path)
+    scm = load_scm_spec(FIXTURES / "salary.scm")
+    data = read_dataset_csv(data_path)
+    ecm = engine.build_ecm(scm, ClosedFormPredictor("F - P^2", ("P", "F")))
+    grid = engine.make_grid(data, "P", 40)
+    for case, (plots, controls) in enumerate(
+        itertools.product(RELABEL_ORDERS, [{}, {"S": 1.0}])
+    ):
+        out = tmp_path / f"out{case}"
+        argv = ["explain", "--scm", str(FIXTURES / "salary.scm"), "--data", str(data_path),
+                "--out-dir", str(out), "--var", "P", "--plots", ",".join(plots),
+                "--closed-form", "F - P^2", "--features", "P,F"]
+        assert main(argv + (["--control", "S=1"] if controls else [])) == 0
+        for kind in plots:
+            expected = render.export_csv(_on_its_own(kind, ecm, data, "P", grid, controls))
+            text = (out / f"P_{kind.lower()}.csv").read_text(encoding="utf-8")
+            assert text == expected, (plots, controls, kind)
+
+
+def test_run_formats_each_distinct_sweep_once(tmp_path, monkeypatch):
+    # PDP and control-free PCDP relabel the ICE and TDP text, so six kinds
+    # on two variables format 8 matrices, not 12
+    _copy_fixture(tmp_path, "salary.scm")
+    config = load_run_config(
+        _write_config(tmp_path, variables=["P", "F"], plots=list(PLOT_KINDS))
+    )
+    calls = {"table": 0, "points": 0}
+    table, points = render._table, render._Frame.points
+
+    def counting_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    def counting_points(self, xs, rows):
+        calls["points"] += 1
+        return points(self, xs, rows)
+
+    monkeypatch.setattr(render, "_table", counting_table)
+    monkeypatch.setattr(render._Frame, "points", counting_points)
+    manifest = run_pipeline(config)
+    assert len(manifest["outputs"]) == 2 * 2 * 6
+    assert calls == {"table": 8, "points": 2 * 8}  # points: the units, then the mean
 
 
 def test_flat_curve_beyond_two_to_the_53_renders(tmp_path, capsys):

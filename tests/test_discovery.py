@@ -1,6 +1,7 @@
 """Structure learning: independence tests, skeleton, orientation, ANM fit."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,9 @@ def test_conflicting_votes_leave_edge_undirected(caplog):
         r for r in caplog.records if "conflicting collider" in r.getMessage()
     ]
     assert len(collider_conflicts) == 1  # once per edge, not per direction
+    # both arms then push B - C by rule 1, so propagation contests it too
+    assert cpdag.conflicts == (("B", "C"),)
+    assert cpdag.contested == (("B", "C"),)
 
 
 def _random_linear_gaussian(seed, k=12, p=0.2, n=3000):
@@ -322,6 +326,19 @@ def test_propagation_never_closes_a_cycle(caplog, seed, candidates):
     ]
     assert guarded and len(guarded) == len(set(guarded))
     assert len(enumerate_dags(cpdag).dags) == candidates
+    # the records name exactly the edges the warnings name
+    logged = {"conflicting collider": set(), "propagation conflict": set(),
+              "would close": set()}
+    for record in caplog.records:
+        message = record.getMessage()
+        for key, edges in logged.items():
+            if key in message:
+                names = re.findall(r"V\d\d", message)
+                edges.add(tuple(sorted(names)))
+    assert cpdag.conflicts == tuple(sorted(logged["conflicting collider"]))
+    assert cpdag.contested == tuple(
+        sorted(logged["propagation conflict"] | logged["would close"])
+    )
 
 
 def test_cpdag_text_round_trip():

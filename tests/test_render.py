@@ -1,5 +1,7 @@
 """SVG rendering and the delimited curve format."""
 
+import dataclasses
+import itertools
 import math
 import re
 
@@ -414,3 +416,54 @@ def test_band_writers_match_the_per_point_writers(matrix):
     )
     expected = [envelope] + [_scalar_points(frame, xs, ys) for ys in band.curves]
     assert _svg_points(render_band(band)) == expected
+
+
+# --- relabelling the text of a curve set with the same values --------------
+
+
+def _relabel_styles(source, target):
+    """The default style, plus the cases where a naive substitution
+    would touch more than the caption and the curves."""
+    captions = [
+        f"{c.kind}: {c.metadata['intervention']}" if c.metadata else c.kind
+        for c in (source, target)
+    ]
+    return [
+        PlotStyle(),
+        # a curve color equal to the axis color
+        PlotStyle(colors={**KIND_COLORS, source.kind: "#000000"}),
+        PlotStyle(colors={**KIND_COLORS, target.kind: "#000000"}),
+        # the same color for both kinds
+        PlotStyle(colors={source.kind: "#123456", target.kind: "#123456"}),
+        # an x label equal to a caption
+        *(PlotStyle(x_label=caption) for caption in captions),
+    ]
+
+
+@pytest.mark.parametrize("intervention", [None, "do(x=grid)"])
+@pytest.mark.parametrize("source_kind, kind", list(itertools.product(KIND_COLORS, repeat=2)))
+def test_relabelled_text_matches_the_text_formatted_anew(source_kind, kind, intervention):
+    metadata = {"intervention": intervention} if intervention else {}
+    curves = [[0.5, -1.25, 3.0], [2.0, 0.0, -0.0]]
+    source = _curve_set(source_kind, curves, (0.0, 0.5, 2.0), metadata)
+    target = dataclasses.replace(source, kind=kind)
+    like = (source, export_csv(source))
+    assert export_csv(target, like=like) == export_csv(target)
+    for style in _relabel_styles(source, target):
+        like = (source, render_curves(source, style))
+        assert render_curves(target, style, like=like) == render_curves(target, style)
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: dataclasses.replace(c, curves=c.curves + 1.0, mean=c.mean + 1.0),
+    # equal as floats, but printed "-0" instead of "0"
+    lambda c: dataclasses.replace(c, curves=-c.curves, mean=-c.mean),
+    lambda c: dataclasses.replace(c, grid=Grid("y", c.grid.values)),
+    lambda c: dataclasses.replace(c, grid=Grid("x", c.grid.values * 2.0)),
+])
+def test_text_of_other_values_is_not_relabelled(change):
+    source = _curve_set("ICE", [[0.0, 0.0], [0.0, 0.0]])
+    target = dataclasses.replace(change(source), kind="PDP")
+    assert export_csv(target, like=(source, export_csv(source))) == export_csv(target)
+    svg = render_curves(target, like=(source, render_curves(source)))
+    assert svg == render_curves(target)
