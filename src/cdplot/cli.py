@@ -337,7 +337,7 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
             raise ConfigError(f"duplicate predictor label {label!r}")
         labels.add(label)
         target = block.get("target")
-        features = tuple(block.get("features", ()))
+        features = _distinct("feature", _names("features", block.get("features", [])))
         if kind in ("ols", "forest") and target is None:
             raise ConfigError(f"predictor {label!r} needs a target")
         if kind in ("closed_form", "external") and not features:
@@ -375,9 +375,18 @@ def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
     return controls
 
 
+def _names(key: str, value) -> tuple[str, ...]:
+    """A list-valued config key; a string is not accepted, because it
+    would be taken apart into its characters."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ConfigError(f"{key!r} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def _distinct(what: str, names: tuple[str, ...]) -> tuple[str, ...]:
-    """names with none listed twice; a repeat would sweep again and
-    overwrite the same files."""
+    """names with none listed twice: a repeated plot kind or variable
+    would sweep again and overwrite the same files, and a repeated feature
+    or column is a mistake in the list."""
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"{what} {name!r} is listed twice")
@@ -461,6 +470,21 @@ def _check_request(
             raise ConfigError(f"control on explained variable {name!r}")
 
 
+def _check_band_models(
+    band_scms: Sequence[Scm], variables: Sequence[str], feature_sets: Sequence[Sequence[str]]
+) -> None:
+    """Band models must share one variable set that holds every explained
+    variable and every predictor feature."""
+    if not band_scms:
+        return
+    if len({frozenset(s.variables) for s in band_scms}) != 1:
+        raise ConfigError("band models must share a variable set")
+    needed = dict.fromkeys([*variables, *(f for features in feature_sets for f in features)])
+    missing = [name for name in needed if name not in band_scms[0].variables]
+    if missing:
+        raise ConfigError("band models lack " + ", ".join(missing))
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a run config. Paths inside the file resolve
     relative to the file's directory."""
@@ -494,7 +518,9 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
                     "max_cond", _number("max_cond", block.get("max_cond", 3), int), 0
                 ),
                 degree=_at_least("degree", _number("degree", block.get("degree", 3), int), 1),
-                variables=tuple(block.get("variables", ())),
+                variables=_distinct(
+                    "discovery variable", _names("variables", block.get("variables", []))
+                ),
                 cap=_at_least("cap", _number("cap", block.get("cap", 64), int), 1),
             )
         except TypeError as exc:
@@ -521,10 +547,10 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         raise ConfigError("'data' must be a path or a {'simulate': ...} object")
 
     explain_data = raw.get("explain_data")
-    variables = _distinct("variable", tuple(raw.get("variables", ())))
+    variables = _distinct("variable", _names("variables", raw.get("variables", [])))
     if not variables:
         raise ConfigError("config needs a nonempty 'variables' list")
-    plots = _plot_kinds(tuple(raw.get("plots", ("TDP",))))
+    plots = _plot_kinds(_names("plots", raw.get("plots", ["TDP"])))
     if not plots:
         raise ConfigError("'plots' must be nonempty")
     resolution = raw.get("grid_resolution", engine.GRID_RESOLUTION_DEFAULT)
@@ -533,7 +559,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     if not isinstance(controls_raw, dict):
         raise ConfigError("'controls' must be an object")
     controls = _controls(sorted(controls_raw.items()))
-    band_scms = tuple(base / p for p in raw.get("band_scms", ()))
+    band_scms = tuple(base / p for p in _names("band_scms", raw.get("band_scms", [])))
     if len(band_scms) == 1:
         raise ConfigError("'band_scms' needs at least two model specs")
     label_map = _label_map(raw.get("label_map", {}))
@@ -666,7 +692,6 @@ def run_pipeline(config: RunConfig, config_label: str = "config") -> dict:
 
 def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict:
     inputs: dict = {"config": config_label}
-    deviations: list[str] = []
 
     # data
     scm = load_scm_spec(config.scm_path) if config.scm_path else None
@@ -716,69 +741,74 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
 
     features = [_block_features(block, scm.variables) for block in config.predictors]
     _check_request(scm, config.variables, config.plots, config.controls, features)
-
     band_scms = [load_scm_spec(p) for p in config.band_scms]
+    _check_band_models(band_scms, config.variables, features)
     if band_scms:
         inputs["band_scms"] = [str(p) for p in config.band_scms]
 
-    # predictors
-    fitted: list[tuple[PredictorBlock, Predictor]] = []
+    # predictors and plots
+    writers = (("csv", render.export_csv), ("svg", render.render_curves))
     for block in config.predictors:
-        fitted.append((block, _build_predictor(block, data, scm.variables)))
-
-    # plots
-    multiple = len(fitted) > 1
-    try:
-        for block, predictor in fitted:
-            prefix = f"{block.label}_" if multiple else ""
-            ecm = None
-            if any(kind not in ("ICE", "PDP") for kind in config.plots):
-                ecm = engine.build_ecm(scm, predictor)
-            for var in config.variables:
-                grid = engine.make_grid(explain_data, var, config.grid_resolution)
-                for group in _sweep_groups(config.plots, config.controls):
-                    memo: dict[str, engine.CurveSet] = {}
-                    curve_sets = [
-                        _compute_plot(
-                            kind, ecm, predictor, explain_data, var, grid,
-                            config.controls, memo,
-                        )
-                        for kind in group
-                    ]
-                    for curve_set in curve_sets:
-                        note = curve_set.metadata.get("notes")
-                        if curve_set.kind == "NIDP" and note and note not in deviations:
-                            deviations.append(note)
-                    _write_curves(
-                        outputs, f"{prefix}{var}_", curve_sets,
-                        (("csv", render.export_csv), ("svg", render.render_curves)),
-                    )
-                if band_scms:
-                    candidates = [engine.build_ecm(s, predictor) for s in band_scms]
-                    for kind in config.plots:
-                        if kind not in engine.band_kinds():
-                            continue
-                        band = engine.uncertainty_band(
-                            candidates, explain_data, var, grid, kind
-                        )
-                        stem = f"{prefix}{var}_{kind.lower()}_band"
-                        outputs.write(f"{stem}.csv", render.export_band_csv(band))
-                        outputs.write(f"{stem}.svg", render.render_band(band))
-    finally:
-        for _, predictor in fitted:
-            close = getattr(predictor, "close", None)
-            if close is not None:
-                close()
+        prefix = f"{block.label}_" if len(config.predictors) > 1 else ""
+        predictor = _build_predictor(block, data, scm.variables)
+        _write_plots(
+            outputs, prefix, scm, predictor, explain_data, config.variables, config.plots,
+            config.grid_resolution, config.controls, writers, band_scms,
+        )
 
     manifest = {
         "inputs": inputs,
         "outputs": sorted(p.name for p in outputs.written),
         "seed": config.seed,
         "config_hash": _config_hash(config.raw),
-        "deviations": deviations,
+        "deviations": [engine.NIDP_NOTE] if "NIDP" in config.plots else [],
     }
     outputs.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
+
+
+def _write_plots(
+    outputs: _Outputs,
+    prefix: str,
+    scm: Scm,
+    predictor: Predictor,
+    data: Dataset,
+    variables: Sequence[str],
+    plots: Sequence[str],
+    resolution: int,
+    control: Mapping[str, float],
+    writers,
+    band_scms: Sequence[Scm] = (),
+) -> None:
+    """Check the request against the predictor's features, then write the
+    curves of each explained variable and plot kind through each
+    (extension, writer), one sweep per _sweep_groups group, plus the band
+    files of band_scms; close the predictor at the end, also on failure."""
+    try:
+        _check_request(scm, variables, plots, control, [predictor.features])
+        ecm = None
+        if any(kind not in ("ICE", "PDP") for kind in plots):
+            ecm = engine.build_ecm(scm, predictor)
+        candidates = [engine.build_ecm(s, predictor) for s in band_scms]
+        for var in variables:
+            grid = engine.make_grid(data, var, resolution)
+            for group in _sweep_groups(plots, control):
+                memo: dict[str, engine.CurveSet] = {}
+                curve_sets = [
+                    _compute_plot(kind, ecm, predictor, data, var, grid, control, memo)
+                    for kind in group
+                ]
+                _write_curves(outputs, f"{prefix}{var}_", curve_sets, writers)
+            for kind in plots:
+                if candidates and kind in engine.band_kinds():
+                    band = engine.uncertainty_band(candidates, data, var, grid, kind)
+                    stem = f"{prefix}{var}_{kind.lower()}_band"
+                    outputs.write(f"{stem}.csv", render.export_band_csv(band))
+                    outputs.write(f"{stem}.svg", render.render_band(band))
+    finally:
+        close = getattr(predictor, "close", None)
+        if close is not None:
+            close()
 
 
 def _sweep_groups(plots: Sequence[str], control: Mapping[str, float]) -> list[list[str]]:
@@ -823,7 +853,7 @@ def _compute_plot(
             memo["ICE"] = engine.ice(predictor, data, var, grid)
         if kind == "ICE":
             return memo["ICE"]
-        return dataclasses.replace(memo["ICE"], kind="PDP")
+        return memo["ICE"].relabel("PDP")
     assert ecm is not None
     if kind == "PCDP" and control:
         return engine.pcdp(ecm, data, var, grid, control)
@@ -832,8 +862,7 @@ def _compute_plot(
             memo["TDP"] = engine.tdp(ecm, data, var, grid)
         if kind == "TDP":
             return memo["TDP"]
-        metadata = engine.pcdp_metadata(ecm, var, control)
-        return dataclasses.replace(memo["TDP"], kind="PCDP", metadata=metadata)
+        return memo["TDP"].relabel("PCDP", engine.pcdp_metadata(ecm, var, control))
     if kind == "NDDP":
         return engine.nddp(ecm, data, var, grid)
     return engine.nidp(ecm, data, var, grid)
@@ -861,7 +890,7 @@ def _cmd_discover(args) -> int:
             raise ConfigError(f"--label-map is not valid JSON: {exc}") from None
     data = read_dataset_csv(args.data, label_map)
     if args.variables:
-        names = tuple(args.variables.split(","))
+        names = _distinct("variable", tuple(args.variables.split(",")))
         for name in names:
             if name not in data.columns:
                 raise DataError(f"unknown variable {name!r}")
@@ -879,9 +908,10 @@ def _cmd_discover(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
-    features = tuple(args.features.split(",")) if args.features else tuple(
-        c for c in data.columns if c != args.target
-    )
+    if args.features:
+        features = _distinct("feature", tuple(args.features.split(",")))
+    else:
+        features = tuple(c for c in data.columns if c != args.target)
     if args.kind == "ols":
         degree = _at_least("--degree", args.degree, 1)
         predictor: Predictor = fit_ols(data, args.target, features, degree)
@@ -934,36 +964,24 @@ def _cmd_explain(args) -> int:
     elif args.closed_form:
         if not args.features:
             raise ConfigError("--closed-form needs --features")
-        predictor = ClosedFormPredictor(args.closed_form, args.features.split(","))
+        features = _distinct("feature", tuple(args.features.split(",")))
+        predictor = ClosedFormPredictor(args.closed_form, features)
     elif args.external:
         if not args.features:
             raise ConfigError("--external needs --features")
-        predictor = open_external(
-            args.external, args.features.split(","), _timeout(args.timeout)
-        )
+        features = _distinct("feature", tuple(args.features.split(",")))
+        predictor = open_external(args.external, features, _timeout(args.timeout))
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
     outputs = _Outputs(Path(args.out_dir))
     try:
-        _check_request(scm, (args.var,), plots, control, [predictor.features])
-        ecm = None
-        if any(kind not in ("ICE", "PDP") for kind in plots):
-            ecm = engine.build_ecm(scm, predictor)
-        grid = engine.make_grid(data, args.var, resolution)
-        for group in _sweep_groups(plots, control):
-            memo: dict[str, engine.CurveSet] = {}
-            curve_sets = [
-                _compute_plot(kind, ecm, predictor, data, args.var, grid, control, memo)
-                for kind in group
-            ]
-            _write_curves(outputs, f"{args.var}_", curve_sets, (("csv", render.export_csv),))
+        _write_plots(
+            outputs, "", scm, predictor, data, (args.var,), plots, resolution, control,
+            (("csv", render.export_csv),),
+        )
     except BaseException:
         outputs.discard_all()
         raise
-    finally:
-        close = getattr(predictor, "close", None)
-        if close is not None:
-            close()
     for path in outputs.written:
         print(f"wrote {path}")
     return 0

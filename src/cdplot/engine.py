@@ -27,6 +27,7 @@ everything else through the model (scm.counterfactual_table):
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -114,20 +115,15 @@ class Grid:
         return len(self.values)
 
 
-def make_grid(
-    data: Dataset,
-    var: str,
-    resolution: int = GRID_RESOLUTION_DEFAULT,
-    ordinal_cutoff: int = ORDINAL_CUTOFF,
-) -> Grid:
+def make_grid(data: Dataset, var: str, resolution: int = GRID_RESOLUTION_DEFAULT) -> Grid:
     """Grid over a column: the sorted distinct values when there are at
-    most ordinal_cutoff of them, else resolution equally spaced points
+    most ORDINAL_CUTOFF of them, else resolution equally spaced points
     across the observed range."""
     if resolution < 2:
         raise EngineError(f"resolution must be at least 2, got {resolution}")
     column = data.column(var)
     distinct = np.unique(column)
-    if len(distinct) <= ordinal_cutoff:
+    if len(distinct) <= ORDINAL_CUTOFF:
         return Grid(var, distinct)
     lo, hi = float(distinct[0]), float(distinct[-1])
     if lo == hi:
@@ -169,6 +165,16 @@ class CurveSet:
     @property
     def units(self) -> int:
         return self.curves.shape[0]
+
+    def relabel(self, kind: str, metadata: dict[str, str] | None = None) -> CurveSet:
+        """The same curves under another kind (and metadata, if given).
+        The result shares this set's grid, curves and mean, which are
+        read-only and already checked, instead of copying them."""
+        relabelled = copy.copy(self)
+        if metadata is None:
+            metadata = self.metadata
+        relabelled.__dict__.update(kind=kind, metadata=metadata)
+        return relabelled
 
 
 def _curveset(kind: str, grid: Grid, curves: np.ndarray, metadata: dict[str, str]) -> CurveSet:

@@ -1,10 +1,14 @@
 """Deterministic SVG rendering and delimited export of curve sets.
 
 The SVG output is plain SVG 1.1 assembled from strings: same input,
-same bytes, no timestamps or generated ids. Individual unit curves are
-drawn first as thin translucent polylines, the mean last as a thick
-opaque one; axes and ticks use line elements so a curve set with m
-units always contains exactly m + 1 polylines.
+same bytes, no timestamps or generated ids. Every SVG has one fixed
+geometry: a 640 x 480 canvas with a 50 pixel margin, light grid lines
+at the ticks, the grid variable as the x label and "prediction" as the
+y label. Individual unit curves are drawn first as polylines of width
+1.0 at opacity 0.25, the mean last as an opaque one of width 2.5, all
+in the kind's color from KIND_COLORS (#333333 for any other kind); axes
+and ticks use line elements so a curve set with m units always contains
+exactly m + 1 polylines.
 
 CSV schema (UTF-8, LF, '.' decimal, 17 significant digits)::
 
@@ -23,15 +27,15 @@ controls the TDP curves. `export_csv` and `render_curves` take the text
 just written for such a source as `like=(source, text)` and relabel it
 instead of formatting the same values again. In a CSV only the kind at
 the start of each row changes; in an SVG only the caption and the curve
-color. Relabelling happens only when the grid, curves and mean are equal
-bit for bit, so the bytes are those of formatting the curve set anew.
+color. Relabelling happens only when the curve set shares the source's
+grid, curves and mean, as `CurveSet.relabel` makes it, so the bytes are
+those of formatting the curve set anew.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .predictors import _fmt17
 
 __all__ = [
     "KIND_COLORS",
-    "PlotStyle",
     "export_band_csv",
     "export_csv",
     "import_csv",
@@ -59,25 +62,11 @@ KIND_COLORS = {
 
 _BAND_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 640
-    height: int = 480
-    margin: int = 50
-    curve_width: float = 1.0
-    curve_opacity: float = 0.25
-    mean_width: float = 2.5
-    colors: dict[str, str] = field(default_factory=lambda: dict(KIND_COLORS))
-    x_label: str | None = None
-    y_label: str = "prediction"
-    grid_lines: bool = True
-
-    def __post_init__(self) -> None:
-        if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
-            raise EngineError("canvas too small for margins")
-        if not 0.0 < self.curve_opacity <= 1.0:
-            raise EngineError("curve opacity must be in (0, 1]")
+# the one geometry of every SVG: canvas, margin, strokes and the y label
+_WIDTH, _HEIGHT, _MARGIN = 640, 480, 50
+_CURVE_WIDTH, _CURVE_OPACITY, _MEAN_WIDTH = 1.0, 0.25, 2.5
+_Y_LABEL = "prediction"
+_TICKS = 5  # about this many ticks per axis
 
 
 def _coord(value: float) -> str:
@@ -95,12 +84,12 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Around `target` ticks at 1/2/5 x 10^k multiples inside [lo, hi];
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Around _TICKS ticks at 1/2/5 x 10^k multiples inside [lo, hi];
     finite for any finite lo <= hi."""
     if lo == hi:
         return [round(lo, 12)]
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / (_TICKS - 1)
     # a span of a few subnormals would give a zero step, and a span
     # beyond the largest float an infinite one
     raw = min(max(raw, sys.float_info.min), sys.float_info.max / 10)
@@ -109,8 +98,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     for mantissa in (1.0, 2.0, 5.0, 10.0):
         step = mantissa * 10.0**power
         count = math.floor(hi / step) - math.ceil(lo / step) + 1
-        if best is None or abs(count - target) < best[0]:
-            best = (abs(count - target), step)
+        if best is None or abs(count - _TICKS) < best[0]:
+            best = (abs(count - _TICKS), step)
     step = best[1]
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
@@ -126,17 +115,14 @@ class _Frame:
     -, /, * and +, so a numpy array maps to the same values as each of
     its floats on its own."""
 
-    def __init__(self, style, x_lo, x_hi, y_lo, y_hi):
-        self.style = style
+    left, right, top, bottom = _MARGIN, _WIDTH - _MARGIN, _MARGIN, _HEIGHT - _MARGIN
+
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.x_hi = _pad_range(x_lo, x_hi)
         self.y_lo, self.y_hi = _pad_range(y_lo, y_hi)
         for lo, hi in ((self.x_lo, self.x_hi), (self.y_lo, self.y_hi)):
             if not math.isfinite(hi - lo):
                 raise EngineError(f"plot range [{lo!r}, {hi!r}] is too wide to draw")
-        self.left = style.margin
-        self.right = style.width - style.margin
-        self.top = style.margin
-        self.bottom = style.height - style.margin
 
     def sx(self, value: float) -> float:
         frac = (value - self.x_lo) / (self.x_hi - self.x_lo)
@@ -152,34 +138,31 @@ class _Frame:
         return [template % tuple(ys) for ys in self.sy(np.asarray(rows)).tolist()]
 
 
-def _open_svg(style: PlotStyle) -> list[str]:
+def _open_svg() -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">',
-        f'<rect x="0" y="0" width="{style.width}" height="{style.height}" '
-        f'fill="#ffffff"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
 
 
-def _axes(frame: _Frame, style: PlotStyle, x_label: str) -> list[str]:
+def _axes(frame: _Frame, x_label: str) -> list[str]:
     parts = []
     x_ticks = _nice_ticks(frame.x_lo, frame.x_hi)
     y_ticks = _nice_ticks(frame.y_lo, frame.y_hi)
-    if style.grid_lines:
-        for t in x_ticks:
-            x = _coord(frame.sx(t))
-            parts.append(
-                f'<line x1="{x}" y1="{frame.top}" x2="{x}" y2="{frame.bottom}" '
-                f'stroke="#dddddd" stroke-width="0.5"/>'
-            )
-        for t in y_ticks:
-            y = _coord(frame.sy(t))
-            parts.append(
-                f'<line x1="{frame.left}" y1="{y}" x2="{frame.right}" y2="{y}" '
-                f'stroke="#dddddd" stroke-width="0.5"/>'
-            )
+    for t in x_ticks:
+        x = _coord(frame.sx(t))
+        parts.append(
+            f'<line x1="{x}" y1="{frame.top}" x2="{x}" y2="{frame.bottom}" '
+            f'stroke="#dddddd" stroke-width="0.5"/>'
+        )
+    for t in y_ticks:
+        y = _coord(frame.sy(t))
+        parts.append(
+            f'<line x1="{frame.left}" y1="{y}" x2="{frame.right}" y2="{y}" '
+            f'stroke="#dddddd" stroke-width="0.5"/>'
+        )
     parts.append(
         f'<line x1="{frame.left}" y1="{frame.bottom}" x2="{frame.right}" '
         f'y2="{frame.bottom}" stroke="#000000" stroke-width="1"/>'
@@ -218,7 +201,7 @@ def _axes(frame: _Frame, style: PlotStyle, x_label: str) -> list[str]:
         f'<text x="15" y="{_coord((frame.top + frame.bottom) / 2)}" '
         f'font-size="13" font-family="sans-serif" text-anchor="middle" '
         f'transform="rotate(-90 15 {_coord((frame.top + frame.bottom) / 2)})">'
-        f"{_escape(frame.style.y_label)}</text>"
+        f"{_Y_LABEL}</text>"
     )
     return parts
 
@@ -229,11 +212,11 @@ def _escape(text: str) -> str:
     )
 
 
-def _title(style: PlotStyle, text: str) -> str:
+def _title(text: str) -> str:
     """The caption element; the first text element of every SVG and the
     only one in font size 14."""
     return (
-        f'<text x="{_coord(style.width / 2)}" y="{style.margin - 15}" '
+        f'<text x="{_coord(_WIDTH / 2)}" y="{_MARGIN - 15}" '
         f'font-size="14" font-family="sans-serif" text-anchor="middle">'
         f"{_escape(text)}</text>"
     )
@@ -244,76 +227,62 @@ def _caption(curve_set: CurveSet) -> str:
     return f"{curve_set.kind}: {intervention}" if intervention else curve_set.kind
 
 
-def _stroke(style: PlotStyle, kind: str) -> str:
+def _stroke(kind: str) -> str:
     """The start of every curve polyline of a kind; no other element of
     a curve SVG starts with "<polyline"."""
-    return f'<polyline fill="none" stroke="{style.colors.get(kind, "#333333")}" '
+    return f'<polyline fill="none" stroke="{KIND_COLORS.get(kind, "#333333")}" '
 
 
 def _same_values(like: tuple[CurveSet, str] | None, curve_set: CurveSet) -> bool:
-    """Whether like = (source, text) holds a source with curve_set's grid,
-    curves and mean bit for bit, so that its text needs only relabelling."""
-    if like is None:
-        return False
-    source = like[0]
-    return source.grid.var == curve_set.grid.var and all(
-        np.array_equal(a.view(np.int64), b.view(np.int64))
-        for a, b in (
-            (source.grid.values, curve_set.grid.values),
-            (source.curves, curve_set.curves),
-            (source.mean, curve_set.mean),
-        )
+    """Whether like = (source, text) holds a source that shares curve_set's
+    grid, curves and mean (see CurveSet.relabel), so that its text needs
+    only relabelling. The arrays are read-only, so sharing them means
+    equal values."""
+    return like is not None and all(
+        getattr(like[0], name) is getattr(curve_set, name)
+        for name in ("grid", "curves", "mean")
     )
 
 
-def render_curves(
-    curve_set: CurveSet,
-    style: PlotStyle | None = None,
-    *,
-    like: tuple[CurveSet, str] | None = None,
-) -> str:
+def render_curves(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None) -> str:
     """SVG with one thin polyline per unit and a thick mean polyline.
 
-    like=(source, text) offers render_curves(source, style); when source
-    has the same values (see the module docstring), the result is that
-    text with the caption and the curve color swapped."""
-    style = style or PlotStyle()
+    like=(source, text) offers render_curves(source); when source shares
+    the values (see the module docstring), the result is that text with
+    the caption and the curve color swapped."""
     if _same_values(like, curve_set):
         source, text = like
-        text = text.replace(
-            _title(style, _caption(source)), _title(style, _caption(curve_set)), 1
-        )
-        return text.replace(_stroke(style, source.kind), _stroke(style, curve_set.kind))
-    stroke = _stroke(style, curve_set.kind)
+        text = text.replace(_title(_caption(source)), _title(_caption(curve_set)), 1)
+        return text.replace(_stroke(source.kind), _stroke(curve_set.kind))
+    stroke = _stroke(curve_set.kind)
     xs = curve_set.grid.values
     y_lo = float(min(curve_set.curves.min(), curve_set.mean.min()))
     y_hi = float(max(curve_set.curves.max(), curve_set.mean.max()))
-    frame = _Frame(style, float(xs[0]), float(xs[-1]), y_lo, y_hi)
-    parts = _open_svg(style)
-    parts.append(_title(style, _caption(curve_set)))
-    parts.extend(_axes(frame, style, style.x_label or curve_set.grid.var))
+    frame = _Frame(float(xs[0]), float(xs[-1]), y_lo, y_hi)
+    parts = _open_svg()
+    parts.append(_title(_caption(curve_set)))
+    parts.extend(_axes(frame, curve_set.grid.var))
     for points in frame.points(xs, curve_set.curves):
         parts.append(
-            f'{stroke}stroke-width="{style.curve_width}" '
-            f'stroke-opacity="{style.curve_opacity}" '
+            f'{stroke}stroke-width="{_CURVE_WIDTH}" '
+            f'stroke-opacity="{_CURVE_OPACITY}" '
             f'points="{points}"/>'
         )
     (mean_points,) = frame.points(xs, [curve_set.mean])
-    parts.append(f'{stroke}stroke-width="{style.mean_width}" points="{mean_points}"/>')
+    parts.append(f'{stroke}stroke-width="{_MEAN_WIDTH}" points="{mean_points}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def render_band(band: BandSet, style: PlotStyle | None = None) -> str:
+def render_band(band: BandSet) -> str:
     """SVG with a shaded envelope polygon and one polyline per model."""
-    style = style or PlotStyle()
     xs = band.grid.values
     y_lo = float(band.lower.min())
     y_hi = float(band.upper.max())
-    frame = _Frame(style, float(xs[0]), float(xs[-1]), y_lo, y_hi)
-    parts = _open_svg(style)
-    parts.append(_title(style, f"{band.kind} model uncertainty"))
-    parts.extend(_axes(frame, style, style.x_label or band.grid.var))
+    frame = _Frame(float(xs[0]), float(xs[-1]), y_lo, y_hi)
+    parts = _open_svg()
+    parts.append(_title(f"{band.kind} model uncertainty"))
+    parts.extend(_axes(frame, band.grid.var))
     (forward,) = frame.points(xs, [band.upper])
     (backward,) = frame.points(xs[::-1], [band.lower[::-1]])
     parts.append(
@@ -324,15 +293,15 @@ def render_band(band: BandSet, style: PlotStyle | None = None) -> str:
         color = _BAND_PALETTE[i % len(_BAND_PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{style.mean_width}" '
+            f'stroke-width="{_MEAN_WIDTH}" '
             f'points="{points}"/>'
         )
     for i, label in enumerate(band.labels):
         color = _BAND_PALETTE[i % len(_BAND_PALETTE)]
-        y = style.margin + 16 + 16 * i
+        y = _MARGIN + 16 + 16 * i
         parts.append(
             f'<line x1="{frame.right - 120}" y1="{y}" x2="{frame.right - 100}" '
-            f'y2="{y}" stroke="{color}" stroke-width="{style.mean_width}"/>'
+            f'y2="{y}" stroke="{color}" stroke-width="{_MEAN_WIDTH}"/>'
         )
         parts.append(
             f'<text x="{frame.right - 94}" y="{y + 4}" font-size="11" '

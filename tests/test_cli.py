@@ -539,6 +539,22 @@ def _run_into_a_file(tmp_path):
     return _run(tmp_path, output_dir=str(blocker))
 
 
+P_ONLY_SPEC = "scm p_only\nvar P { noise = uniform(0.0, 1.5) }\n"
+P_F_SPEC = (
+    "scm p_f\nvar P { noise = uniform(0.0, 1.5) }\n"
+    'var F { parents = [P]; eq = "2*P^3"; noise = normal(0.0, 0.2) }\n'
+)
+
+
+def _run_with_bands(tmp_path, *specs, **overrides):
+    """A run whose band models are salary.scm or the given spec texts."""
+    names = [
+        text if text == "salary.scm" else _spec(tmp_path, text, f"band{i}.scm").name
+        for i, text in enumerate(specs)
+    ]
+    return _run(tmp_path, band_scms=names, **overrides)
+
+
 EXIT_CASES = {
     "success": (0, lambda t: _explain(t, "--var", "P", "--closed-form", "P",
                                       "--features", "P")),
@@ -634,6 +650,35 @@ EXIT_CASES = {
     "explain-plot-kind-listed-twice": (
         2, lambda t: _explain(t, "--var", "P", "--plots", "ICE,ICE", "--closed-form", "P",
                               "--features", "P")),
+    "run-predictor-feature-listed-twice": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S",
+                                        "features": ["P", "P", "F"]})),
+    "run-discovery-variable-listed-twice": (
+        2, lambda t: _run_discovery(t, variables=["P", "P", "F", "S"])),
+    "fit-feature-listed-twice": (2, lambda t: _fit(t, "--features", "P,P,F")),
+    "discover-variable-listed-twice": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)), "--variables", "P,P,F"]),
+    "explain-feature-listed-twice": (
+        2, lambda t: _explain(t, "--var", "P", "--closed-form", "P+F",
+                              "--features", "P,P,F")),
+    "explain-external-feature-listed-twice": (
+        2, lambda t: _explain(t, "--var", "P", "--external", "true", "--features", "P,P")),
+    "run-variables-not-a-list": (2, lambda t: _run(t, variables="PF")),
+    "run-plots-not-a-list": (2, lambda t: _run(t, plots="TDP")),
+    "run-predictor-features-not-a-list": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "features": "PF"})),
+    "run-predictor-features-not-names": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "features": ["P", 1]})),
+    "run-band-scms-not-a-list": (2, lambda t: _run(t, band_scms="salary.scm")),
+    "run-discovery-variables-not-a-list": (2, lambda t: _run_discovery(t, variables="PF")),
+    "run-band-model-lacks-a-feature": (
+        2, lambda t: _run_with_bands(t, P_ONLY_SPEC, P_ONLY_SPEC)),
+    "run-band-model-lacks-the-variable": (
+        2, lambda t: _run_with_bands(
+            t, P_ONLY_SPEC, P_ONLY_SPEC, variables=["F"],
+            predictor={"kind": "closed_form", "features": ["P"], "expression": "P"})),
+    "run-band-models-differ-in-variables": (
+        2, lambda t: _run_with_bands(t, "salary.scm", P_F_SPEC)),
     "explain-pdp-on-non-feature": (
         2, lambda t: _explain(t, "--var", "F", "--plots", "PDP", "--closed-form", "P",
                               "--features", "P")),

@@ -5,6 +5,7 @@ import pytest
 
 from cdplot.engine import (
     NIDP_NOTE,
+    CurveSet,
     EngineError,
     Grid,
     band_kinds,
@@ -104,6 +105,19 @@ def test_grid_must_increase():
         Grid("x", np.array([1.0, 1.0]))
     with pytest.raises(EngineError):
         Grid("x", np.array([2.0, 1.0]))
+
+
+def test_relabel_shares_the_arrays():
+    curves = np.array([[1.0, 2.0], [3.0, 5.0]])
+    source = CurveSet("ICE", Grid("x", [0.0, 1.0]), curves, curves.mean(axis=0), {"a": "b"})
+    pdp = source.relabel("PDP")
+    pcdp = source.relabel("PCDP", {"c": "d"})
+    assert (pdp.kind, pdp.metadata, pcdp.kind, pcdp.metadata) == (
+        "PDP", {"a": "b"}, "PCDP", {"c": "d"})
+    assert (source.kind, source.metadata) == ("ICE", {"a": "b"})
+    for relabelled in (pdp, pcdp):
+        for name in ("grid", "curves", "mean"):
+            assert getattr(relabelled, name) is getattr(source, name)
 
 
 # --- ice -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cdplot.engine import BandSet, CurveSet, EngineError, Grid
 from cdplot.predictors import _fmt17
 from cdplot.render import (
     KIND_COLORS,
-    PlotStyle,
     _axes,
     _Frame,
     _nice_ticks,
@@ -26,11 +25,11 @@ from cdplot.render import (
 )
 
 
-def _curve_set(kind="TDP", curves=((5.0, 5.0),), grid=(0.0, 1.0), metadata=None):
+def _curve_set(kind="TDP", curves=((5.0, 5.0),), grid=(0.0, 1.0), metadata=None, var="x"):
     curves = np.asarray(curves, dtype=float)
     return CurveSet(
         kind,
-        Grid("x", np.asarray(grid, dtype=float)),
+        Grid(var, np.asarray(grid, dtype=float)),
         curves,
         curves.mean(axis=0),
         metadata or {},
@@ -97,13 +96,6 @@ def test_unknown_kind_falls_back_to_neutral_color():
     assert "#333333" in svg
 
 
-def test_style_colors_override_default():
-    style = PlotStyle(colors={"TDP": "#000001"})
-    svg = render_curves(_curve_set(kind="TDP"), style)
-    assert "#000001" in svg
-    assert KIND_COLORS["TDP"] not in svg
-
-
 def test_mean_polyline_is_drawn_last_and_thicker():
     svg = render_curves(_curve_set(curves=[[0.0, 1.0], [2.0, 3.0]]))
     polylines = re.findall(r"<polyline[^>]*>", svg)
@@ -114,12 +106,11 @@ def test_mean_polyline_is_drawn_last_and_thicker():
 
 def test_all_curve_points_fall_inside_the_margins():
     curves = [[-3.0, 0.25, 11.0], [4.0, 4.0, -7.5]]
-    style = PlotStyle()
-    svg = render_curves(_curve_set(curves=curves, grid=(0.0, 0.5, 2.0)), style)
+    svg = render_curves(_curve_set(curves=curves, grid=(0.0, 0.5, 2.0)))
     for points in _polyline_points(svg):
         for x, y in points:
-            assert style.margin < x < style.width - style.margin
-            assert style.margin < y < style.height - style.margin
+            assert 50 < x < 640 - 50
+            assert 50 < y < 480 - 50
 
 
 def test_caption_mentions_the_intervention():
@@ -135,17 +126,6 @@ def test_labels_are_escaped():
         np.asarray([5.0, 5.0]),
     )
     assert "a&lt;b" in render_curves(curve_set)
-
-
-def test_style_rejects_margins_that_swallow_the_canvas():
-    with pytest.raises(EngineError, match="canvas"):
-        PlotStyle(width=100, margin=50)
-
-
-@pytest.mark.parametrize("opacity", [0.0, -0.25, 1.5])
-def test_style_rejects_bad_opacity(opacity):
-    with pytest.raises(EngineError, match="opacity"):
-        PlotStyle(curve_opacity=opacity)
 
 
 def test_band_svg_has_envelope_and_per_model_curves():
@@ -323,7 +303,7 @@ def _axes_error(frame):
     draw the axes before any curve, so the per-point writers failed
     exactly when the axes did."""
     try:
-        _axes(frame, frame.style, "x")
+        _axes(frame, "x")
     except (ValueError, OverflowError) as exc:
         return type(exc)
     return None
@@ -376,7 +356,7 @@ def test_curve_writers_match_the_per_point_writers(matrix):
     assert export_csv(curve_set) == _scalar_csv("ICE", xs, rows)
     y_lo = float(min(curve_set.curves.min(), curve_set.mean.min()))
     y_hi = float(max(curve_set.curves.max(), curve_set.mean.max()))
-    frame = _Frame(PlotStyle(), float(xs[0]), float(xs[-1]), y_lo, y_hi)
+    frame = _Frame(float(xs[0]), float(xs[-1]), y_lo, y_hi)
     error = _axes_error(frame)
     if error is not None:
         with pytest.raises(error):
@@ -403,7 +383,7 @@ def test_band_writers_match_the_per_point_writers(matrix):
     xs = band.grid.values
     rows = [*enumerate(band.curves), ("lower", band.lower), ("upper", band.upper)]
     assert export_band_csv(band) == _scalar_csv("TDP", xs, rows)
-    frame = _Frame(PlotStyle(), float(xs[0]), float(xs[-1]),
+    frame = _Frame(float(xs[0]), float(xs[-1]),
                    float(band.lower.min()), float(band.upper.max()))
     error = _axes_error(frame)
     if error is not None:
@@ -421,37 +401,20 @@ def test_band_writers_match_the_per_point_writers(matrix):
 # --- relabelling the text of a curve set with the same values --------------
 
 
-def _relabel_styles(source, target):
-    """The default style, plus the cases where a naive substitution
-    would touch more than the caption and the curves."""
-    captions = [
-        f"{c.kind}: {c.metadata['intervention']}" if c.metadata else c.kind
-        for c in (source, target)
-    ]
-    return [
-        PlotStyle(),
-        # a curve color equal to the axis color
-        PlotStyle(colors={**KIND_COLORS, source.kind: "#000000"}),
-        PlotStyle(colors={**KIND_COLORS, target.kind: "#000000"}),
-        # the same color for both kinds
-        PlotStyle(colors={source.kind: "#123456", target.kind: "#123456"}),
-        # an x label equal to a caption
-        *(PlotStyle(x_label=caption) for caption in captions),
-    ]
-
-
 @pytest.mark.parametrize("intervention", [None, "do(x=grid)"])
 @pytest.mark.parametrize("source_kind, kind", list(itertools.product(KIND_COLORS, repeat=2)))
 def test_relabelled_text_matches_the_text_formatted_anew(source_kind, kind, intervention):
     metadata = {"intervention": intervention} if intervention else {}
     curves = [[0.5, -1.25, 3.0], [2.0, 0.0, -0.0]]
-    source = _curve_set(source_kind, curves, (0.0, 0.5, 2.0), metadata)
-    target = dataclasses.replace(source, kind=kind)
-    like = (source, export_csv(source))
-    assert export_csv(target, like=like) == export_csv(target)
-    for style in _relabel_styles(source, target):
-        like = (source, render_curves(source, style))
-        assert render_curves(target, style, like=like) == render_curves(target, style)
+    captions = [f"{k}: {intervention}" if intervention else k for k in (source_kind, kind)]
+    # an x label equal to a caption must keep its text
+    for var in ("x", *captions):
+        source = _curve_set(source_kind, curves, (0.0, 0.5, 2.0), metadata, var)
+        target = source.relabel(kind)
+        like = (source, export_csv(source))
+        assert export_csv(target, like=like) == export_csv(target)
+        like = (source, render_curves(source))
+        assert render_curves(target, like=like) == render_curves(target)
 
 
 @pytest.mark.parametrize("change", [
