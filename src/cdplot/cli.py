@@ -745,6 +745,9 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     _check_band_models(band_scms, config.variables, features)
     if band_scms:
         inputs["band_scms"] = [str(p) for p in config.band_scms]
+        for var in band_scms[0].variables:  # the band models share their variables
+            if var not in explain_data.columns:
+                raise DataError(f"band model variable {var!r} missing from the data")
 
     # predictors and plots
     writers = (("csv", render.export_csv), ("svg", render.render_curves))

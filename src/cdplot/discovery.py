@@ -30,17 +30,17 @@ exactly the per-unit fit residuals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import CdpError
 from .expr import BinOp, Const, Expression, Neg, Var, evaluate_batch
 from .predictors import fit_ols
-from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm
+from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm, ndtri
 
 __all__ = [
     "Cpdag",
@@ -238,8 +238,13 @@ def fisher_z_test(
         return float("inf"), False
     z = 0.5 * np.log((1.0 + r) / (1.0 - r))
     statistic = float(np.sqrt(n - len(conditioning) - 3) * abs(z))
-    threshold = float(ndtri(1.0 - alpha / 2.0))
-    return statistic, statistic <= threshold
+    return statistic, statistic <= _z_threshold(alpha)
+
+
+@functools.lru_cache(maxsize=8)
+def _z_threshold(alpha: float) -> float:
+    """The two-sided standard normal quantile for alpha."""
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 # --- skeleton --------------------------------------------------------------

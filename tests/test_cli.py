@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdplot
 from cdplot import engine, render
 from cdplot.cli import (
     PLOT_KINDS,
@@ -715,6 +718,17 @@ def test_exit_code_table(tmp_path, capsys, deadline, case):
         assert err == ""
 
 
+def test_cli_starts_without_scipy():
+    src = str(Path(cdplot.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = "import sys, cdplot, cdplot.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # --- the run pipeline ------------------------------------------------------
 
 
@@ -794,6 +808,16 @@ def test_run_writes_band_files(tmp_path):
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert "P_tdp_band.csv" in names
     assert "P_tdp_band.svg" in names
+
+
+def test_band_model_variable_missing_from_the_data_exits_before_any_fit(tmp_path, capsys):
+    extra = "var Q { noise = normal(0.0, 1.0) }\n"
+    salary = (FIXTURES / "salary.scm").read_text(encoding="utf-8")
+    argv = _run_with_bands(tmp_path, salary + extra, salary + extra)
+    assert main(argv) == 3
+    assert "'Q'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_output_dir_flag_overrides_the_config(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cdplot.expr import parse
@@ -14,6 +16,7 @@ from cdplot.scm import (
     abduct,
     build_scm,
     counterfactual_table,
+    ndtri,
     sample,
 )
 
@@ -141,6 +144,53 @@ def test_sampling_marginals_pass_ks_across_seeds():
         if d_a < critical and d_b < critical:
             passed += 1
     assert passed >= 95
+
+
+# --- normal quantile -------------------------------------------------------
+
+E_M2 = 0.1353352832366127  # exp(-2): the central branch is (E_M2, 1 - E_M2)
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (0.0, -np.inf),
+        (1.0, np.inf),
+        (0.5, 0.0),
+        (E_M2, -1.10151962849875),
+        (np.nextafter(E_M2, 1.0), -1.1015196284987503),
+        (1.0 - E_M2, 1.1015196284987503),
+        (np.nextafter(1.0 - E_M2, 1.0), 1.1015196284987507),
+        (0.975, 1.959963984540054),
+    ],
+)
+def test_ndtri_values(p, expected):
+    assert float(ndtri(p)) == expected
+    assert ndtri(np.array([p, p])).tolist() == [expected, expected]
+
+
+def test_ndtri_outside_the_unit_interval_is_nan():
+    assert np.isnan(ndtri([-0.1, 1.5, np.nan])).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(5e-324, 1e-14),
+            st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+# numpy's SIMD log changes the result here, in log(y) and log(sqrt(-2 log y))
+@example([0.8900513081093303, 0.06844387535280194])
+def test_ndtri_matches_scipy_bitwise(values):
+    special = pytest.importorskip("scipy.special")
+    p = np.array(values)
+    assert ndtri(p).tobytes() == special.ndtri(p).tobytes()
 
 
 # --- abduction -------------------------------------------------------------
