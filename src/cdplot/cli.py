@@ -336,19 +336,23 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
         if label in labels:
             raise ConfigError(f"duplicate predictor label {label!r}")
         labels.add(label)
-        target = block.get("target")
-        features = _distinct("feature", _names("features", block.get("features", [])))
-        if kind in ("ols", "forest") and target is None:
-            raise ConfigError(f"predictor {label!r} needs a target")
-        if kind in ("closed_form", "external") and not features:
-            raise ConfigError(f"predictor {label!r} needs explicit features")
-        params = {
-            k: v
-            for k, v in block.items()
-            if k not in ("label", "kind", "target", "features")
-        }
-        out.append(PredictorBlock(label, kind, target, features, params))
+        out.append(_predictor_block(label, kind, block))
     return tuple(out)
+
+
+def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
+    """A predictor's settings as a run-config entry or the fit and explain
+    flags give them: ols and forest need a target, closed_form and
+    external explicit features, and no feature may be listed twice."""
+    target = block.get("target")
+    target = None if target is None else _text("target", target)
+    features = _distinct("feature", _names("features", block.get("features", [])))
+    if kind in ("ols", "forest") and target is None:
+        raise ConfigError(f"predictor {label!r} needs a target")
+    if kind in ("closed_form", "external") and not features:
+        raise ConfigError(f"predictor {label!r} needs explicit features")
+    params = {k: v for k, v in block.items() if k not in ("label", "kind", "target", "features")}
+    return PredictorBlock(label, kind, target, features, params)
 
 
 def _label_map(raw) -> dict[str, float]:
@@ -381,6 +385,25 @@ def _names(key: str, value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise ConfigError(f"{key!r} must be a list of names, got {value!r}")
     return tuple(value)
+
+
+def _split(flag: str) -> list[str]:
+    """A comma-separated flag such as --features P,F as a list of names."""
+    return flag.split(",") if flag else []
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among names that were set, as the run-config settings
+    of the same names; one left unset takes the run config's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _text(key: str, value) -> str:
+    """A path, command or column name from a run config; a number or a
+    list there would otherwise fail later with a traceback."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key!r} must be a nonempty string, got {value!r}")
+    return value
 
 
 def _distinct(what: str, names: tuple[str, ...]) -> tuple[str, ...]:
@@ -438,13 +461,6 @@ def _timeout(value: float) -> float:
     return value
 
 
-def _forest_config(**knobs) -> ForestConfig:
-    try:
-        return ForestConfig(**knobs)
-    except PredictorError as exc:
-        raise ConfigError(f"bad forest settings: {exc}") from None
-
-
 def _check_request(
     scm: Scm,
     variables: Sequence[str],
@@ -485,6 +501,22 @@ def _check_band_models(
         raise ConfigError("band models lack " + ", ".join(missing))
 
 
+def _discovery_block(block) -> DiscoveryBlock:
+    """Discovery settings as a run config's 'discovery' object or the
+    discover flags give them."""
+    if not isinstance(block, dict):
+        raise ConfigError("'discovery' must be an object")
+    return DiscoveryBlock(
+        alpha=_alpha(_number("alpha", block.get("alpha", 0.05))),
+        max_cond=_at_least("max_cond", _number("max_cond", block.get("max_cond", 3), int), 0),
+        degree=_at_least("degree", _number("degree", block.get("degree", 3), int), 1),
+        variables=_distinct(
+            "discovery variable", _names("variables", block.get("variables", []))
+        ),
+        cap=_at_least("cap", _number("cap", block.get("cap", 64), int), 1),
+    )
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a run config. Paths inside the file resolve
     relative to the file's directory."""
@@ -505,26 +537,8 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     has_discovery = "discovery" in raw
     if has_scm == has_discovery:
         raise ConfigError("config needs exactly one of 'scm' and 'discovery'")
-    scm_path = (base / raw["scm"]) if has_scm else None
-    discovery = None
-    if has_discovery:
-        block = raw["discovery"]
-        if not isinstance(block, dict):
-            raise ConfigError("'discovery' must be an object")
-        try:
-            discovery = DiscoveryBlock(
-                alpha=_alpha(_number("alpha", block.get("alpha", 0.05))),
-                max_cond=_at_least(
-                    "max_cond", _number("max_cond", block.get("max_cond", 3), int), 0
-                ),
-                degree=_at_least("degree", _number("degree", block.get("degree", 3), int), 1),
-                variables=_distinct(
-                    "discovery variable", _names("variables", block.get("variables", []))
-                ),
-                cap=_at_least("cap", _number("cap", block.get("cap", 64), int), 1),
-            )
-        except TypeError as exc:
-            raise ConfigError(f"bad discovery block: {exc}") from None
+    scm_path = (base / _text("scm", raw["scm"])) if has_scm else None
+    discovery = _discovery_block(raw["discovery"]) if has_discovery else None
 
     data_raw = raw.get("data")
     if data_raw is None:
@@ -569,14 +583,14 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         scm_path=scm_path,
         discovery=discovery,
         data_source=data_source,
-        explain_data=(base / explain_data) if explain_data else None,
+        explain_data=None if explain_data is None else base / _text("explain_data", explain_data),
         predictors=_config_predictors(raw),
         variables=variables,
         plots=plots,
         grid_resolution=resolution,
         controls=controls,
         band_scms=band_scms,
-        output_dir=Path(raw.get("output_dir", "out")),
+        output_dir=Path(_text("output_dir", raw.get("output_dir", "out"))),
         seed=_number("seed", raw.get("seed", 0), int),
         label_map=label_map,
     )
@@ -609,25 +623,26 @@ def _build_predictor(
         bootstrap = params.get("bootstrap", True)
         if not isinstance(bootstrap, bool):
             raise ConfigError(f"bootstrap must be true or false, got {bootstrap!r}")
-        config = _forest_config(
-            n_trees=_number("trees", params.get("trees", 100), int),
-            max_depth=_number("depth", params.get("depth", 8), int),
-            min_leaf=_number("min_leaf", params.get("min_leaf", 5), int),
-            features_per_split=None if per_split is None else _number(
-                "features_per_split", per_split, int
-            ),
-            bootstrap=bootstrap,
-            seed=_number("seed", params.get("seed", 0), int),
-        )
+        try:
+            config = ForestConfig(
+                n_trees=_number("trees", params.get("trees", 100), int),
+                max_depth=_number("depth", params.get("depth", 8), int),
+                min_leaf=_number("min_leaf", params.get("min_leaf", 5), int),
+                features_per_split=None if per_split is None else _number(
+                    "features_per_split", per_split, int
+                ),
+                bootstrap=bootstrap,
+                seed=_number("seed", params.get("seed", 0), int),
+            )
+        except PredictorError as exc:
+            raise ConfigError(f"bad forest settings: {exc}") from None
         return fit_forest(data, block.target, features, config)
     if block.kind == "closed_form":
         expression = block.params.get("expression")
         if not expression:
             raise ConfigError(f"predictor {block.label!r} needs an expression")
         return ClosedFormPredictor(str(expression), features)
-    command = block.params.get("command")
-    if not command:
-        raise ConfigError(f"predictor {block.label!r} needs a command")
+    command = _text("command", block.params.get("command"))
     timeout = _timeout(_number("timeout", block.params.get("timeout", 30.0)))
     return open_external(command, features, timeout)
 
@@ -672,6 +687,24 @@ class _Outputs:
                 pass
 
 
+def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
+    """names, each of which must be a column of data."""
+    names = tuple(names)
+    for name in names:
+        if name not in data.columns:
+            raise DataError(f"{what} {name!r} missing from the data")
+    return names
+
+
+def _cpdag(block: DiscoveryBlock, data: Dataset) -> disc.Cpdag:
+    """The partially directed graph of the block's variables, or of
+    every column when it names none."""
+    names = _columns(data, block.variables or data.columns, "discovery variable")
+    subset = Dataset(names, np.column_stack([data.column(n) for n in names]))
+    skeleton, sepsets = disc.pc_skeleton(subset, block.alpha, block.max_cond)
+    return disc.orient_cpdag(skeleton, sepsets)
+
+
 def _strip_variable(dag: disc.Dag, drop: set[str]) -> disc.Dag:
     keep = tuple(v for v in dag.variables if v not in drop)
     edges = frozenset(
@@ -709,15 +742,7 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     # structure
     if config.discovery is not None:
         block = config.discovery
-        names = block.variables or data.columns
-        for name in names:
-            if name not in data.columns:
-                raise DataError(f"discovery variable {name!r} not in the data")
-        subset = Dataset(
-            tuple(names), np.column_stack([data.column(n) for n in names])
-        )
-        skeleton, sepsets = disc.pc_skeleton(subset, block.alpha, block.max_cond)
-        cpdag = disc.orient_cpdag(skeleton, sepsets)
+        cpdag = _cpdag(block, data)
         enumeration = disc.enumerate_dags(cpdag, block.cap)
         if not enumeration.dags:
             raise disc.DiscoveryError("no acyclic orientation of the discovered graph")
@@ -735,9 +760,8 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
         }
     else:
         inputs["scm"] = str(config.scm_path)
-        for var in scm.variables:
-            if var not in data.columns:
-                raise DataError(f"model variable {var!r} missing from the data")
+    for table in (data, explain_data):
+        _columns(table, scm.variables, "model variable")
 
     features = [_block_features(block, scm.variables) for block in config.predictors]
     _check_request(scm, config.variables, config.plots, config.controls, features)
@@ -745,9 +769,7 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     _check_band_models(band_scms, config.variables, features)
     if band_scms:
         inputs["band_scms"] = [str(p) for p in config.band_scms]
-        for var in band_scms[0].variables:  # the band models share their variables
-            if var not in explain_data.columns:
-                raise DataError(f"band model variable {var!r} missing from the data")
+        _columns(explain_data, band_scms[0].variables, "band model variable")  # shared
 
     # predictors and plots
     writers = (("csv", render.export_csv), ("svg", render.render_curves))
@@ -891,18 +913,8 @@ def _cmd_discover(args) -> int:
             label_map = _label_map(json.loads(args.label_map))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--label-map is not valid JSON: {exc}") from None
-    data = read_dataset_csv(args.data, label_map)
-    if args.variables:
-        names = _distinct("variable", tuple(args.variables.split(",")))
-        for name in names:
-            if name not in data.columns:
-                raise DataError(f"unknown variable {name!r}")
-        data = Dataset(names, np.column_stack([data.column(n) for n in names]))
-    skeleton, sepsets = disc.pc_skeleton(
-        data, _alpha(args.alpha), _at_least("--max-cond", args.max_cond, 0)
-    )
-    cpdag = disc.orient_cpdag(skeleton, sepsets)
-    text = disc.cpdag_to_text(cpdag)
+    block = _discovery_block(_given(args, "alpha", "max_cond", "variables"))
+    text = disc.cpdag_to_text(_cpdag(block, read_dataset_csv(args.data, label_map)))
     if args.out:
         _write_file(args.out, text)
     sys.stdout.write(text)
@@ -910,23 +922,12 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # each kind reads its own settings and ignores the others'
+    flags = _given(args, "target", "features", "degree", "trees", "depth", "min_leaf",
+                   "bootstrap", "seed")
+    block = _predictor_block(args.kind, args.kind, flags)
     data = read_dataset_csv(args.data)
-    if args.features:
-        features = _distinct("feature", tuple(args.features.split(",")))
-    else:
-        features = tuple(c for c in data.columns if c != args.target)
-    if args.kind == "ols":
-        degree = _at_least("--degree", args.degree, 1)
-        predictor: Predictor = fit_ols(data, args.target, features, degree)
-    else:
-        config = _forest_config(
-            n_trees=args.trees,
-            max_depth=args.depth,
-            min_leaf=args.min_leaf,
-            bootstrap=not args.no_bootstrap,
-            seed=args.seed,
-        )
-        predictor = fit_forest(data, args.target, features, config)
+    predictor = _build_predictor(block, data, data.columns)
     blob = save_predictor(predictor)
     _write_file(args.out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
     print(f"fitted {predictor.describe()} on {data.m} rows -> {args.out}")
@@ -947,9 +948,7 @@ def _parse_controls(spec: str | None) -> dict[str, float]:
 def _cmd_explain(args) -> int:
     scm = load_scm_spec(args.scm)
     data = read_dataset_csv(args.explain_data or args.data)
-    for var in scm.variables:
-        if var not in data.columns:
-            raise DataError(f"model variable {var!r} missing from the data")
+    _columns(data, scm.variables, "model variable")
     plots = _plot_kinds(tuple(args.plots.split(",")))
     control = _parse_controls(args.control)
     resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
@@ -964,16 +963,11 @@ def _cmd_explain(args) -> int:
             predictor: Predictor = load_predictor(blob)
         except (AttributeError, KeyError, TypeError, ValueError, PredictorError) as exc:
             raise ConfigError(f"{args.model}: not a saved predictor: {exc!r}") from None
-    elif args.closed_form:
-        if not args.features:
-            raise ConfigError("--closed-form needs --features")
-        features = _distinct("feature", tuple(args.features.split(",")))
-        predictor = ClosedFormPredictor(args.closed_form, features)
-    elif args.external:
-        if not args.features:
-            raise ConfigError("--external needs --features")
-        features = _distinct("feature", tuple(args.features.split(",")))
-        predictor = open_external(args.external, features, _timeout(args.timeout))
+    elif args.expression or args.command:
+        kind = "closed_form" if args.expression else "external"
+        flags = _given(args, "features", "expression", "command", "timeout")
+        block = _predictor_block(kind, kind, flags)
+        predictor = _build_predictor(block, data, ())
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
     outputs = _Outputs(Path(args.out_dir))
@@ -1024,7 +1018,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cdplot",
         description="Causal dependence plots for black-box predictors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="sample a dataset from a model spec")
     p.add_argument("--scm", required=True)
@@ -1036,9 +1030,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="estimate a partially directed graph")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-cond", type=int, default=3)
-    p.add_argument("--variables")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--max-cond", type=int)
+    p.add_argument("--variables", type=_split)
     p.add_argument("--label-map")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_discover)
@@ -1046,14 +1040,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a predictor and save it as JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--features")
+    p.add_argument("--features", type=_split)
     p.add_argument("--kind", choices=("ols", "forest"), default="ols")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--no-bootstrap", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--trees", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--min-leaf", type=int)
+    p.add_argument("--no-bootstrap", dest="bootstrap", action="store_false", default=None)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fit)
 
@@ -1064,10 +1058,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", required=True)
     p.add_argument("--plots", default="TDP")
     p.add_argument("--model")
-    p.add_argument("--closed-form")
-    p.add_argument("--external")
-    p.add_argument("--features")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--closed-form", dest="expression")
+    p.add_argument("--external", dest="command")
+    p.add_argument("--features", type=_split)
+    p.add_argument("--timeout", type=float)
     p.add_argument("--control")
     p.add_argument("--grid-resolution", type=int, default=engine.GRID_RESOLUTION_DEFAULT)
     p.add_argument("--out-dir", default="out")

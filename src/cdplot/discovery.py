@@ -40,7 +40,7 @@ import numpy as np
 from .errors import CdpError
 from .expr import BinOp, Const, Expression, Neg, Var, evaluate_batch
 from .predictors import fit_ols
-from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm, ndtri
+from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm, ndtri, topological_order
 
 __all__ = [
     "Cpdag",
@@ -126,7 +126,7 @@ class Cpdag:
         for a, b in self.undirected:
             if a >= b or a not in known or b not in known:
                 raise DiscoveryError(f"bad undirected edge {(a, b)!r}")
-        if _has_cycle(self.variables, self.directed):
+        if topological_order(self.variables, self.directed)[1]:
             raise DiscoveryError("directed part contains a cycle")
 
 
@@ -142,29 +142,11 @@ class Dag:
         for a, b in self.edges:
             if a not in known or b not in known or a == b:
                 raise DiscoveryError(f"bad edge {(a, b)!r}")
-        if _has_cycle(self.variables, self.edges):
+        if topological_order(self.variables, self.edges)[1]:
             raise DiscoveryError("graph contains a cycle")
 
     def parents(self, var: str) -> tuple[str, ...]:
         return tuple(sorted(a for a, b in self.edges if b == var))
-
-
-def _has_cycle(variables, edges) -> bool:
-    in_degree = {v: 0 for v in variables}
-    children = {v: [] for v in variables}
-    for a, b in edges:
-        in_degree[b] += 1
-        children[a].append(b)
-    ready = [v for v in variables if in_degree[v] == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for child in children[node]:
-            in_degree[child] -= 1
-            if in_degree[child] == 0:
-                ready.append(child)
-    return seen != len(variables)
 
 
 def _reaches(children: dict[str, list[str]], start: str, goal: str) -> bool:
@@ -380,7 +362,7 @@ def orient_cpdag(skeleton: Skeleton, sepsets: SepsetTable) -> Cpdag:
                 changed = True
             elif forward or backward:
                 x, y = (a, b) if forward else (b, a)
-                if _has_cycle(ordered, directed | {(x, y)}):
+                if topological_order(ordered, directed | {(x, y)})[1]:
                     logger.warning(
                         "orienting %s -> %s would close a directed cycle; "
                         "leaving undirected",

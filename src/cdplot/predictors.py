@@ -111,12 +111,18 @@ class Predictor:
         return self.predict(np.column_stack([columns[f] for f in self.features]))
 
 
-def _check_features(data: Dataset, target: str, features: Sequence[str]) -> tuple[str, ...]:
+def _distinct_features(features: Sequence[str]) -> tuple[str, ...]:
+    """features, none listed twice: a fitted model reads each column once."""
     features = tuple(features)
-    if not features:
-        raise PredictorError("need at least one feature")
     if len(set(features)) != len(features):
         raise PredictorError("duplicate feature names")
+    return features
+
+
+def _check_features(data: Dataset, target: str, features: Sequence[str]) -> tuple[str, ...]:
+    features = _distinct_features(features)
+    if not features:
+        raise PredictorError("need at least one feature")
     data.index(target)
     for f in features:
         data.index(f)
@@ -188,18 +194,33 @@ class OlsPredictor(Predictor):
         exponents: Sequence[tuple[int, ...]],
         coefficients: np.ndarray,
     ):
-        self.features = tuple(features)
+        self.features = _distinct_features(features)
         self.degree = int(degree)
         self.exponents = tuple(tuple(e) for e in exponents)
         coefficients = np.array(coefficients, dtype=np.float64)
         coefficients.flags.writeable = False
         self.coefficients = coefficients
+        _check_ols(len(self.features), self.exponents, coefficients)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         return _design(x, self.exponents) @ self.coefficients
 
     def describe(self) -> str:
         return f"ols(degree={self.degree})"
+
+
+def _check_ols(k: int, exponents: Sequence[tuple], coefficients: np.ndarray) -> None:
+    """Reject terms no fit produces: a coefficient count other than one
+    per exponent vector, or an exponent vector that is not k whole
+    non-negative powers."""
+    if coefficients.shape != (len(exponents),):
+        raise PredictorError(
+            f"{len(exponents)} exponent vectors need as many coefficients, "
+            f"got shape {coefficients.shape}"
+        )
+    for exps in exponents:
+        if len(exps) != k or not all(isinstance(e, (int, np.integer)) and e >= 0 for e in exps):
+            raise PredictorError(f"exponent vector {list(exps)!r} is not {k} whole powers")
 
 
 def fit_ols(data: Dataset, target: str, features: Sequence[str], degree: int = 1) -> OlsPredictor:
@@ -353,7 +374,7 @@ class ForestPredictor(Predictor):
     are the same floats as walking each tree on its own."""
 
     def __init__(self, features, config: ForestConfig, trees):
-        self.features = tuple(features)
+        self.features = _distinct_features(features)
         self.config = config
         self.trees = list(trees)
         if not self.trees:

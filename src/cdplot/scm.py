@@ -26,9 +26,10 @@ only to within an ulp for some units of a fitted model.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "counterfactual_table",
     "ndtri",
     "sample",
+    "topological_order",
 ]
 
 
@@ -281,34 +283,37 @@ class Scm:
         return mech
 
 
-def _find_cycle(mechanisms: Mapping[str, Mechanism]) -> list[str]:
-    """Return one parent-edge cycle for the error message."""
-    state: dict[str, int] = {}
-    trail: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = 1
+def topological_order(
+    variables: Sequence[str], edges: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Kahn's order of variables over (parent, child) edges, ready
+    variables first in first out, and one cycle: empty when the order
+    holds every variable, else a walk up parent edges among the rest that
+    ends where it closes, such as (A, B, A) for B a parent of A."""
+    parents: dict[str, list[str]] = {v: [] for v in variables}
+    children: dict[str, list[str]] = {v: [] for v in variables}
+    for parent, child in edges:
+        parents[child].append(parent)
+        children[parent].append(child)
+    in_degree = {v: len(parents[v]) for v in variables}
+    ready = deque(v for v in variables if in_degree[v] == 0)
+    order: list[str] = []
+    while ready:
+        node = ready.popleft()
+        order.append(node)
+        for child in children[node]:
+            in_degree[child] -= 1
+            if in_degree[child] == 0:
+                ready.append(child)
+    if len(order) == len(variables):
+        return tuple(order), ()
+    # a variable left over has a parent left over, so the walk closes
+    trail = [next(v for v in variables if in_degree[v])]
+    while True:
+        node = next(p for p in parents[trail[-1]] if in_degree[p])
+        if node in trail:
+            return tuple(order), (*trail[trail.index(node):], node)
         trail.append(node)
-        for parent in mechanisms[node].parents:
-            if parent not in mechanisms:
-                continue
-            mark = state.get(parent, 0)
-            if mark == 1:
-                return trail[trail.index(parent):] + [parent]
-            if mark == 0:
-                found = visit(parent)
-                if found is not None:
-                    return found
-        state[node] = 2
-        trail.pop()
-        return None
-
-    for name in mechanisms:
-        if state.get(name, 0) == 0:
-            found = visit(name)
-            if found is not None:
-                return found
-    return []
 
 
 def build_scm(name: str, mechanisms: Mapping[str, Mechanism]) -> Scm:
@@ -335,30 +340,12 @@ def build_scm(name: str, mechanisms: Mapping[str, Mechanism]) -> Scm:
                         f"equation for {var!r} references {ref!r}, "
                         "which is not a parent"
                     )
-
-    in_degree = {v: len(mechanisms[v].parents) for v in variables}
-    children: dict[str, list[str]] = {v: [] for v in variables}
-    for var in variables:
-        for parent in mechanisms[var].parents:
-            children[parent].append(var)
-    ready = [v for v in variables if in_degree[v] == 0]
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for child in children[node]:
-            in_degree[child] -= 1
-            if in_degree[child] == 0:
-                ready.append(child)
-    if len(order) != len(variables):
-        cycle = _find_cycle(mechanisms)
-        raise ScmError("cycle detected: " + " -> ".join(cycle))
-    return Scm(
-        name=name,
-        variables=variables,
-        mechanisms=mechanisms,
-        topo_order=tuple(order),
+    order, cycle = topological_order(
+        variables, ((p, v) for v in variables for p in mechanisms[v].parents)
     )
+    if cycle:
+        raise ScmError("cycle detected: " + " -> ".join(cycle))
+    return Scm(name=name, variables=variables, mechanisms=mechanisms, topo_order=order)
 
 
 # --- datasets --------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cdplot
-from cdplot import engine, render
+from cdplot import cli, engine, render
 from cdplot.cli import (
     PLOT_KINDS,
     load_run_config,
@@ -385,6 +385,47 @@ def test_discover_orients_the_collider(tmp_path, capsys):
     assert (tmp_path / "g.txt").read_text(encoding="utf-8") == "X -> Z\nY -> Z\n"
 
 
+@pytest.mark.parametrize("flags, settings", [
+    (["--trees", "3", "--depth", "4", "--min-leaf", "2", "--seed", "7"],
+     {"trees": 3, "depth": 4, "min_leaf": 2, "seed": 7}),
+    (["--trees", "2", "--min-leaf", "2", "--no-bootstrap"],
+     {"trees": 2, "min_leaf": 2, "bootstrap": False}),
+], ids=["bootstrap", "no-bootstrap"])
+def test_fit_flags_save_the_forest_of_the_same_run_config_block(tmp_path, flags, settings):
+    data_path = _salary_data(tmp_path)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data_path), "--target", "S", "--kind", "forest",
+                 *flags, "--out", str(model)]) == 0
+    _copy_fixture(tmp_path, "salary.scm")
+    config = load_run_config(_write_config(
+        tmp_path, data=data_path.name, predictor={"kind": "forest", "target": "S", **settings}
+    ))
+    data = read_dataset_csv(data_path)
+    built = cli._build_predictor(config.predictors[0], data, data.columns)
+    assert json.loads(model.read_text(encoding="utf-8")) == json.loads(
+        json.dumps(save_predictor(built))
+    )
+
+
+def test_discover_flags_print_the_cpdag_of_the_same_run_discovery(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "300",
+                 "--seed", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["discover", "--data", str(data), "--alpha", "0.1", "--max-cond", "1",
+                 "--variables", "S,P,F"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    config = {
+        "discovery": {"alpha": 0.1, "max_cond": 1, "variables": ["S", "P", "F"]},
+        "data": str(data),
+        "predictor": {"kind": "ols", "target": "S"},
+        "variables": ["P"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    manifest = run_pipeline(load_run_config(_spec(tmp_path, json.dumps(config), "run.json")))
+    assert printed and printed == manifest["inputs"]["discovery"]["cpdag"]
+
+
 # --- exit codes ------------------------------------------------------------
 
 
@@ -514,6 +555,20 @@ def _damaged_forest(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
+def _damaged_ols(tmp_path, damage):
+    data = read_dataset_csv(_salary_data(tmp_path))
+    blob = save_predictor(fit_ols(data, "S", ("P", "F")))
+    damage(blob)
+    return _model_file(tmp_path, json.dumps(blob))
+
+
+def _run_explaining_p_f_only(tmp_path):
+    """A run whose explain_data has the P and F columns but not S."""
+    explain = tmp_path / "pf.csv"
+    explain.write_text("P,F\n0.5,0.25\n1.0,2.0\n", encoding="utf-8")
+    return _run(tmp_path, explain_data=explain.name)
+
+
 def _run_discovery(tmp_path, **block):
     config = {
         "discovery": block,
@@ -583,6 +638,7 @@ EXIT_CASES = {
     "explain-grid-resolution-one": (
         2, lambda t: _explain(t, "--var", "P", "--closed-form", "P", "--features", "P",
                               "--grid-resolution", "1")),
+    "explain-no-predictor": (2, lambda t: _explain(t, "--var", "P", "--features", "P")),
     "fit-trees-zero": (2, lambda t: _fit(t, "--kind", "forest", "--trees", "0")),
     "fit-degree-zero": (2, lambda t: _fit(t, "--degree", "0")),
     "discover-alpha-two": (
@@ -626,6 +682,16 @@ EXIT_CASES = {
     "explain-missing-model": (2, lambda t: _model_file(t, None)),
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
+    "explain-ols-blob-missing-a-coefficient": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob["coefficients"].pop())),
+    "explain-ols-blob-exponent-vector-too-long": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob["exponents"][1].append(0))),
+    "explain-ols-blob-fractional-exponent": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob["exponents"][1].__setitem__(0, 0.5))),
+    "explain-ols-blob-negative-exponent": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob["exponents"][1].__setitem__(0, -1))),
+    "explain-ols-blob-feature-listed-twice": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob.__setitem__("features", ["P", "P"]))),
     "explain-forest-blob-with-a-cycle": (
         2, lambda t: _damaged_forest(t, lambda tree: tree["left"].__setitem__(0, 0))),
     "explain-forest-blob-child-out-of-range": (
@@ -667,6 +733,14 @@ EXIT_CASES = {
     "explain-external-feature-listed-twice": (
         2, lambda t: _explain(t, "--var", "P", "--external", "true", "--features", "P,P")),
     "run-variables-not-a-list": (2, lambda t: _run(t, variables="PF")),
+    "run-scm-not-a-string": (2, lambda t: _run(t, scm=5)),
+    "run-explain-data-not-a-string": (2, lambda t: _run(t, explain_data=5)),
+    "run-output-dir-not-a-string": (2, lambda t: _run(t, output_dir=5)),
+    "run-predictor-target-not-a-string": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": 5})),
+    "run-external-command-not-a-string": (
+        2, lambda t: _run(t, predictor={"kind": "external", "command": 5,
+                                        "features": ["P", "F"]})),
     "run-plots-not-a-list": (2, lambda t: _run(t, plots="TDP")),
     "run-predictor-features-not-a-list": (
         2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "features": "PF"})),
@@ -685,6 +759,7 @@ EXIT_CASES = {
     "explain-pdp-on-non-feature": (
         2, lambda t: _explain(t, "--var", "F", "--plots", "PDP", "--closed-form", "P",
                               "--features", "P")),
+    "run-explain-data-lacks-a-model-variable": (3, _run_explaining_p_f_only),
     "render-missing-csv": (3, lambda t: _render(t, None)),
     "render-non-numeric-cell": (
         3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nTDP,0,0.5,abc\n"

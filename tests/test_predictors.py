@@ -305,9 +305,11 @@ def _damaged_forest_blob(damage):
     (lambda b, t: t["threshold"].__setitem__(0, float("nan")), "NaN"),
     (lambda b, t: b.__setitem__("trees", []), "one tree"),
     (lambda b, t: b["trees"].append({name: [] for name in t}), "nonempty"),
+    (lambda b, t: b.__setitem__("features", ["x", "x"]), "duplicate feature"),
 ], ids=["cycle", "child-past-the-end", "negative-child", "feature-index",
         "fractional-feature", "fractional-child",
-        "short-array", "matrix", "nan-threshold", "no-trees", "empty-tree"])
+        "short-array", "matrix", "nan-threshold", "no-trees", "empty-tree",
+        "feature-listed-twice"])
 def test_malformed_forest_blobs_are_rejected(damage, message):
     with pytest.raises(PredictorError, match=message):
         load_predictor(_damaged_forest_blob(damage))

@@ -51,7 +51,7 @@ def test_salary_topological_order():
 
 
 def test_cycle_is_reported():
-    with pytest.raises(ScmError, match="cycle"):
+    with pytest.raises(ScmError, match="cycle detected: P -> F -> P"):
         build_scm(
             "loop",
             {
