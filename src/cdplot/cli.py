@@ -294,7 +294,7 @@ class PredictorBlock:
     kind: str
     target: str | None
     features: tuple[str, ...]
-    params: dict
+    settings: dict  # the kind's own settings, checked: keyword arguments of its builder
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,7 +343,9 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
 def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
     """A predictor's settings as a run-config entry or the fit and explain
     flags give them: ols and forest need a target, closed_form and
-    external explicit features, and no feature may be listed twice."""
+    external explicit features, and no feature may be listed twice. The
+    kind's own settings are checked here too, so a bad one stops a run
+    before any data is read or any predictor is fitted."""
     target = block.get("target")
     target = None if target is None else _text("target", target)
     features = _distinct("feature", _names("features", block.get("features", [])))
@@ -351,8 +353,46 @@ def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
         raise ConfigError(f"predictor {label!r} needs a target")
     if kind in ("closed_form", "external") and not features:
         raise ConfigError(f"predictor {label!r} needs explicit features")
-    params = {k: v for k, v in block.items() if k not in ("label", "kind", "target", "features")}
-    return PredictorBlock(label, kind, target, features, params)
+    settings = _predictor_settings(label, kind, features, block)
+    return PredictorBlock(label, kind, target, features, settings)
+
+
+def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block: dict) -> dict:
+    """The settings of one predictor kind, checked, as keyword arguments
+    of its builder in _build_predictor; settings of other kinds are
+    ignored."""
+    if kind == "ols":
+        return {"degree": _at_least("degree", _number("degree", block.get("degree", 1), int), 1)}
+    if kind == "forest":
+        per_split = block.get("features_per_split")
+        bootstrap = block.get("bootstrap", True)
+        if not isinstance(bootstrap, bool):
+            raise ConfigError(f"bootstrap must be true or false, got {bootstrap!r}")
+        try:
+            return {"config": ForestConfig(
+                n_trees=_number("trees", block.get("trees", 100), int),
+                max_depth=_number("depth", block.get("depth", 8), int),
+                min_leaf=_number("min_leaf", block.get("min_leaf", 5), int),
+                features_per_split=None if per_split is None else _number(
+                    "features_per_split", per_split, int
+                ),
+                bootstrap=bootstrap,
+                seed=_number("seed", block.get("seed", 0), int),
+            )}
+        except PredictorError as exc:
+            raise ConfigError(f"bad forest settings: {exc}") from None
+    if kind == "closed_form":
+        expression = block.get("expression")
+        if not expression:
+            raise ConfigError(f"predictor {label!r} needs an expression")
+        try:
+            return {"expression": ClosedFormPredictor(str(expression), features).expression}
+        except CdpError as exc:
+            raise ConfigError(f"predictor {label!r}: {exc}") from None
+    return {
+        "command": _text("command", block.get("command")),
+        "timeout": _timeout(_number("timeout", block.get("timeout", 30.0))),
+    }
 
 
 def _label_map(raw) -> dict[str, float]:
@@ -613,38 +653,16 @@ def _block_features(
 def _build_predictor(
     block: PredictorBlock, data: Dataset, default_features: tuple[str, ...]
 ) -> Predictor:
+    """Fit or start the block's predictor; its settings were checked when
+    the block was parsed."""
     features = _block_features(block, default_features)
     if block.kind == "ols":
-        degree = _at_least("degree", _number("degree", block.params.get("degree", 1), int), 1)
-        return fit_ols(data, block.target, features, degree)
+        return fit_ols(data, block.target, features, **block.settings)
     if block.kind == "forest":
-        params = block.params
-        per_split = params.get("features_per_split")
-        bootstrap = params.get("bootstrap", True)
-        if not isinstance(bootstrap, bool):
-            raise ConfigError(f"bootstrap must be true or false, got {bootstrap!r}")
-        try:
-            config = ForestConfig(
-                n_trees=_number("trees", params.get("trees", 100), int),
-                max_depth=_number("depth", params.get("depth", 8), int),
-                min_leaf=_number("min_leaf", params.get("min_leaf", 5), int),
-                features_per_split=None if per_split is None else _number(
-                    "features_per_split", per_split, int
-                ),
-                bootstrap=bootstrap,
-                seed=_number("seed", params.get("seed", 0), int),
-            )
-        except PredictorError as exc:
-            raise ConfigError(f"bad forest settings: {exc}") from None
-        return fit_forest(data, block.target, features, config)
+        return fit_forest(data, block.target, features, **block.settings)
     if block.kind == "closed_form":
-        expression = block.params.get("expression")
-        if not expression:
-            raise ConfigError(f"predictor {block.label!r} needs an expression")
-        return ClosedFormPredictor(str(expression), features)
-    command = _text("command", block.params.get("command"))
-    timeout = _timeout(_number("timeout", block.params.get("timeout", 30.0)))
-    return open_external(command, features, timeout)
+        return ClosedFormPredictor(features=features, **block.settings)
+    return open_external(features=features, **block.settings)
 
 
 # --- the pipeline ----------------------------------------------------------

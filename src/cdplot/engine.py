@@ -10,8 +10,8 @@ Every plot kind is the same sweep: for each grid value x, build a world
 it, and store the predictions as that grid point's column of curves.
 The kinds differ only in how the world is built. ICE replaces one
 column of the data. The causal kinds abduct each unit's noise once and
-then, at each x, pin some variables to per-unit columns and propagate
-everything else through the model (scm.counterfactual_table):
+then pin some variables to per-unit columns and propagate everything
+else through the model (scm.counterfactual_table):
 
 - TDP:  total dependence; pin the variable at x, so downstream
         features respond.
@@ -66,8 +66,13 @@ NIDP_NOTE = (
     "value so only mediated responses vary"
 )
 
-# pins(x, noise) -> the pinned columns of the counterfactual world at x
-Pins = Callable[[float, NoiseDataset], Mapping[str, np.ndarray]]
+# Rows in one block of stacked worlds; a block holds the worlds of
+# max(1, _BLOCK_ROWS // m) grid values.
+_BLOCK_ROWS = 1 << 14
+
+# pins(xs, noise) -> the pinned columns of the stacked counterfactual
+# worlds at the grid values xs, len(xs) * m rows, grid value by grid value
+Pins = Callable[[np.ndarray, NoiseDataset], Mapping[str, np.ndarray]]
 
 
 class EngineError(CdpError):
@@ -196,32 +201,45 @@ def _sweep(
     predictor: Predictor,
     grid: Grid,
     m: int,
-    world: Callable[[float], Mapping[str, np.ndarray]],
+    world: Callable[[np.ndarray], Mapping[str, np.ndarray]],
 ) -> np.ndarray:
     """The grid loop of every plot kind: column gi of the curves is the
-    prediction on world(grid value gi)."""
+    prediction on the world at grid value gi. world(xs) returns the
+    stacked worlds of a block of grid values xs, len(xs) * m rows, grid
+    value by grid value; the predictor sees one grid value's m rows at a
+    time."""
     curves = np.empty((m, len(grid)))
-    for gi, x in enumerate(grid.values):
-        columns = world(float(x))
-        curves[:, gi] = predictor.predict(
-            np.column_stack([columns[f] for f in predictor.features])
-        )
+    block = max(1, _BLOCK_ROWS // m)
+    for start in range(0, len(grid), block):
+        xs = grid.values[start : start + block]
+        columns = world(xs)
+        for j in range(len(xs)):
+            rows = slice(j * m, (j + 1) * m)
+            curves[:, start + j] = predictor.predict(
+                np.column_stack([columns[f][rows] for f in predictor.features])
+            )
     return curves
 
 
 def _counterfactual_sweep(
     ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Pins
 ) -> np.ndarray:
-    """Sweep over counterfactual worlds: abduct once, then at each grid
-    value propagate the noise through the model under pins(x, noise)."""
+    """Sweep over counterfactual worlds: abduct once, then for each block
+    of grid values xs propagate the noise, tiled to the block's rows,
+    through the model under pins(xs, tiled noise). The tiled noise is
+    kept while the block size stays the same, so only a last, shorter
+    block tiles it again."""
     ecm.scm.var_index(var)
     noise = abduct(ecm.scm, data)
-    return _sweep(
-        ecm.predictor,
-        grid,
-        data.m,
-        lambda x: counterfactual_table(ecm.scm, noise, pins(x, noise)).column_dict(),
-    )
+    tiled = noise
+
+    def world(xs: np.ndarray) -> dict[str, np.ndarray]:
+        nonlocal tiled
+        if tiled.m != len(xs) * data.m:
+            tiled = NoiseDataset(noise.columns, np.tile(noise.values, (len(xs), 1)))
+        return counterfactual_table(ecm.scm, tiled, pins(xs, tiled)).column_dict()
+
+    return _sweep(ecm.predictor, grid, data.m, world)
 
 
 def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
@@ -231,7 +249,13 @@ def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
         raise EngineError(f"{var!r} is not a predictor feature")
     observed = {f: data.column(f) for f in predictor.features}
     curves = _sweep(
-        predictor, grid, data.m, lambda x: {**observed, var: np.full(data.m, x)}
+        predictor,
+        grid,
+        data.m,
+        lambda xs: {
+            **{f: np.tile(column, len(xs)) for f, column in observed.items()},
+            var: np.repeat(xs, data.m),
+        },
     )
     return _curveset(
         "ICE",
@@ -245,7 +269,7 @@ def tdp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Total dependence: pin var at each grid value and let every
     downstream feature respond through the model."""
     curves = _counterfactual_sweep(
-        ecm, data, var, grid, lambda x, noise: {var: np.full(data.m, x)}
+        ecm, data, var, grid, lambda xs, noise: {var: np.repeat(xs, data.m)}
     )
     return _curveset("TDP", grid, curves, _base_metadata(ecm, f"do({var}=grid)"))
 
@@ -262,10 +286,12 @@ def pcdp(
             raise EngineError(f"control on unknown variable {name!r}")
         if not math.isfinite(value):
             raise EngineError(f"control value for {name!r} must be finite")
-    held = {name: np.full(data.m, float(value)) for name, value in control.items()}
-    curves = _counterfactual_sweep(
-        ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
-    )
+
+    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
+        held = {name: np.full(noise.m, float(value)) for name, value in control.items()}
+        return {**held, var: np.repeat(xs, data.m)}
+
+    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
     return _curveset("PCDP", grid, curves, pcdp_metadata(ecm, var, control))
 
 
@@ -281,9 +307,14 @@ def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     unit's observed values, so only the direct edge moves. For a
     variable with no children this coincides with TDP."""
     held = {c: data.column(c) for c in ecm.scm.children(var)}
-    curves = _counterfactual_sweep(
-        ecm, data, var, grid, lambda x, noise: {**held, var: np.full(data.m, x)}
-    )
+
+    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
+        return {
+            **{c: np.tile(column, len(xs)) for c, column in held.items()},
+            var: np.repeat(xs, data.m),
+        }
+
+    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
     meta = _base_metadata(
         ecm, f"do({var}=grid), children held at observed values"
     )
@@ -299,9 +330,9 @@ def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     children = ecm.scm.children(var)
     observed = data.column(var)
 
-    def pins(x: float, noise: NoiseDataset) -> dict[str, np.ndarray]:
-        total = counterfactual_table(ecm.scm, noise, {var: np.full(data.m, x)})
-        return {**{c: total.column(c) for c in children}, var: observed}
+    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
+        total = counterfactual_table(ecm.scm, noise, {var: np.repeat(xs, data.m)})
+        return {**{c: total.column(c) for c in children}, var: np.tile(observed, len(xs))}
 
     curves = _counterfactual_sweep(ecm, data, var, grid, pins)
     meta = _base_metadata(

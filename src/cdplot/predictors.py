@@ -27,6 +27,7 @@ later request raise too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -173,15 +174,57 @@ def _monomial_exponents(k: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# Terms multiplied together in _design; it bounds the temporaries, which
+# for all terms at once would outgrow the design matrix itself.
+_TERMS_PER_GROUP = 16
+
+
+@functools.lru_cache(maxsize=32)
+def _design_plan(
+    exponents: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """How _design builds the columns of these exponent vectors: the
+    distinct (feature, power) factors, and groups of at most
+    _TERMS_PER_GROUP terms with the same number of factors, each as (its
+    columns, a row per term of indices into the factors, in feature
+    order)."""
+    factors: dict[tuple[int, int], int] = {}
+    by_count: dict[int, list[tuple[int, list[int]]]] = {}
+    for column, exps in enumerate(exponents):
+        term = [factors.setdefault((i, e), len(factors)) for i, e in enumerate(exps) if e]
+        by_count.setdefault(len(term), []).append((column, term))
+    groups = []
+    for count, terms in by_count.items():
+        for start in range(0, len(terms), _TERMS_PER_GROUP):
+            group = terms[start : start + _TERMS_PER_GROUP]
+            columns = np.array([column for column, _ in group], dtype=np.intp)
+            indices = np.array([term for _, term in group], dtype=np.intp)
+            indices = indices.reshape(len(group), count)
+            columns.flags.writeable = indices.flags.writeable = False  # shared by every call
+            groups.append((columns, indices))
+    return tuple(factors), tuple(groups)
+
+
 def _design(x: np.ndarray, exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    cols = []
-    for exps in exponents:
-        col = np.ones(x.shape[0])
-        for i, e in enumerate(exps):
-            if e:
-                col = col * x[:, i] ** e
-        cols.append(col)
-    return np.column_stack(cols)
+    """The C-order design matrix: column t is the product of x[:, i] ** e
+    over the nonzero powers e of exponent vector t, multiplied in feature
+    order (1.0 for a term without factors). Each distinct power is
+    computed once, and each group of terms with the same number of
+    factors is filled together, one multiply per factor position."""
+    factors, groups = _design_plan(tuple(exponents))
+    powers = np.empty((len(factors), x.shape[0]))
+    for row, (i, e) in enumerate(factors):
+        powers[row] = x[:, i] ** e
+    design = np.empty((x.shape[0], len(exponents)))
+    for columns, terms in groups:
+        if terms.shape[1] == 0:
+            design[:, columns] = 1.0
+            continue
+        product = powers[terms[:, 0]]
+        for position in range(1, terms.shape[1]):
+            product *= powers[terms[:, position]]
+        design[:, columns] = product.T
+    return design
 
 
 class OlsPredictor(Predictor):

@@ -679,6 +679,12 @@ EXIT_CASES = {
     "run-external-timeout-not-a-number": (
         2, lambda t: _run(t, predictor={"kind": "external", "command": "true",
                                         "features": ["P", "F"], "timeout": "soon"})),
+    "run-closed-form-expression-does-not-parse": (
+        2, lambda t: _run(t, predictor={"kind": "closed_form", "features": ["P"],
+                                        "expression": "P +"})),
+    "run-closed-form-references-a-non-feature": (
+        2, lambda t: _run(t, predictor={"kind": "closed_form", "features": ["P"],
+                                        "expression": "P + F"})),
     "explain-missing-model": (2, lambda t: _model_file(t, None)),
     "explain-model-bad-json": (2, lambda t: _model_file(t, "{bad")),
     "explain-model-not-a-predictor": (2, lambda t: _model_file(t, '{"kind": "ols"}')),
@@ -791,6 +797,27 @@ def test_exit_code_table(tmp_path, capsys, deadline, case):
         assert err.startswith(f"error ({EXIT_KINDS[code]}):")
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("second", [
+    {"kind": "forest", "target": "S", "trees": 0},
+    {"kind": "forest", "target": "S", "trees": 2, "bootstrap": "no"},
+    {"kind": "ols", "target": "S", "degree": 0},
+    {"kind": "closed_form", "features": ["P"], "expression": "P +"},
+    {"kind": "external", "command": "true", "features": ["P"], "timeout": 0},
+], ids=["trees-zero", "bootstrap-not-a-bool", "degree-zero", "bad-expression",
+        "timeout-zero"])
+def test_bad_predictor_settings_exit_before_any_fit(tmp_path, monkeypatch, capsys, second):
+    # the second predictor's settings are checked with the config, so the
+    # first is never fitted and no output directory is made
+    fits = []
+    monkeypatch.setattr(cli, "fit_ols", lambda *args, **kwargs: fits.append(args))
+    argv = _run(tmp_path, predictors=[{"kind": "ols", "target": "S", "label": "first"},
+                                      {**second, "label": "second"}])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error (config):")
+    assert fits == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_starts_without_scipy():

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from test_golden import CASES as GOLDEN_CASES
 
+from cdplot import engine
 from cdplot.engine import (
     NIDP_NOTE,
     CurveSet,
@@ -20,12 +22,14 @@ from cdplot.engine import (
     uncertainty_band,
 )
 from cdplot.expr import parse
-from cdplot.predictors import ClosedFormPredictor, OlsPredictor, fit_ols
+from cdplot.predictors import ClosedFormPredictor, OlsPredictor, Predictor, fit_ols
 from cdplot.scm import (
     Dataset,
     Mechanism,
     NoiseSpec,
+    abduct,
     build_scm,
+    counterfactual_table,
     sample,
 )
 
@@ -400,6 +404,119 @@ def test_grid_splitting_is_bitwise_stable():
     left = tdp(ecm, data, "X", Grid("X", values[:4])).curves
     right = tdp(ecm, data, "X", Grid("X", values[4:])).curves
     assert np.array_equal(whole, np.hstack([left, right]))
+
+
+# --- bitwise equality with the per-grid-value loop ---------------------------
+# The engine builds the worlds of a block of grid values at once. This is
+# the loop it replaced, one world and one propagation per grid value, kept
+# as the reference: the curves must not differ by a bit.
+
+
+def _per_grid_value(kind, ecm, data, var, grid, control):
+    m = data.m
+    children = ecm.scm.children(var)
+    noise = abduct(ecm.scm, data)
+
+    def pins(x):
+        if kind == "TDP":
+            return {var: np.full(m, x)}
+        if kind == "PCDP":
+            held = {name: np.full(m, float(value)) for name, value in control.items()}
+            return {**held, var: np.full(m, x)}
+        if kind == "NDDP":
+            return {**{c: data.column(c) for c in children}, var: np.full(m, x)}
+        total = counterfactual_table(ecm.scm, noise, {var: np.full(m, x)})
+        return {**{c: total.column(c) for c in children}, var: data.column(var)}
+
+    def world(x):
+        if kind == "ICE":
+            return {**data.column_dict(), var: np.full(m, x)}
+        return counterfactual_table(ecm.scm, noise, pins(x)).column_dict()
+
+    curves = np.empty((m, len(grid)))
+    for gi, x in enumerate(grid.values):
+        columns = world(float(x))
+        curves[:, gi] = ecm.predictor.predict(
+            np.column_stack([columns[f] for f in ecm.predictor.features])
+        )
+    return curves
+
+
+def _transcendental():
+    """Mechanisms with exp, sin and a cube, and an OLS predictor."""
+    scm = build_scm(
+        "transcendental",
+        {
+            "A": Mechanism((), None, NoiseSpec.normal(0.0, 1.0)),
+            "B": Mechanism(("A",), parse("exp(0.5*A) + 0.2*A^3"), NoiseSpec.normal(0.0, 0.5)),
+            "C": Mechanism(("A", "B"), parse("sin(3*B) - 0.3*A*B"), NoiseSpec.normal(0.0, 0.3)),
+            "Y": Mechanism(("B", "C"), parse("B - C^3"), NoiseSpec.normal(0.0, 0.1)),
+        },
+    )
+    data, _ = sample(scm, 90, seed=4)
+    predictor = fit_ols(data, "Y", ("A", "B", "C"), degree=3)
+    return scm, data, predictor, {"A": {"C": 0.5}, "B": {"A": 0.0}}
+
+
+SWEEP_CASES = {**GOLDEN_CASES, "transcendental": _transcendental}
+SWEEP_KINDS = ("ICE", "TDP", "PCDP", "NDDP", "NIDP")
+
+
+def _engine_curves(kind, ecm, data, var, grid, control):
+    if kind == "ICE":
+        return ice(ecm.predictor, data, var, grid)
+    if kind == "PCDP":
+        return pcdp(ecm, data, var, grid, control)
+    return {"TDP": tdp, "NDDP": nddp, "NIDP": nidp}[kind](ecm, data, var, grid)
+
+
+@pytest.mark.parametrize("per_block", [None, 3, 1],
+                         ids=["one-block", "blocks-of-3", "blocks-of-1"])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_block_sweeps_equal_the_per_grid_value_loop(monkeypatch, case, per_block):
+    scm, data, predictor, controls = SWEEP_CASES[case]()
+    ecm = build_ecm(scm, predictor)
+    if per_block is not None:
+        # 40 grid values: 14 blocks of 3, the last holding 1, or 40 of 1
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", per_block * data.m)
+    for var, control in controls.items():
+        grid = make_grid(data, var)
+        assert len(grid) == 40
+        for kind in SWEEP_KINDS:
+            computed = _engine_curves(kind, ecm, data, var, grid, control).curves
+            reference = _per_grid_value(kind, ecm, data, var, grid, control)
+            assert computed.tobytes() == reference.tobytes(), (var, kind)
+
+
+@pytest.mark.parametrize("per_block, blocks", [(None, [10]), (4, [4, 4, 2])],
+                         ids=["one-block", "blocks-of-4"])
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_sweeps_propagate_once_per_block_and_predict_once_per_grid_value(
+    monkeypatch, kind, per_block, blocks
+):
+    scm = mediation_scm()
+    data, _ = sample(scm, 30, seed=2)
+    ecm = build_ecm(scm, correct_model())
+    grid = make_grid(data, "X", resolution=10)
+    if per_block is not None:
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", per_block * data.m)
+    propagated, predicted = [], []
+    propagate, predict = engine.counterfactual_table, Predictor.predict
+
+    def counting_propagate(scm, noise, pins):
+        propagated.append(noise.m)
+        return propagate(scm, noise, pins)
+
+    def counting_predict(self, x):
+        predicted.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(engine, "counterfactual_table", counting_propagate)
+    monkeypatch.setattr(Predictor, "predict", counting_predict)
+    _engine_curves(kind, ecm, data, "X", grid, {"M": 0.0})
+    calls_per_block = {"ICE": 0, "NIDP": 2}.get(kind, 1)
+    assert propagated == [b * data.m for b in blocks for _ in range(calls_per_block)]
+    assert predicted == [data.m] * len(grid)
 
 
 # --- effect differences ----------------------------------------------------

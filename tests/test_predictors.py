@@ -9,15 +9,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdplot import predictors
 from cdplot.predictors import (
     ClosedFormPredictor,
     ExternalPredictorError,
     ForestConfig,
     OlsPredictor,
     PredictorError,
+    _design,
     _monomial_exponents,
     fit_forest,
     fit_ols,
@@ -55,6 +57,69 @@ def _monomial_exponents_by_scan(k, degree):
 @pytest.mark.parametrize("degree", range(0, 4))
 def test_monomial_exponents_match_the_scan(k, degree):
     assert _monomial_exponents(k, degree) == _monomial_exponents_by_scan(k, degree)
+
+
+def _design_by_column(x, exponents):
+    """One column at a time, one power per factor: the design builder
+    that `_design` replaced, kept as the reference."""
+    cols = []
+    for exps in exponents:
+        col = np.ones(x.shape[0])
+        for i, e in enumerate(exps):
+            if e:
+                col = col * x[:, i] ** e
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@st.composite
+def _ols_tables(draw):
+    """k features and a target, with zeros of both signs, negatives and
+    magnitudes up to 1e100, and a degree up to 4."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e100, -1e100]),
+        st.floats(-10.0, 10.0),
+        st.floats(-1e100, 1e100),
+    )
+    values = draw(st.lists(value, min_size=rows * (k + 1), max_size=rows * (k + 1)))
+    return np.array(values).reshape(rows, k + 1), draw(st.integers(1, 4))
+
+
+def _outcome(call):
+    """The bytes of call()'s array, or the error it raises."""
+    try:
+        return call().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ols_tables())
+@example((np.array([[1e100, -0.0, 1.0], [2.0, 3.0, -1.0]]), 4))  # inf * -0.0 is nan
+def test_design_fit_and_predict_equal_the_column_by_column_reference(table):
+    table, degree = table
+    k = table.shape[1] - 1
+    x = np.ascontiguousarray(table[:, :k])
+    data = Dataset((*(f"x{i}" for i in range(k)), "y"), table)
+    features = data.columns[:k]
+    exponents = _monomial_exponents(k, degree)
+    results = []
+    with np.errstate(all="ignore"):
+        for design in (_design, _design_by_column):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(predictors, "_design", design)
+                model = _outcome(lambda: fit_ols(data, "y", features, degree).coefficients)
+                coefficients = np.linspace(-1, 1, len(exponents))
+                fitted = OlsPredictor(features, degree, exponents, coefficients)
+                results.append((
+                    _outcome(lambda: design(x, exponents)),
+                    model,
+                    _outcome(lambda: fit_ols(data, "y", features, degree).predict(x)),
+                    _outcome(lambda: fitted.predict(x)),
+                ))
+    assert results[0] == results[1]
 
 
 def test_ols_recovers_exact_line():
