@@ -55,7 +55,6 @@ from .predictors import (
 from .scm import (
     Dataset,
     Mechanism,
-    NoiseDataset,
     NoiseSpec,
     Scm,
     build_scm,

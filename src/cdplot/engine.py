@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CdpError
 from .predictors import Predictor
-from .scm import Dataset, NoiseDataset, Scm, abduct, counterfactual_table
+from .scm import Dataset, Scm, abduct, counterfactual_table
 
 __all__ = [
     "BandSet",
@@ -71,8 +71,8 @@ NIDP_NOTE = (
 _BLOCK_ROWS = 1 << 14
 
 # pins(xs, noise) -> the pinned columns of the stacked counterfactual
-# worlds at the grid values xs, len(xs) * m rows, grid value by grid value
-Pins = Callable[[np.ndarray, NoiseDataset], Mapping[str, np.ndarray]]
+# worlds at the grid values xs, len(xs) * m rows like the tiled noise
+Pins = Callable[[np.ndarray, Mapping[str, np.ndarray]], Mapping[str, np.ndarray]]
 
 
 class EngineError(CdpError):
@@ -224,20 +224,17 @@ def _sweep(
 def _counterfactual_sweep(
     ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Pins
 ) -> np.ndarray:
-    """Sweep over counterfactual worlds: abduct once, then for each block
-    of grid values xs propagate the noise, tiled to the block's rows,
-    through the model under pins(xs, tiled noise). The tiled noise is
-    kept while the block size stays the same, so only a last, shorter
-    block tiles it again."""
+    """Sweep over counterfactual worlds: abduct once and tile each noise
+    column to the rows of the largest block, then for each block of grid
+    values xs propagate the first len(xs) * m rows of those columns, as
+    views, through the model under pins(xs, noise)."""
     ecm.scm.var_index(var)
-    noise = abduct(ecm.scm, data)
-    tiled = noise
+    per_block = min(len(grid), max(1, _BLOCK_ROWS // data.m))  # as in _sweep
+    tiled = {v: np.tile(u, per_block) for v, u in abduct(ecm.scm, data).items()}
 
     def world(xs: np.ndarray) -> dict[str, np.ndarray]:
-        nonlocal tiled
-        if tiled.m != len(xs) * data.m:
-            tiled = NoiseDataset(noise.columns, np.tile(noise.values, (len(xs), 1)))
-        return counterfactual_table(ecm.scm, tiled, pins(xs, tiled)).column_dict()
+        noise = {v: u[: len(xs) * data.m] for v, u in tiled.items()}
+        return counterfactual_table(ecm.scm, noise, pins(xs, noise))
 
     return _sweep(ecm.predictor, grid, data.m, world)
 
@@ -287,8 +284,8 @@ def pcdp(
         if not math.isfinite(value):
             raise EngineError(f"control value for {name!r} must be finite")
 
-    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
-        held = {name: np.full(noise.m, float(value)) for name, value in control.items()}
+    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        held = {name: np.full(len(xs) * data.m, float(value)) for name, value in control.items()}
         return {**held, var: np.repeat(xs, data.m)}
 
     curves = _counterfactual_sweep(ecm, data, var, grid, pins)
@@ -308,7 +305,7 @@ def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     variable with no children this coincides with TDP."""
     held = {c: data.column(c) for c in ecm.scm.children(var)}
 
-    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
+    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         return {
             **{c: np.tile(column, len(xs)) for c, column in held.items()},
             var: np.repeat(xs, data.m),
@@ -330,9 +327,9 @@ def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     children = ecm.scm.children(var)
     observed = data.column(var)
 
-    def pins(xs: np.ndarray, noise: NoiseDataset) -> dict[str, np.ndarray]:
+    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         total = counterfactual_table(ecm.scm, noise, {var: np.repeat(xs, data.m)})
-        return {**{c: total.column(c) for c in children}, var: np.tile(observed, len(xs))}
+        return {**{c: total[c] for c in children}, var: np.tile(observed, len(xs))}
 
     curves = _counterfactual_sweep(ecm, data, var, grid, pins)
     meta = _base_metadata(

@@ -276,9 +276,12 @@ def fit_ols(data: Dataset, target: str, features: Sequence[str], degree: int = 1
     y = data.column(target)
     x = np.column_stack([data.column(f) for f in features])
     exponents = _monomial_exponents(len(features), degree)
-    design = _design(x, exponents)
-    gram = design.T @ design
-    moment = design.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = _design(x, exponents)
+        gram = design.T @ design
+        moment = design.T @ y
+    if not np.all(np.isfinite(gram)):
+        raise PredictorError("least squares failed: the design matrix overflows")
     condition = np.linalg.cond(gram)
     if not np.isfinite(condition) or condition > _GRAM_CONDITION_LIMIT:
         gram = gram + _RIDGE * np.eye(gram.shape[0])

@@ -14,13 +14,14 @@ Sampling records the exogenous draw as ``v - g(parents)`` (within one
 ulp of the raw draw) so that abduction applied to a sampled table
 returns the recorded noise bitwise.
 
-A counterfactual world is abducted noise plus a set of pins, each a
-per-unit column for one variable. It is computed over the unmodified
-model in its topological order: a pinned variable takes its column
-exactly, every other variable is ``g(parents) + u``. Pinning a variable
-overrides its mechanism, so no graph surgery is needed. Non-descendants
-of the pins are recomputed too, which reproduces their observed values
-only to within an ulp for some units of a fitted model.
+Abducted noise and counterfactual worlds are column mappings
+``{variable: column}``; ``Dataset`` is the validated table that is read,
+sampled or written. A world is computed from noise and pins (per-unit
+columns) over the unmodified model in topological order: a pinned
+variable takes its column exactly, every other variable is
+``g(parents) + u``, so no graph surgery is needed. Non-descendants of the
+pins are recomputed too, which can move them an ulp off their observed
+values.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .expr import Expression, evaluate_batch, free_variables
 __all__ = [
     "Dataset",
     "Mechanism",
-    "NoiseDataset",
     "NoiseSpec",
     "Scm",
     "ScmError",
@@ -271,16 +271,10 @@ class Scm:
             raise ScmError(f"unknown variable {var!r}") from None
 
     def children(self, var: str) -> tuple[str, ...]:
-        self._mechanism(var)
+        self.var_index(var)
         return tuple(
             v for v in self.variables if var in self.mechanisms[v].parents
         )
-
-    def _mechanism(self, var: str) -> Mechanism:
-        mech = self.mechanisms.get(var)
-        if mech is None:
-            raise ScmError(f"unknown variable {var!r}")
-        return mech
 
 
 def topological_order(
@@ -402,10 +396,6 @@ class Dataset:
         return corr
 
 
-class NoiseDataset(Dataset):
-    """Exogenous draws, one column per model variable."""
-
-
 # --- sampling, abduction, counterfactuals ----------------------------------
 
 
@@ -419,7 +409,13 @@ def _deterministic_part(
     return evaluate_batch(mech.expression, bindings, n)
 
 
-def sample(scm: Scm, n: int, seed: int) -> tuple[Dataset, NoiseDataset]:
+def _checked_finite(var: str, column: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(column)):
+        raise ScmError(f"non-finite values in column {var!r}")
+    return column
+
+
+def sample(scm: Scm, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Draw n units. Returns the realized table and the exogenous draws.
 
     The recorded draw for each variable is the abduction residual
@@ -440,41 +436,45 @@ def sample(scm: Scm, n: int, seed: int) -> tuple[Dataset, NoiseDataset]:
         noise[var] = realized - det
     data = Dataset(scm.variables, np.column_stack([values[v] for v in scm.variables]))
     drawn = np.column_stack([noise[v] for v in scm.variables])
-    return data, NoiseDataset(scm.variables, drawn)
+    return data, Dataset(scm.variables, drawn)
 
 
-def abduct(scm: Scm, data: Dataset) -> NoiseDataset:
-    """Recover per-unit exogenous values: u = v - g(parents)."""
-    env = {}
-    for var in scm.variables:
-        env[var] = data.column(var)
-    residuals = []
+def abduct(scm: Scm, data: Dataset) -> dict[str, np.ndarray]:
+    """Per-unit exogenous values u = v - g(parents), one column per variable."""
+    env = {var: data.column(var) for var in scm.variables}
+    noise = {}
     for var in scm.variables:
         det = _deterministic_part(scm, var, env, data.m)
-        residuals.append(env[var] - det)
-    matrix = np.column_stack(residuals)
-    return NoiseDataset(scm.variables, matrix)
+        with np.errstate(over="ignore"):
+            noise[var] = _checked_finite(var, env[var] - det)
+    return noise
 
 
 def counterfactual_table(
-    scm: Scm, noise: NoiseDataset, pins: Mapping[str, np.ndarray]
-) -> Dataset:
-    """Counterfactual of every unit at once. pins maps variables to
-    per-unit columns; they take those values exactly, and every other
-    variable is recomputed as g(parents) + u from the abducted noise,
+    scm: Scm, noise: Mapping[str, np.ndarray], pins: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Counterfactual of every unit at once from the abducted noise of
+    every variable. pins maps variables to per-unit columns, which they
+    take exactly; every other variable is recomputed as g(parents) + u
     in topological order."""
+    m = len(noise.get(scm.variables[0], ()))
+    for var in scm.variables:
+        if np.shape(noise.get(var)) != (m,):
+            raise ScmError(f"noise for {var!r} is missing or not one value per unit")
     for var, column in pins.items():
         scm.var_index(var)
-        if np.shape(column) != (noise.m,):
+        if np.shape(column) != (m,):
             raise ScmError(
                 f"pinned column for {var!r} has shape {np.shape(column)}, "
-                f"expected ({noise.m},)"
+                f"expected ({m},)"
             )
     values: dict[str, np.ndarray] = {}
     for var in scm.topo_order:
         if var in pins:
-            values[var] = np.asarray(pins[var], dtype=np.float64)
+            column = np.asarray(pins[var], dtype=np.float64)
         else:
-            det = _deterministic_part(scm, var, values, noise.m)
-            values[var] = det + noise.column(var)
-    return Dataset(scm.variables, np.column_stack([values[v] for v in scm.variables]))
+            det = _deterministic_part(scm, var, values, m)
+            with np.errstate(over="ignore"):
+                column = det + noise[var]
+        values[var] = _checked_finite(var, column)
+    return {var: values[var] for var in scm.variables}

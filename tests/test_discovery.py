@@ -546,7 +546,7 @@ def test_fit_anm_abduction_returns_residuals():
     design = np.column_stack([np.ones_like(x), x, x**2])
     beta = np.linalg.solve(design.T @ design, design.T @ y)
     residuals = y - design @ beta
-    assert np.max(np.abs(noise.column("y") - residuals)) < 1e-9
+    assert np.max(np.abs(noise["y"] - residuals)) < 1e-9
 
 
 def test_fit_anm_salary_cubic_coefficient():

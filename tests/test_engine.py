@@ -426,12 +426,12 @@ def _per_grid_value(kind, ecm, data, var, grid, control):
         if kind == "NDDP":
             return {**{c: data.column(c) for c in children}, var: np.full(m, x)}
         total = counterfactual_table(ecm.scm, noise, {var: np.full(m, x)})
-        return {**{c: total.column(c) for c in children}, var: data.column(var)}
+        return {**{c: total[c] for c in children}, var: data.column(var)}
 
     def world(x):
         if kind == "ICE":
             return {**data.column_dict(), var: np.full(m, x)}
-        return counterfactual_table(ecm.scm, noise, pins(x)).column_dict()
+        return counterfactual_table(ecm.scm, noise, pins(x))
 
     curves = np.empty((m, len(grid)))
     for gi, x in enumerate(grid.values):
@@ -504,7 +504,7 @@ def test_sweeps_propagate_once_per_block_and_predict_once_per_grid_value(
     propagate, predict = engine.counterfactual_table, Predictor.predict
 
     def counting_propagate(scm, noise, pins):
-        propagated.append(noise.m)
+        propagated.append(len(noise["X"]))
         return propagate(scm, noise, pins)
 
     def counting_predict(self, x):

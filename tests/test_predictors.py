@@ -189,6 +189,16 @@ def test_ols_rejects_bad_inputs():
         fit_ols(data, "y", (), degree=1)
 
 
+def test_ols_rejects_an_overflowing_design_quietly(capfd):
+    # (1e100)^4 overflows; LAPACK would print an illegal-argument notice
+    # if the non-finite Gram matrix reached the condition estimate
+    data = _dataset(x=[1e100, 2e100, 3.0, 4.0], y=[1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(PredictorError, match="overflows"):
+        fit_ols(data, "y", ("x",), degree=4)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
 # --- closed form -----------------------------------------------------------
 
 
@@ -583,7 +593,8 @@ DESYNC_SCRIPT = """\
 )
 def test_external_refuses_requests_after_a_protocol_error(tmp_path, mode, first_error):
     command = _script(tmp_path, "desync.py", DESYNC_SCRIPT) + f" {mode}"
-    model = open_external(command, ("x",), timeout=0.2)
+    model = open_external(command, ("x",))
+    model.timeout = 0.2  # for the requests; start-up keeps the default
     try:
         with pytest.raises(ExternalPredictorError, match=first_error):
             model.predict(np.zeros((2, 1)))
@@ -597,7 +608,8 @@ def test_external_refuses_requests_after_a_protocol_error(tmp_path, mode, first_
 
 def test_external_output_before_a_request_is_a_protocol_error(tmp_path):
     command = _script(tmp_path, "desync.py", DESYNC_SCRIPT) + " stray"
-    model = open_external(command, ("x",), timeout=0.2)
+    model = open_external(command, ("x",))
+    model.timeout = 0.2  # for the requests; start-up keeps the default
     try:
         assert model.predict(np.zeros((2, 1))).tolist() == [1.0, 1.0]
         time.sleep(0.7)  # the stray line has arrived by now

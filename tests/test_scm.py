@@ -1,16 +1,19 @@
 """Model construction, sampling, abduction, counterfactuals."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cdplot.cli import load_scm_spec
 from cdplot.expr import parse
 from cdplot.scm import (
     Dataset,
     Mechanism,
-    NoiseDataset,
     NoiseSpec,
     ScmError,
     abduct,
@@ -201,9 +204,9 @@ def test_salary_abduction_values():
     scm = salary_scm()
     data = Dataset(("P", "F", "S"), np.array([[1.0, 2.0, 1.5]]))
     noise = abduct(scm, data)
-    assert noise.column("P")[0] == 1.0
-    assert noise.column("F")[0] == 0.0
-    assert noise.column("S")[0] == 0.5
+    assert noise["P"][0] == 1.0
+    assert noise["F"][0] == 0.0
+    assert noise["S"][0] == 0.5
 
 
 def test_mediation_abduction_value():
@@ -211,14 +214,14 @@ def test_mediation_abduction_value():
     scm = mediation_scm()
     data = Dataset(("X", "M", "Y"), np.array([[2.0, 5.0, 0.0]]))
     noise = abduct(scm, data)
-    assert noise.column("M")[0] == 1.0
+    assert noise["M"][0] == 1.0
 
 
 def test_abduct_inverts_sample_bitwise():
     for scm in (salary_scm(), mediation_scm()):
         data, recorded = sample(scm, 500, seed=13)
         noise = abduct(scm, data)
-        assert np.array_equal(noise.values, recorded.values)
+        assert np.array_equal(np.column_stack(list(noise.values())), recorded.values)
 
 
 def test_abduct_requires_all_columns():
@@ -231,14 +234,14 @@ def test_abduct_requires_all_columns():
 
 
 def _noise_row(scm, **values):
-    return NoiseDataset(scm.variables, np.array([[values[v] for v in scm.variables]]))
+    return {v: np.array([values[v]]) for v in scm.variables}
 
 
 def test_empty_intervention_reproduces_observed():
     scm = salary_scm()
     data, noise = sample(scm, 300, seed=4)
-    table = counterfactual_table(scm, noise, {})
-    assert np.max(np.abs(table.values - data.values)) < 1e-12
+    table = counterfactual_table(scm, noise.column_dict(), {})
+    assert np.max(np.abs(np.column_stack(list(table.values())) - data.values)) < 1e-12
 
 
 def test_mediation_counterfactual_do_x0():
@@ -247,8 +250,8 @@ def test_mediation_counterfactual_do_x0():
     scm = mediation_scm()
     noise = _noise_row(scm, X=1.0, M=1.0, Y=2.0 - (1.5**2 - 0.5))
     table = counterfactual_table(scm, noise, {"X": np.array([0.0])})
-    assert table.column("X")[0] == 0.0
-    assert table.column("M")[0] == 1.0
+    assert table["X"][0] == 0.0
+    assert table["M"][0] == 1.0
 
 
 def test_salary_counterfactual_do_p12():
@@ -256,36 +259,36 @@ def test_salary_counterfactual_do_p12():
     scm = salary_scm()
     noise = _noise_row(scm, P=1.0, F=0.0, S=0.5)
     table = counterfactual_table(scm, noise, {"P": np.array([1.2])})
-    assert table.column("P")[0] == 1.2
-    assert abs(table.column("F")[0] - 3.456) < 1e-15
+    assert table["P"][0] == 1.2
+    assert abs(table["F"][0] - 3.456) < 1e-15
 
 
 def test_set_per_unit_pins_each_row():
     scm = salary_scm()
     data, noise = sample(scm, 4, seed=2)
     pinned = np.array([0.1, 0.2, 0.3, 0.4])
-    table = counterfactual_table(scm, noise, {"P": pinned})
-    assert np.array_equal(table.column("P"), pinned)
+    table = counterfactual_table(scm, noise.column_dict(), {"P": pinned})
+    assert np.array_equal(table["P"], pinned)
     expected_f = 2 * pinned**3 + noise.column("F")
-    assert np.allclose(table.column("F"), expected_f, atol=1e-12)
+    assert np.allclose(table["F"], expected_f, atol=1e-12)
 
 
 def test_sever_incoming_with_companion_set():
     # a pin on M overrides its mechanism, as severing its parents would
     scm = mediation_scm()
     data, noise = sample(scm, 5, seed=8)
-    table = counterfactual_table(scm, noise, {"M": np.full(5, 2.0)})
-    assert np.all(table.column("M") == 2.0)
+    table = counterfactual_table(scm, noise.column_dict(), {"M": np.full(5, 2.0)})
+    assert np.all(table["M"] == 2.0)
     # X keeps its observed values, Y responds to the pinned M
-    assert np.allclose(table.column("X"), data.column("X"), atol=1e-12)
+    assert np.allclose(table["X"], data.column("X"), atol=1e-12)
     expected_y = 4.0 - 0.5 * data.column("X") ** 2 + noise.column("Y")
-    assert np.allclose(table.column("Y"), expected_y, atol=1e-12)
+    assert np.allclose(table["Y"], expected_y, atol=1e-12)
 
 
 def test_counterfactual_requires_complete_observed_row():
     # the noise row abducted from an observed row needs every variable
     scm = salary_scm()
-    noise = NoiseDataset(("P", "F"), np.array([[1.0, 0.0]]))
+    noise = {"P": np.array([1.0]), "F": np.array([0.0])}
     with pytest.raises(ScmError, match="S"):
         counterfactual_table(scm, noise, {})
 
@@ -294,28 +297,70 @@ def test_counterfactual_table_matches_single_unit_calls():
     scm = salary_scm()
     data, noise = sample(scm, 10, seed=5)
     pins = {"P": np.full(10, 0.7)}
-    table = counterfactual_table(scm, noise, pins)
+    table = counterfactual_table(scm, noise.column_dict(), pins)
     for unit in range(10):
         row = counterfactual_table(
             scm,
-            NoiseDataset(noise.columns, noise.values[unit:unit + 1]),
+            {v: u[unit:unit + 1] for v, u in noise.column_dict().items()},
             {"P": np.array([0.7])},
         )
-        assert np.array_equal(row.values[0], table.values[unit])
+        assert [row[v][0] for v in scm.variables] == [table[v][unit] for v in scm.variables]
 
 
 def test_pins_must_name_model_variables():
     scm = salary_scm()
     _, noise = sample(scm, 3, seed=1)
     with pytest.raises(ScmError, match="Q"):
-        counterfactual_table(scm, noise, {"Q": np.zeros(3)})
+        counterfactual_table(scm, noise.column_dict(), {"Q": np.zeros(3)})
 
 
 def test_pins_must_have_one_value_per_unit():
     scm = salary_scm()
     _, noise = sample(scm, 3, seed=1)
     with pytest.raises(ScmError, match="'P'"):
-        counterfactual_table(scm, noise, {"P": np.zeros(4)})
+        counterfactual_table(scm, noise.column_dict(), {"P": np.zeros(4)})
+
+
+def _overflowing_child():
+    # C = P + u_C; with P and u_C both at 1e308 the sum is inf
+    return build_scm(
+        "overflow",
+        {
+            "P": Mechanism((), None, NoiseSpec.normal(0.0, 1.0)),
+            "C": Mechanism(("P",), parse("P"), NoiseSpec.normal(0.0, 1.0)),
+        },
+    )
+
+
+def test_abduct_rejects_a_residual_that_overflows():
+    data = Dataset(("P", "C"), np.array([[1e308, -1e308]]))
+    with pytest.raises(ScmError, match="'C'"):
+        abduct(_overflowing_child(), data)
+
+
+def test_counterfactual_rejects_a_value_that_overflows():
+    noise = {"P": np.array([0.0]), "C": np.array([1e308])}
+    with pytest.raises(ScmError, match="'C'"):
+        counterfactual_table(_overflowing_child(), noise, {"P": np.array([1e308])})
+
+
+def test_counterfactual_table_holds_about_one_copy_of_the_world():
+    # 18 variables, 16,000 units: the columns that make up the world, plus
+    # a few column-sized temporaries, and no stacked copies of the table
+    chain = Path(__file__).resolve().parents[1] / "perfbench" / "chain.scm"
+    scm = load_scm_spec(chain)
+    data, _ = sample(scm, 16_000, seed=1)
+    noise = abduct(scm, data)
+    pins = {"X04": np.full(data.m, 0.5)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = counterfactual_table(scm, noise, pins)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = sum(column.nbytes for column in table.values())
+    assert peak <= 1.5 * returned, (peak, returned)
 
 
 def test_dataset_rejects_bad_shapes():
