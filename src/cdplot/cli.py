@@ -38,7 +38,6 @@ from . import discovery as disc
 from . import engine, render
 from .errors import CdpError, ConfigError, DataError
 from .expr import parse as parse_expression
-from .expr import to_source
 from .predictors import (
     ExternalPredictorError,
     ForestConfig,
@@ -50,7 +49,7 @@ from .predictors import (
     open_external,
     save_predictor,
     ClosedFormPredictor,
-    _fmt17,
+    _csv_rows,
 )
 from .scm import (
     Dataset,
@@ -66,7 +65,6 @@ __all__ = [
     "main",
     "read_dataset_csv",
     "run_pipeline",
-    "save_scm_spec",
     "write_dataset_csv",
 ]
 
@@ -79,6 +77,27 @@ _VAR_RE = re.compile(r"var\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*$")
 _NOISE_RE = re.compile(
     r"(normal|uniform|point)\s*\(\s*([^,()]+?)\s*(?:,\s*([^,()]+?)\s*)?\)\s*$"
 )
+
+
+# --- input files -----------------------------------------------------------
+
+
+def _read_input(path: str | Path, what: str, error: type[CdpError]) -> str:
+    """The text of an input file. A file that cannot be opened or is not
+    UTF-8 raises `error`: ConfigError for specs, configs and saved
+    models, DataError for datasets and curve tables."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def _read_json(path: str | Path, what: str):
+    """A JSON input file; a file that does not parse is a ConfigError."""
+    try:
+        return json.loads(_read_input(path, what, ConfigError))
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 # --- model spec files ------------------------------------------------------
@@ -162,11 +181,7 @@ def _parse_var_body(body: str, lineno: int) -> Mechanism:
 
 def load_scm_spec(path: str | Path) -> Scm:
     """Parse and validate a model spec file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read model spec {path}: {exc}") from None
+    text = _read_input(path, "model spec", ConfigError)
     name = None
     mechanisms: dict[str, Mechanism] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -198,31 +213,13 @@ def load_scm_spec(path: str | Path) -> Scm:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def save_scm_spec(scm: Scm) -> str:
-    """Spec text for a plain model; load_scm_spec inverts it exactly."""
-    lines = [f"scm {scm.name}"]
-    for var in scm.variables:
-        mech = scm.mechanisms[var]
-        fields = []
-        if mech.parents:
-            fields.append(f"parents = [{', '.join(mech.parents)}]")
-        if mech.expression is not None:
-            fields.append(f'eq = "{to_source(mech.expression)}"')
-        fields.append(f"noise = {mech.noise.to_text()}")
-        lines.append(f"var {var} {{ {'; '.join(fields)} }}")
-    return "\n".join(lines) + "\n"
-
-
 # --- dataset files ---------------------------------------------------------
 
 
 def write_dataset_csv(data: Dataset) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(data.columns)
-    for row in data.values:
-        writer.writerow([_fmt17(v) for v in row])
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow(data.columns)
+    return out.getvalue() + _csv_rows(data.values)
 
 
 def read_dataset_csv(
@@ -230,11 +227,7 @@ def read_dataset_csv(
 ) -> Dataset:
     """Read a comma-separated table of numbers. label_map translates
     non-numeric cells (for example benign -> 2)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
+    text = _read_input(path, "dataset", DataError)
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if len(rows) < 2:
@@ -395,10 +388,9 @@ def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block:
 
 
 def _label_map(raw) -> dict[str, float]:
-    try:
-        return {str(k): float(v) for k, v in raw.items()}
-    except (TypeError, ValueError, AttributeError):
-        raise ConfigError("'label_map' must map strings to numbers") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("'label_map' must map strings to numbers")
+    return {str(k): _number(f"label_map value for {k!r}", v) for k, v in raw.items()}
 
 
 def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
@@ -406,10 +398,7 @@ def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
     numbers on distinct names."""
     controls: dict[str, float] = {}
     for name, value in pairs:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad control value {value!r} for {name!r}") from None
+        number = _number(f"control value for {name!r}", value)
         if not math.isfinite(number):
             raise ConfigError(f"control value for {name!r} must be finite")
         if name in controls:
@@ -465,7 +454,10 @@ def _plot_kinds(plots: tuple[str, ...]) -> tuple[str, ...]:
 def _number(name: str, value, kind: type = float):
     """A run-config number as `kind` (int or float). Anything that is
     not a number, and a fractional value for an int, is a ConfigError
-    rather than a traceback or a silent truncation."""
+    rather than a traceback or a silent truncation. A JSON true or false
+    is no number either, though Python counts bool as an int."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     if kind is int and isinstance(value, (int, str)):
         try:
             return int(value)
@@ -473,7 +465,7 @@ def _number(name: str, value, kind: type = float):
             pass  # "40.0" is still a whole number; "40.5" and "x" fail below
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if kind is float:
         return number
@@ -560,12 +552,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     """Read and validate a run config. Paths inside the file resolve
     relative to the file's directory."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     raw = dict(raw)
@@ -970,12 +957,7 @@ def _cmd_explain(args) -> int:
     control = _parse_controls(args.control)
     resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
     if args.model:
-        try:
-            blob = json.loads(Path(args.model).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read model {args.model}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.model}: invalid JSON: {exc}") from None
+        blob = _read_json(args.model, "model")
         try:
             predictor: Predictor = load_predictor(blob)
         except (AttributeError, KeyError, TypeError, ValueError, PredictorError) as exc:
@@ -1002,11 +984,9 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    text = _read_input(args.csv, "curve table", DataError)
     try:
-        text = Path(args.csv).read_text(encoding="utf-8")
         curve_set = render.import_csv(text, var=args.var)
-    except OSError as exc:
-        raise DataError(f"cannot read curve table {args.csv}: {exc}") from None
     except CdpError as exc:
         raise DataError(f"{args.csv}: {exc}") from None
     _write_file(args.svg, render.render_curves(curve_set))

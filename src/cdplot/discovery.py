@@ -49,7 +49,6 @@ __all__ = [
     "DiscoveryError",
     "SepsetTable",
     "Skeleton",
-    "cpdag_from_text",
     "cpdag_to_text",
     "enumerate_dags",
     "fisher_z_test",
@@ -469,27 +468,6 @@ def cpdag_to_text(cpdag: Cpdag) -> str:
     lines = [f"{a} -> {b}" for a, b in sorted(cpdag.directed)]
     lines += [f"{a} -- {b}" for a, b in sorted(cpdag.undirected)]
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
-
-
-def cpdag_from_text(text: str, variables: tuple[str, ...] | None = None) -> Cpdag:
-    directed = set()
-    undirected = set()
-    names = set(variables or ())
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[1] not in ("->", "--"):
-            raise DiscoveryError(f"bad edge line {lineno}: {raw!r}")
-        a, mark, b = parts
-        names.update((a, b))
-        if mark == "->":
-            directed.add((a, b))
-        else:
-            undirected.add(_edge(a, b))
-    order = variables if variables is not None else tuple(sorted(names))
-    return Cpdag(tuple(order), frozenset(directed), frozenset(undirected))
 
 
 # --- model fitting ---------------------------------------------------------

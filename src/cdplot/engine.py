@@ -215,8 +215,8 @@ def _sweep(
         columns = world(xs)
         for j in range(len(xs)):
             rows = slice(j * m, (j + 1) * m)
-            curves[:, start + j] = predictor.predict(
-                np.column_stack([columns[f][rows] for f in predictor.features])
+            curves[:, start + j] = predictor.predict_columns(
+                {f: columns[f][rows] for f in predictor.features}
             )
     return curves
 

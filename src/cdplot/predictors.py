@@ -71,12 +71,13 @@ class ExternalPredictorError(PredictorError):
     """The external predictor subprocess misbehaved."""
 
 
-def _fmt17(value: float) -> str:
-    """17 significant digits, so a float survives the text round trip
-    exactly. Every float the package writes goes through here or through
-    a "%.17g" template (curve CSV values, external requests), which
-    gives the same bytes."""
-    return format(float(value), ".17g")
+def _csv_rows(x: np.ndarray) -> str:
+    """The rows of a 2-D float array as CSV lines of 17 significant
+    digits, so every value survives the text round trip exactly; one "%"
+    formats the whole array. Dataset files and external requests are
+    written through here."""
+    n, k = x.shape
+    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(x.ravel().tolist())
 
 
 class Predictor:
@@ -603,9 +604,8 @@ class ExternalPredictor(Predictor):
         return answers
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
-        n, k = x.shape
-        rows = (",".join(["%.17g"] * k) + "\n") * n
-        request = f"PREDICT {n}\n" + rows % tuple(x.ravel().tolist())
+        n = len(x)
+        request = f"PREDICT {n}\n" + _csv_rows(x)
         answers = self._exchange(request.encode("utf-8"), n)
         out = np.empty(n)
         for i, line in enumerate(answers):

@@ -20,7 +20,7 @@ model index plus the literals "lower" and "upper". Rows are ordered by
 
 The CSV and SVG writers format each curve with one "%": values through
 "%.17g" and pixel coordinates through "%.2f", which give the same bytes
-as `_fmt17` and `_coord` on each value.
+as `format(value, ".17g")` and `_coord` on each value.
 
 Some plot kinds share a sweep: PDP holds the ICE curves and PCDP without
 controls the TDP curves. `export_csv` and `render_curves` take the text
@@ -40,7 +40,6 @@ import sys
 import numpy as np
 
 from .engine import BandSet, CurveSet, EngineError, Grid
-from .predictors import _fmt17
 
 __all__ = [
     "KIND_COLORS",
@@ -316,7 +315,7 @@ def render_band(band: BandSet) -> str:
 
 def _table(kind: str, grid: Grid, rows) -> str:
     """CSV of (label, values) rows over one grid, one "%" per row."""
-    cells = [f"{_fmt17(x)},%.17g\n" for x in grid.values]
+    cells = ["%.17g,%%.17g\n" % x for x in grid.values]
     kind = kind.replace("%", "%%")
     parts = ["plot_kind,unit,grid_value,value\n"]
     for label, values in rows:

@@ -226,11 +226,6 @@ class NoiseSpec:
         u = _substream_uniforms(seed, var_index, units)
         return self.p1 + (self.p2 - self.p1) * u
 
-    def to_text(self) -> str:
-        if self.kind == "point":
-            return f"point({self.p1!r})"
-        return f"{self.kind}({self.p1!r}, {self.p2!r})"
-
 
 # --- model structure -------------------------------------------------------
 

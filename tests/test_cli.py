@@ -1,6 +1,8 @@
 """Spec files, dataset files, run configs, and the command line."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cdplot
 from cdplot import cli, engine, render
@@ -21,7 +25,6 @@ from cdplot.cli import (
     main,
     read_dataset_csv,
     run_pipeline,
-    save_scm_spec,
     write_dataset_csv,
 )
 from cdplot.errors import ConfigError, DataError
@@ -92,14 +95,6 @@ def test_bundled_specs_load():
     load_scm_spec(FIXTURES / "mediation.scm")
 
 
-def test_spec_round_trip_is_exact(tmp_path):
-    scm = load_scm_spec(FIXTURES / "mediation.scm")
-    text = save_scm_spec(scm)
-    again = load_scm_spec(_spec(tmp_path, text))
-    assert save_scm_spec(again) == text
-    assert again.mechanisms == scm.mechanisms
-
-
 def test_spec_comments_and_blank_lines_are_ignored(tmp_path):
     path = _spec(
         tmp_path,
@@ -163,6 +158,37 @@ def test_dataset_round_trip_is_exact(tmp_path):
     again = read_dataset_csv(path)
     assert again.columns == data.columns
     assert np.array_equal(again.values, data.values)
+
+
+_MAX = 1.7976931348623157e308
+_CELLS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _MAX, -_MAX)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=k, max_size=k), min_size=1, max_size=5))
+    return Dataset(tuple(f"C{i}" for i in range(k)), np.array(rows, dtype=float))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+@example(table=Dataset(("A", "B"), np.array([[-0.0, 5e-324], [_MAX, -_MAX]])))
+def test_dataset_writer_matches_a_per_cell_writer(tmp_path, table):
+    # the reference formats and writes one cell at a time
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([format(v, ".17g") for v in row] for row in table.values.tolist())
+    text = write_dataset_csv(table)
+    assert text == out.getvalue()
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    again = read_dataset_csv(path)
+    assert np.array_equal(again.values.view(np.int64), table.values.view(np.int64))
 
 
 def test_dataset_label_map_translates_cells(tmp_path):
@@ -540,6 +566,13 @@ def _discover_label_map(tmp_path):
     return ["discover", "--data", str(_salary_data(tmp_path)), "--label-map", "{bad"]
 
 
+def _not_utf8(tmp_path, name):
+    """A file holding a byte that cannot start a UTF-8 character."""
+    path = tmp_path / name
+    path.write_bytes(b"\xff\n")
+    return path
+
+
 def _model_file(tmp_path, text):
     model = tmp_path / "model.json"
     if text is not None:
@@ -656,6 +689,27 @@ EXIT_CASES = {
     "run-grid-resolution-not-a-number": (2, lambda t: _run(t, grid_resolution="fine")),
     "run-grid-resolution-fractional": (2, lambda t: _run(t, grid_resolution=40.5)),
     "run-seed-not-a-number": (2, lambda t: _run(t, seed="x")),
+    "run-seed-a-bool": (2, lambda t: _run(t, seed=True)),
+    "run-forest-trees-and-depth-bools": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": True,
+                                        "depth": True})),
+    "run-control-a-bool": (2, lambda t: _run(t, plots=["PCDP"], controls={"F": True})),
+    "run-label-map-value-a-bool": (2, lambda t: _run(t, label_map={"benign": True})),
+    "run-control-beyond-float-range": (
+        2, lambda t: _run(t, plots=["PCDP"], controls={"F": 10**400})),
+    "run-config-integer-too-long": (
+        2, lambda t: ["run", "--config", str(_spec(t, '{"seed": 1' + "0" * 5000 + "}",
+                                                   "run.json"))]),
+    "simulate-spec-not-utf8": (
+        2, lambda t: ["simulate", "--scm", str(_not_utf8(t, "m.scm")), "--n", "5",
+                      "--out", str(t / "d.csv")]),
+    "run-config-not-utf8": (2, lambda t: ["run", "--config", str(_not_utf8(t, "run.json"))]),
+    "discover-data-not-utf8": (3, lambda t: ["discover", "--data", str(_not_utf8(t, "d.csv"))]),
+    "explain-model-not-utf8": (
+        2, lambda t: _explain(t, "--var", "P", "--model", str(_not_utf8(t, "model.json")))),
+    "render-csv-not-utf8": (
+        3, lambda t: ["render", "--csv", str(_not_utf8(t, "c.csv")),
+                      "--svg", str(t / "c.svg")]),
     "run-simulate-n-fractional": (2, lambda t: _run(t, data={"simulate": {"n": 80.5}})),
     "run-ols-degree-not-a-number": (
         2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "degree": "two"})),

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdplot.engine import BandSet, CurveSet, EngineError, Grid
-from cdplot.predictors import _fmt17
 from cdplot.render import (
     KIND_COLORS,
     _axes,
@@ -287,7 +286,7 @@ def _scalar_csv(kind, grid_values, rows):
     lines = ["plot_kind,unit,grid_value,value"]
     for label, values in rows:
         for gi, x in enumerate(grid_values):
-            lines.append(f"{kind},{label},{_fmt17(x)},{_fmt17(values[gi])}")
+            lines.append(f"{kind},{label},{float(x):.17g},{float(values[gi]):.17g}")
     return "\n".join(lines) + "\n"
 
 
