@@ -229,7 +229,10 @@ def read_dataset_csv(
     non-numeric cells (for example benign -> 2)."""
     text = _read_input(path, "dataset", DataError)
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
@@ -821,8 +824,8 @@ def _write_plots(
         candidates = [engine.build_ecm(s, predictor) for s in band_scms]
         for var in variables:
             grid = engine.make_grid(data, var, resolution)
-            for group in _sweep_groups(plots, control):
-                memo: dict[str, engine.CurveSet] = {}
+            for group in _sweep_groups(scm, predictor.features, var, plots, control):
+                memo: dict[frozenset, engine.CurveSet] = {}
                 curve_sets = [
                     _compute_plot(kind, ecm, predictor, data, var, grid, control, memo)
                     for kind in group
@@ -840,27 +843,28 @@ def _write_plots(
             close()
 
 
-def _sweep_groups(plots: Sequence[str], control: Mapping[str, float]) -> list[list[str]]:
-    """The kinds of plots grouped by the sweep they share, groups in the
-    order first requested: PDP shares ICE's and, without controls, PCDP
-    shares TDP's (see _compute_plot). The source kind leads its group."""
-    source_of = {"PDP": "ICE"} if control else {"PDP": "ICE", "PCDP": "TDP"}
-    groups: dict[str, list[str]] = {}
+def _sweep_groups(scm: Scm, features: Sequence[str], var: str, plots: Sequence[str],
+                  control: Mapping[str, float]) -> list[list[str]]:
+    """The kinds of plots grouped by world key (engine.world_key), one
+    sweep per group; groups and their kinds in the order requested."""
+    groups: dict[frozenset, list[str]] = {}
     for kind in plots:
-        groups.setdefault(source_of.get(kind, kind), []).append(kind)
-    return [sorted(group, key=lambda kind: kind in source_of) for group in groups.values()]
+        groups.setdefault(engine.world_key(kind, scm, features, var, control), []).append(kind)
+    return list(groups.values())
 
 
 def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
     """Write the curve sets of one sweep group through each (extension,
-    writer). Each set after the first relabels the text just written for
-    the one before; rebinding text frees that text before the next write."""
+    writer). The first set's text is formatted and each other set
+    relabels that text, never a relabel, so at most one relabel is held
+    next to it; the text is freed before the next writer formats."""
+    source = curve_sets[0]
     for ext, write in writers:
-        source = text = None
+        text = write(source)
         for curve_set in curve_sets:
-            text = write(curve_set, like=None if source is None else (source, text))
-            outputs.write(f"{stem}{curve_set.kind.lower()}.{ext}", text)
-            source = curve_set
+            outputs.write(f"{stem}{curve_set.kind.lower()}.{ext}",
+                          text if curve_set is source else write(curve_set, like=(source, text)))
+        del text
 
 
 def _compute_plot(
@@ -871,30 +875,22 @@ def _compute_plot(
     var: str,
     grid: engine.Grid,
     control: Mapping[str, float],
-    memo: dict[str, engine.CurveSet],
+    memo: dict[frozenset, engine.CurveSet],
 ) -> engine.CurveSet:
-    """The curve set of one plot kind. memo keeps the ICE and TDP curve
-    sets of this sweep group: PDP is ICE under its own label, and PCDP
-    without controls pins exactly what TDP pins, so each relabels the
-    curves instead of running the same sweep again."""
-    if kind in ("ICE", "PDP"):
-        if "ICE" not in memo:
-            memo["ICE"] = engine.ice(predictor, data, var, grid)
-        if kind == "ICE":
-            return memo["ICE"]
-        return memo["ICE"].relabel("PDP")
-    assert ecm is not None
-    if kind == "PCDP" and control:
-        return engine.pcdp(ecm, data, var, grid, control)
-    if kind in ("TDP", "PCDP"):
-        if "TDP" not in memo:
-            memo["TDP"] = engine.tdp(ecm, data, var, grid)
-        if kind == "TDP":
-            return memo["TDP"]
-        return memo["TDP"].relabel("PCDP", engine.pcdp_metadata(ecm, var, control))
-    if kind == "NDDP":
-        return engine.nddp(ecm, data, var, grid)
-    return engine.nidp(ecm, data, var, grid)
+    """The curve set of one plot kind. memo maps a world key to the curve
+    set swept for it: by engine.ice when the key is ICE's, else by the
+    kind's own sweep. A kind whose key is in memo relabels that curve set
+    with the metadata of its own."""
+    scm, features = ecm and ecm.scm, predictor.features
+    key = engine.world_key(kind, scm, features, var, control)
+    if key not in memo:
+        ice_world = var in features and key == engine.world_key("ICE", scm, features, var)
+        memo[key] = (engine.ice(predictor, data, var, grid) if ice_world
+                     else engine.kind_curves(kind, ecm, data, var, grid, control))
+    swept = memo[key]
+    if swept.kind == kind:
+        return swept
+    return swept.relabel(kind, engine.plot_metadata(kind, predictor, scm, var, control))
 
 
 # --- subcommand handlers ---------------------------------------------------

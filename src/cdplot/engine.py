@@ -23,6 +23,10 @@ else through the model (scm.counterfactual_table):
 - NIDP: natural indirect dependence; pin the children at their values
         in the TDP world at x, and the variable itself at its observed
         values, so only mediated responses vary.
+
+Some plot kinds share a sweep: world_key keeps the pins that can reach a
+predictor feature, and kinds with one key give bitwise-equal curves.
+ICE pins every feature, so a kind with ICE's key is ICE's sweep.
 """
 
 from __future__ import annotations
@@ -49,13 +53,15 @@ __all__ = [
     "build_ecm",
     "effect_difference",
     "ice",
+    "kind_curves",
     "make_grid",
     "nddp",
     "nidp",
     "pcdp",
-    "pcdp_metadata",
+    "plot_metadata",
     "tdp",
     "uncertainty_band",
+    "world_key",
 ]
 
 GRID_RESOLUTION_DEFAULT = 40
@@ -70,9 +76,11 @@ NIDP_NOTE = (
 # max(1, _BLOCK_ROWS // m) grid values.
 _BLOCK_ROWS = 1 << 14
 
-# pins(xs, noise) -> the pinned columns of the stacked counterfactual
-# worlds at the grid values xs, len(xs) * m rows like the tiled noise
-Pins = Callable[[np.ndarray, Mapping[str, np.ndarray]], Mapping[str, np.ndarray]]
+# How a sweep's worlds pin a variable at grid value x: at x, at each
+# unit's observed value, at the unit's value in TDP's world at x, or (a
+# float) at that constant.
+GRID, OBSERVED, TDP_WORLD = "grid", "observed", "tdp"
+Pin = str | float
 
 
 class EngineError(CdpError):
@@ -189,12 +197,80 @@ def _curveset(kind: str, grid: Grid, curves: np.ndarray, metadata: dict[str, str
     return CurveSet(kind, grid, curves, mean, metadata)
 
 
-def _base_metadata(ecm: Ecm, intervention: str) -> dict[str, str]:
-    return {
-        "scm": ecm.scm.name,
-        "predictor": ecm.predictor.describe(),
-        "intervention": intervention,
-    }
+def plot_metadata(kind: str, predictor: Predictor, scm: Scm | None, var: str,
+                  control: Mapping[str, float] | None = None) -> dict[str, str]:
+    """The metadata of a plot kind's curve set. Its intervention, which
+    names PCDP's controls, is the SVG caption; ICE and PDP name no model."""
+    described = ", ".join(f"{name}={float(value)!r}" for name, value in (control or {}).items())
+    intervention = {
+        "TDP": f"do({var}=grid)",
+        "PCDP": f"do({var}=grid), control({described})",
+        "NDDP": f"do({var}=grid), children held at observed values",
+        "NIDP": f"do({var}=grid) routed through children of {var}",
+    }.get(kind, f"set({var}=grid)")
+    meta = {"predictor": predictor.describe(), "intervention": intervention}
+    if kind in ("ICE", "PDP"):
+        return meta
+    if kind == "NIDP":
+        meta["notes"] = NIDP_NOTE
+    return {"scm": scm.name, **meta}
+
+
+def _world_pins(kind: str, scm: Scm | None, features: Sequence[str], var: str,
+                control: Mapping[str, float] | None = None) -> dict[str, Pin]:
+    """The pins of every world of a plot kind's sweep. ICE and PDP pin
+    every feature, so they need no model."""
+    if kind in ("ICE", "PDP"):
+        return {**dict.fromkeys(features, OBSERVED), var: GRID}
+    if kind == "PCDP":
+        for name, value in control.items():
+            if name == var:
+                raise EngineError(f"control touches {var!r}")
+            if name not in scm.variables:
+                raise EngineError(f"control on unknown variable {name!r}")
+            if not math.isfinite(value):
+                raise EngineError(f"control value for {name!r} must be finite")
+        return {**{name: float(value) for name, value in control.items()}, var: GRID}
+    if kind == "NDDP":
+        return {**dict.fromkeys(scm.children(var), OBSERVED), var: GRID}
+    if kind == "NIDP":
+        return {**dict.fromkeys(scm.children(var), TDP_WORLD), var: OBSERVED}
+    return {var: GRID}
+
+
+def world_key(kind: str, scm: Scm | None, features: Sequence[str], var: str,
+              control: Mapping[str, float] | None = None) -> frozenset[tuple[str, Pin]]:
+    """The pins of a plot kind's worlds that reach a predictor feature:
+    those on the features and on their ancestors through unpinned
+    variables. counterfactual_table computes every unpinned one of these
+    from its parents in the same order with the same operations, so kinds
+    with one key sweep bitwise-equal features and curves; a kind with
+    ICE's key gives ICE's curves."""
+    pins = _world_pins(kind, scm, features, var, control)
+    reached, stack = set(), list(features)
+    while stack:
+        name = stack.pop()
+        if name not in reached:
+            reached.add(name)
+            stack.extend(() if name in pins else scm.mechanisms[name].parents)
+    return frozenset((name, pins[name]) for name in reached if name in pins)
+
+
+def _pin_columns(pins: Mapping[str, Pin], data: Dataset, xs: np.ndarray,
+                 tdp_world: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """The pinned columns of the stacked worlds at the grid values xs,
+    len(xs) * m rows; tdp_world is TDP's world there."""
+    columns = {}
+    for name, how in pins.items():
+        if how == GRID:
+            columns[name] = np.repeat(xs, data.m)
+        elif how == OBSERVED:
+            columns[name] = np.tile(data.column(name), len(xs))
+        elif how == TDP_WORLD:
+            columns[name] = tdp_world[name]
+        else:
+            columns[name] = np.full(len(xs) * data.m, how)
+    return columns
 
 
 def _sweep(
@@ -222,19 +298,23 @@ def _sweep(
 
 
 def _counterfactual_sweep(
-    ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Pins
+    ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Mapping[str, Pin]
 ) -> np.ndarray:
     """Sweep over counterfactual worlds: abduct once and tile each noise
     column to the rows of the largest block, then for each block of grid
     values xs propagate the first len(xs) * m rows of those columns, as
-    views, through the model under pins(xs, noise)."""
+    views, through the model under the pins (first TDP's world, when a
+    pin takes its values)."""
     ecm.scm.var_index(var)
     per_block = min(len(grid), max(1, _BLOCK_ROWS // data.m))  # as in _sweep
     tiled = {v: np.tile(u, per_block) for v, u in abduct(ecm.scm, data).items()}
 
     def world(xs: np.ndarray) -> dict[str, np.ndarray]:
         noise = {v: u[: len(xs) * data.m] for v, u in tiled.items()}
-        return counterfactual_table(ecm.scm, noise, pins(xs, noise))
+        total = None
+        if TDP_WORLD in pins.values():
+            total = counterfactual_table(ecm.scm, noise, _pin_columns({var: GRID}, data, xs))
+        return counterfactual_table(ecm.scm, noise, _pin_columns(pins, data, xs, total))
 
     return _sweep(ecm.predictor, grid, data.m, world)
 
@@ -244,31 +324,24 @@ def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
     hold every other column at its observed values."""
     if var not in predictor.features:
         raise EngineError(f"{var!r} is not a predictor feature")
-    observed = {f: data.column(f) for f in predictor.features}
-    curves = _sweep(
-        predictor,
-        grid,
-        data.m,
-        lambda xs: {
-            **{f: np.tile(column, len(xs)) for f, column in observed.items()},
-            var: np.repeat(xs, data.m),
-        },
-    )
-    return _curveset(
-        "ICE",
-        grid,
-        curves,
-        {"predictor": predictor.describe(), "intervention": f"set({var}=grid)"},
-    )
+    pins = _world_pins("ICE", None, predictor.features, var)
+    curves = _sweep(predictor, grid, data.m, lambda xs: _pin_columns(pins, data, xs))
+    return _curveset("ICE", grid, curves, plot_metadata("ICE", predictor, None, var))
+
+
+def kind_curves(kind: str, ecm: Ecm, data: Dataset, var: str, grid: Grid,
+                control: Mapping[str, float] | None = None) -> CurveSet:
+    """The curve set of a counterfactual plot kind (TDP, PCDP, NDDP or
+    NIDP) from its own sweep."""
+    pins = _world_pins(kind, ecm.scm, ecm.predictor.features, var, control)
+    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
+    return _curveset(kind, grid, curves, plot_metadata(kind, ecm.predictor, ecm.scm, var, control))
 
 
 def tdp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Total dependence: pin var at each grid value and let every
     downstream feature respond through the model."""
-    curves = _counterfactual_sweep(
-        ecm, data, var, grid, lambda xs, noise: {var: np.repeat(xs, data.m)}
-    )
-    return _curveset("TDP", grid, curves, _base_metadata(ecm, f"do({var}=grid)"))
+    return kind_curves("TDP", ecm, data, var, grid)
 
 
 def pcdp(
@@ -276,46 +349,14 @@ def pcdp(
 ) -> CurveSet:
     """Partially controlled dependence: TDP with the control variables
     held at their values. An empty control reduces to TDP exactly."""
-    for name, value in control.items():
-        if name == var:
-            raise EngineError(f"control touches {var!r}")
-        if name not in ecm.scm.variables:
-            raise EngineError(f"control on unknown variable {name!r}")
-        if not math.isfinite(value):
-            raise EngineError(f"control value for {name!r} must be finite")
-
-    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        held = {name: np.full(len(xs) * data.m, float(value)) for name, value in control.items()}
-        return {**held, var: np.repeat(xs, data.m)}
-
-    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
-    return _curveset("PCDP", grid, curves, pcdp_metadata(ecm, var, control))
-
-
-def pcdp_metadata(ecm: Ecm, var: str, control: Mapping[str, float]) -> dict[str, str]:
-    """The metadata of a PCDP curve set; its intervention names the
-    controls, which the SVG caption prints."""
-    described = ", ".join(f"{name}={float(value)!r}" for name, value in control.items())
-    return _base_metadata(ecm, f"do({var}=grid), control({described})")
+    return kind_curves("PCDP", ecm, data, var, grid, control)
 
 
 def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Natural direct dependence: children of var are held at each
     unit's observed values, so only the direct edge moves. For a
     variable with no children this coincides with TDP."""
-    held = {c: data.column(c) for c in ecm.scm.children(var)}
-
-    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {
-            **{c: np.tile(column, len(xs)) for c, column in held.items()},
-            var: np.repeat(xs, data.m),
-        }
-
-    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
-    meta = _base_metadata(
-        ecm, f"do({var}=grid), children held at observed values"
-    )
-    return _curveset("NDDP", grid, curves, meta)
+    return kind_curves("NDDP", ecm, data, var, grid)
 
 
 def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
@@ -324,19 +365,7 @@ def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     its observed per-unit value; only mediated responses remain. For a
     variable with no children every curve is constant at the factual
     prediction."""
-    children = ecm.scm.children(var)
-    observed = data.column(var)
-
-    def pins(xs: np.ndarray, noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        total = counterfactual_table(ecm.scm, noise, {var: np.repeat(xs, data.m)})
-        return {**{c: total[c] for c in children}, var: np.tile(observed, len(xs))}
-
-    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
-    meta = _base_metadata(
-        ecm, f"do({var}=grid) routed through children of {var}"
-    )
-    meta["notes"] = NIDP_NOTE
-    return _curveset("NIDP", grid, curves, meta)
+    return kind_curves("NIDP", ecm, data, var, grid)
 
 
 @dataclass(frozen=True)
@@ -395,7 +424,6 @@ def uncertainty_band(
     variable_sets = {frozenset(e.scm.variables) for e in ecms}
     if len(variable_sets) != 1:
         raise EngineError("candidate models must share a variable set")
-    compute = {"TDP": tdp, "NDDP": nddp, "NIDP": nidp}[kind]
     labels = []
     rows = []
     for i, ecm in enumerate(ecms):
@@ -403,7 +431,7 @@ def uncertainty_band(
         if label in labels:
             label = f"{label}#{i}"
         labels.append(label)
-        rows.append(compute(ecm, data, var, grid).mean)
+        rows.append(kind_curves(kind, ecm, data, var, grid).mean)
     curves = np.vstack(rows)
     return BandSet(
         kind,

@@ -22,12 +22,13 @@ The CSV and SVG writers format each curve with one "%": values through
 "%.17g" and pixel coordinates through "%.2f", which give the same bytes
 as `format(value, ".17g")` and `_coord` on each value.
 
-Some plot kinds share a sweep: PDP holds the ICE curves and PCDP without
-controls the TDP curves. `export_csv` and `render_curves` take the text
-just written for such a source as `like=(source, text)` and relabel it
-instead of formatting the same values again. In a CSV only the kind at
-the start of each row changes; in an SVG only the caption and the curve
-color. Relabelling happens only when the curve set shares the source's
+Plot kinds with one world key (engine.world_key) share a sweep, for
+example PDP and ICE, or NDDP and ICE when every other feature is a child
+of the explained variable. `export_csv` and `render_curves` take the text
+written for the curve set that leads such a group as
+`like=(source, text)` and relabel it instead of formatting the same
+values again. In a CSV only the kind at the start of each row changes; in
+an SVG only the caption and the curve color. Relabelling happens only when the curve set shares the source's
 grid, curves and mean, as `CurveSet.relabel` makes it, so the bytes are
 those of formatting the curve set anew.
 """

@@ -573,6 +573,14 @@ def _not_utf8(tmp_path, name):
     return path
 
 
+def _oversized_cell(tmp_path):
+    """A dataset whose one cell, 200,000 digits, is longer than the csv
+    module's default field limit."""
+    path = tmp_path / "d.csv"
+    path.write_text("A,B\n1," + "1" * 200_000 + "\n", encoding="utf-8")
+    return path
+
+
 def _model_file(tmp_path, text):
     model = tmp_path / "model.json"
     if text is not None:
@@ -705,6 +713,7 @@ EXIT_CASES = {
                       "--out", str(t / "d.csv")]),
     "run-config-not-utf8": (2, lambda t: ["run", "--config", str(_not_utf8(t, "run.json"))]),
     "discover-data-not-utf8": (3, lambda t: ["discover", "--data", str(_not_utf8(t, "d.csv"))]),
+    "discover-data-oversized-cell": (3, lambda t: ["discover", "--data", str(_oversized_cell(t))]),
     "explain-model-not-utf8": (
         2, lambda t: _explain(t, "--var", "P", "--model", str(_not_utf8(t, "model.json")))),
     "render-csv-not-utf8": (
@@ -1086,12 +1095,45 @@ def _count_predict_rows(monkeypatch):
     (["PDP", "PCDP"], {"F": 1.0}, 2),
 ])
 def test_run_sweeps_each_distinct_curve_once(tmp_path, monkeypatch, plots, controls, sweeps):
+    _assert_sweeps(tmp_path, monkeypatch, sweeps, plots=plots, controls=controls)
+
+
+def _assert_sweeps(tmp_path, monkeypatch, sweeps, **overrides):
+    """A salary run with the config overrides predicts sweeps * 5 grid
+    points of 80 units each, all for one explained variable."""
     _copy_fixture(tmp_path, "salary.scm")
-    config = load_run_config(_write_config(tmp_path, plots=plots, controls=controls))
+    config = load_run_config(_write_config(tmp_path, **overrides))
     rows = _count_predict_rows(monkeypatch)
     run_pipeline(config)
     grid_points, units = 5, 80
     assert rows == [units] * (sweeps * grid_points)
+
+
+# The NDDP cases of the test above; they vary the variable and the model
+# too. NDDP shares a sweep when its pins on the features and their
+# ancestors are another kind's: of P, it holds F, the only other feature,
+# at its observed column, as ICE does; of F, it holds only S, which no
+# feature reads, so it pins what TDP pins. In the chain X -> M -> Y with
+# features X and Y it holds M, and Y responds to M, so no other kind
+# sweeps its world.
+@pytest.mark.parametrize("variable, plots, sweeps", [
+    ("P", ["ICE", "NDDP"], 1),
+    ("P", ["NDDP", "PDP"], 1),
+    ("P", ["ICE", "TDP", "NDDP"], 2),
+    ("F", ["TDP", "NDDP"], 1),
+    ("F", ["NDDP", "PCDP", "TDP"], 1),
+    ("F", ["ICE", "TDP", "NDDP"], 2),
+    ("X", ["ICE", "TDP", "NDDP"], 3),
+])
+def test_run_sweeps_nddp_with_the_kind_whose_world_it_shares(
+    tmp_path, monkeypatch, variable, plots, sweeps
+):
+    overrides = {}
+    if variable == "X":
+        overrides = {"scm": _spec(tmp_path, CHAIN_SPEC).name, "predictor": {
+            "kind": "closed_form", "features": ["X", "Y"], "expression": "X - Y^2"}}
+    _assert_sweeps(tmp_path, monkeypatch, sweeps, variables=[variable], plots=plots,
+                   **overrides)
 
 
 def _on_its_own(kind, ecm, data, var, grid, controls):
@@ -1104,8 +1146,11 @@ def _on_its_own(kind, ecm, data, var, grid, controls):
     return sweep(ecm, data, var, grid)
 
 
-# each order puts a kind that relabels another's text before its source
-RELABEL_ORDERS = [list(PLOT_KINDS), ["PDP", "ICE", "PCDP", "TDP"]]
+# each order puts a kind that relabels another's text before its source;
+# the last writes NDDP first, which of P has ICE's world and of F TDP's
+RELABEL_ORDERS = [
+    list(PLOT_KINDS), ["PDP", "ICE", "PCDP", "TDP"], ["NDDP", "PCDP", "PDP", "TDP", "ICE"],
+]
 
 
 def test_reused_pdp_and_pcdp_curves_match_the_engine(tmp_path):
@@ -1156,8 +1201,9 @@ def test_explain_files_match_the_engine(tmp_path):
 
 
 def test_run_formats_each_distinct_sweep_once(tmp_path, monkeypatch):
-    # PDP and control-free PCDP relabel the ICE and TDP text, so six kinds
-    # on two variables format 8 matrices, not 12
+    # kinds that share a world key relabel its text: P formats ICE (also
+    # PDP and NDDP), TDP (also PCDP) and NIDP; F formats ICE (also PDP),
+    # TDP (also PCDP and NDDP) and NIDP; so 6 matrices, not 12
     _copy_fixture(tmp_path, "salary.scm")
     config = load_run_config(
         _write_config(tmp_path, variables=["P", "F"], plots=list(PLOT_KINDS))
@@ -1177,7 +1223,7 @@ def test_run_formats_each_distinct_sweep_once(tmp_path, monkeypatch):
     monkeypatch.setattr(render._Frame, "points", counting_points)
     manifest = run_pipeline(config)
     assert len(manifest["outputs"]) == 2 * 2 * 6
-    assert calls == {"table": 8, "points": 2 * 8}  # points: the units, then the mean
+    assert calls == {"table": 6, "points": 2 * 6}  # points: the units, then the mean
 
 
 def test_flat_curve_beyond_two_to_the_53_renders(tmp_path, capsys):

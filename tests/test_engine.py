@@ -1,7 +1,11 @@
 """Plot computations over the explanatory causal model."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
 from cdplot import engine
@@ -20,6 +24,7 @@ from cdplot.engine import (
     pcdp,
     tdp,
     uncertainty_band,
+    world_key,
 )
 from cdplot.expr import parse
 from cdplot.predictors import ClosedFormPredictor, OlsPredictor, Predictor, fit_ols
@@ -463,7 +468,8 @@ SWEEP_KINDS = ("ICE", "TDP", "PCDP", "NDDP", "NIDP")
 
 
 def _engine_curves(kind, ecm, data, var, grid, control):
-    if kind == "ICE":
+    """The curve set of one kind from the engine's own sweep for it."""
+    if kind in ("ICE", "PDP"):
         return ice(ecm.predictor, data, var, grid)
     if kind == "PCDP":
         return pcdp(ecm, data, var, grid, control)
@@ -517,6 +523,89 @@ def test_sweeps_propagate_once_per_block_and_predict_once_per_grid_value(
     calls_per_block = {"ICE": 0, "NIDP": 2}.get(kind, 1)
     assert propagated == [b * data.m for b in blocks for _ in range(calls_per_block)]
     assert predicted == [data.m] * len(grid)
+
+
+# --- world keys ------------------------------------------------------------
+
+KEYED_KINDS = ("ICE", "PDP", "TDP", "PCDP", "NDDP", "NIDP")
+
+
+@st.composite
+def _keyed_models(draw):
+    """A random additive-noise model of 2-6 variables with polynomial
+    mechanisms, a closed-form predictor on a random feature subset, an
+    explained variable and random controls on the other variables."""
+    k = draw(st.integers(2, 6))
+    names = [f"V{i}" for i in range(k)]
+    coefficient = st.sampled_from(["-0.5", "-0.3", "0.2", "0.4"])
+    mechanisms = {}
+    for j, name in enumerate(names):
+        parents = tuple(p for p in names[:j] if draw(st.booleans()))
+        terms = [f"{draw(coefficient)}*{p}^{draw(st.integers(1, 3))}" for p in parents]
+        noise = draw(st.sampled_from([NoiseSpec.normal(0.0, 0.4), NoiseSpec.uniform(-0.6, 0.6)]))
+        mechanisms[name] = Mechanism(parents, parse(" + ".join(terms)) if terms else None, noise)
+    scm = build_scm("keyed", mechanisms)
+    features = tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+    terms = [f"{draw(coefficient)}*{f}^{draw(st.integers(1, 3))}" for f in features]
+    predictor = ClosedFormPredictor(" + ".join(["0.1", *terms]), features)
+    var = draw(st.sampled_from(names))
+    others = [n for n in names if n != var]
+    control = {n: draw(st.sampled_from([-0.5, 0.0, 1.0])) for n in others if draw(st.booleans())}
+    data, _ = sample(scm, 20, draw(st.integers(0, 1000)))
+    return build_ecm(scm, predictor), data, var, control
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_keyed_models())
+def test_kinds_with_one_world_key_have_bitwise_equal_curves(case):
+    ecm, data, var, control = case
+    features = ecm.predictor.features
+    grid = Grid(var, np.array([-0.7, 0.0, 0.4, 1.1]))
+    kinds = [k for k in KEYED_KINDS if k not in ("ICE", "PDP") or var in features]
+    by_key = {}
+    for kind in kinds:
+        key = world_key(kind, ecm.scm, features, var, control)
+        by_key.setdefault(key, []).append(_engine_curves(kind, ecm, data, var, grid, control))
+    for curve_sets in by_key.values():
+        for curve_set in curve_sets[1:]:
+            assert np.array_equal(curve_set.curves, curve_sets[0].curves), curve_set.kind
+    if var in features:
+        ice_key = world_key("ICE", ecm.scm, features, var)
+        assert np.array_equal(by_key[ice_key][0].curves, ice(ecm.predictor, data, var, grid).curves)
+
+
+def test_world_keys_group_the_salary_kinds():
+    # P: NDDP holds F, the only other feature, at its observed column, so
+    # it has ICE's key; F: NDDP holds only the target S, which no feature
+    # reads, so it has TDP's key; so has PCDP with its control on S
+    mechanisms = dict(salary_scm().mechanisms)
+    mechanisms["S"] = Mechanism(("P", "F"), parse("F - P^2"), NoiseSpec.normal(0.0, 0.2))
+    scm = build_scm("salary", mechanisms)
+    for var, groups in {
+        "P": [["ICE", "PDP", "NDDP"], ["TDP", "PCDP"], ["NIDP"]],
+        "F": [["ICE", "PDP"], ["TDP", "PCDP", "NDDP"], ["NIDP"]],
+    }.items():
+        keys = {kind: world_key(kind, scm, ("P", "F"), var, {"S": 1.0}) for kind in KEYED_KINDS}
+        grouped = {}
+        for kind, key in keys.items():
+            grouped.setdefault(key, []).append(kind)
+        assert list(grouped.values()) == groups, var
+
+
+def test_world_key_does_not_share_a_world_that_moves_a_downstream_feature():
+    # X -> M with both features: ICE holds M at its observed column, TDP
+    # lets it respond, PCDP holds it at 0 and NIDP moves only it; four
+    # keys, four different curve sets
+    scm = mediation_scm()
+    data, _ = sample(scm, 30, seed=6)
+    ecm = build_ecm(scm, correct_model())
+    grid = make_grid(data, "X", resolution=6)
+    kinds = ("ICE", "TDP", "PCDP", "NIDP")
+    keys = {kind: world_key(kind, scm, ("X", "M"), "X", {"M": 0.0}) for kind in kinds}
+    assert len(set(keys.values())) == len(kinds)
+    curves = [_engine_curves(kind, ecm, data, "X", grid, {"M": 0.0}).curves for kind in kinds]
+    for i, j in itertools.combinations(range(len(kinds)), 2):
+        assert not np.array_equal(curves[i], curves[j]), (kinds[i], kinds[j])
 
 
 # --- effect differences ----------------------------------------------------
