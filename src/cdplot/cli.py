@@ -92,12 +92,18 @@ def _read_input(path: str | Path, what: str, error: type[CdpError]) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
-def _read_json(path: str | Path, what: str):
-    """A JSON input file; a file that does not parse is a ConfigError."""
+def _json(text: str, source: str | Path):
+    """JSON text from source, a file or a flag; text that does not parse
+    is a ConfigError."""
     try:
-        return json.loads(_read_input(path, what, ConfigError))
+        return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise ConfigError(f"{source}: invalid JSON: {exc}") from None
+
+
+def _read_json(path: str | Path, what: str):
+    """A JSON input file."""
+    return _json(_read_input(path, what, ConfigError), path)
 
 
 # --- model spec files ------------------------------------------------------
@@ -818,17 +824,16 @@ def _write_plots(
     files of band_scms; close the predictor at the end, also on failure."""
     try:
         _check_request(scm, variables, plots, control, [predictor.features])
-        ecm = None
         if any(kind not in ("ICE", "PDP") for kind in plots):
-            ecm = engine.build_ecm(scm, predictor)
+            engine.build_ecm(scm, predictor)  # every feature is a model variable
         candidates = [engine.build_ecm(s, predictor) for s in band_scms]
         for var in variables:
             grid = engine.make_grid(data, var, resolution)
-            for group in _sweep_groups(scm, predictor.features, var, plots, control):
-                memo: dict[frozenset, engine.CurveSet] = {}
-                curve_sets = [
-                    _compute_plot(kind, ecm, predictor, data, var, grid, control, memo)
-                    for kind in group
+            for first, *others in _sweep_groups(scm, predictor.features, var, plots, control):
+                swept = _compute_plot(first, scm, predictor, data, var, grid, control)
+                curve_sets = [swept] + [
+                    _compute_plot(kind, scm, predictor, data, var, grid, control, swept)
+                    for kind in others
                 ]
                 _write_curves(outputs, f"{prefix}{var}_", curve_sets, writers)
             for kind in plots:
@@ -869,27 +874,19 @@ def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
 
 def _compute_plot(
     kind: str,
-    ecm: engine.Ecm | None,
+    scm: Scm,
     predictor: Predictor,
     data: Dataset,
     var: str,
     grid: engine.Grid,
     control: Mapping[str, float],
-    memo: dict[frozenset, engine.CurveSet],
+    swept: engine.CurveSet | None = None,
 ) -> engine.CurveSet:
-    """The curve set of one plot kind. memo maps a world key to the curve
-    set swept for it: by engine.ice when the key is ICE's, else by the
-    kind's own sweep. A kind whose key is in memo relabels that curve set
-    with the metadata of its own."""
-    scm, features = ecm and ecm.scm, predictor.features
-    key = engine.world_key(kind, scm, features, var, control)
-    if key not in memo:
-        ice_world = var in features and key == engine.world_key("ICE", scm, features, var)
-        memo[key] = (engine.ice(predictor, data, var, grid) if ice_world
-                     else engine.kind_curves(kind, ecm, data, var, grid, control))
-    swept = memo[key]
-    if swept.kind == kind:
-        return swept
+    """The curve set of one plot kind: its own sweep, or, for a kind in
+    swept's _sweep_groups group, swept relabelled with the metadata of
+    the kind's own sweep."""
+    if swept is None:
+        return engine.curves(kind, predictor, scm, data, var, grid, control)
     return swept.relabel(kind, engine.plot_metadata(kind, predictor, scm, var, control))
 
 
@@ -907,12 +904,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    label_map = None
-    if args.label_map:
-        try:
-            label_map = _label_map(json.loads(args.label_map))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--label-map is not valid JSON: {exc}") from None
+    label_map = _label_map(_json(args.label_map, "--label-map")) if args.label_map else None
     block = _discovery_block(_given(args, "alpha", "max_cond", "variables"))
     text = disc.cpdag_to_text(_cpdag(block, read_dataset_csv(args.data, label_map)))
     if args.out:

@@ -8,10 +8,14 @@ applied to it afterwards.
 Every plot kind is the same sweep: for each grid value x, build a world
 (one column per predictor feature, one row per data unit), predict on
 it, and store the predictions as that grid point's column of curves.
-The kinds differ only in how the world is built. ICE replaces one
-column of the data. The causal kinds abduct each unit's noise once and
-then pin some variables to per-unit columns and propagate everything
-else through the model (scm.counterfactual_table):
+The kinds differ only in the pins of their worlds, and one function,
+curves, sweeps them all. A world needs the model only when some
+predictor feature is not pinned, or is pinned at its value in TDP's
+world: then the sweep abducts each unit's noise once, pins some
+variables to per-unit columns and propagates everything else through
+the model (scm.counterfactual_table). Otherwise the pinned columns are
+the world: ICE (and PDP) replace one column of the data, and so does a
+causal kind whose pins cover the features. The causal kinds' pins:
 
 - TDP:  total dependence; pin the variable at x, so downstream
         features respond.
@@ -26,12 +30,12 @@ else through the model (scm.counterfactual_table):
 
 Some plot kinds share a sweep: world_key keeps the pins that can reach a
 predictor feature, and kinds with one key give bitwise-equal curves.
-ICE pins every feature, so a kind with ICE's key is ICE's sweep.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -51,9 +55,9 @@ __all__ = [
     "Grid",
     "band_kinds",
     "build_ecm",
+    "curves",
     "effect_difference",
     "ice",
-    "kind_curves",
     "make_grid",
     "nddp",
     "nidp",
@@ -297,51 +301,47 @@ def _sweep(
     return curves
 
 
-def _counterfactual_sweep(
-    ecm: Ecm, data: Dataset, var: str, grid: Grid, pins: Mapping[str, Pin]
-) -> np.ndarray:
-    """Sweep over counterfactual worlds: abduct once and tile each noise
-    column to the rows of the largest block, then for each block of grid
-    values xs propagate the first len(xs) * m rows of those columns, as
-    views, through the model under the pins (first TDP's world, when a
-    pin takes its values)."""
-    ecm.scm.var_index(var)
-    per_block = min(len(grid), max(1, _BLOCK_ROWS // data.m))  # as in _sweep
-    tiled = {v: np.tile(u, per_block) for v, u in abduct(ecm.scm, data).items()}
+def curves(kind: str, predictor: Predictor, scm: Scm | None, data: Dataset, var: str,
+           grid: Grid, control: Mapping[str, float] | None = None) -> CurveSet:
+    """The curve set of any plot kind, from the pins of its worlds. When
+    they hold every predictor feature at the grid value, its observed
+    column or a constant, the worlds are those columns and need no model:
+    ICE and PDP always, a causal kind whose pins cover the features.
+    Otherwise abduct once and tile each noise column to the rows of the
+    largest block, then for each block of grid values xs propagate the
+    first len(xs) * m rows of those columns, as views, through the model
+    under the pins (first TDP's world, when a pin takes its values)."""
+    if kind in ("ICE", "PDP") and var not in predictor.features:
+        raise EngineError(f"{var!r} is not a predictor feature")
+    pins = _world_pins(kind, scm, predictor.features, var, control)
+    if all(f in pins and pins[f] != TDP_WORLD for f in predictor.features):
+        world = functools.partial(_pin_columns, {f: pins[f] for f in predictor.features}, data)
+    else:
+        scm.var_index(var)
+        per_block = min(len(grid), max(1, _BLOCK_ROWS // data.m))  # as in _sweep
+        tiled = {v: np.tile(u, per_block) for v, u in abduct(scm, data).items()}
 
-    def world(xs: np.ndarray) -> dict[str, np.ndarray]:
-        noise = {v: u[: len(xs) * data.m] for v, u in tiled.items()}
-        total = None
-        if TDP_WORLD in pins.values():
-            total = counterfactual_table(ecm.scm, noise, _pin_columns({var: GRID}, data, xs))
-        return counterfactual_table(ecm.scm, noise, _pin_columns(pins, data, xs, total))
+        def world(xs: np.ndarray) -> dict[str, np.ndarray]:
+            noise = {v: u[: len(xs) * data.m] for v, u in tiled.items()}
+            total = None
+            if TDP_WORLD in pins.values():
+                total = counterfactual_table(scm, noise, _pin_columns({var: GRID}, data, xs))
+            return counterfactual_table(scm, noise, _pin_columns(pins, data, xs, total))
 
-    return _sweep(ecm.predictor, grid, data.m, world)
+    swept = _sweep(predictor, grid, data.m, world)
+    return _curveset(kind, grid, swept, plot_metadata(kind, predictor, scm, var, control))
 
 
 def ice(predictor: Predictor, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Individual conditional expectation: vary one feature column,
     hold every other column at its observed values."""
-    if var not in predictor.features:
-        raise EngineError(f"{var!r} is not a predictor feature")
-    pins = _world_pins("ICE", None, predictor.features, var)
-    curves = _sweep(predictor, grid, data.m, lambda xs: _pin_columns(pins, data, xs))
-    return _curveset("ICE", grid, curves, plot_metadata("ICE", predictor, None, var))
-
-
-def kind_curves(kind: str, ecm: Ecm, data: Dataset, var: str, grid: Grid,
-                control: Mapping[str, float] | None = None) -> CurveSet:
-    """The curve set of a counterfactual plot kind (TDP, PCDP, NDDP or
-    NIDP) from its own sweep."""
-    pins = _world_pins(kind, ecm.scm, ecm.predictor.features, var, control)
-    curves = _counterfactual_sweep(ecm, data, var, grid, pins)
-    return _curveset(kind, grid, curves, plot_metadata(kind, ecm.predictor, ecm.scm, var, control))
+    return curves("ICE", predictor, None, data, var, grid)
 
 
 def tdp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Total dependence: pin var at each grid value and let every
     downstream feature respond through the model."""
-    return kind_curves("TDP", ecm, data, var, grid)
+    return curves("TDP", ecm.predictor, ecm.scm, data, var, grid)
 
 
 def pcdp(
@@ -349,14 +349,14 @@ def pcdp(
 ) -> CurveSet:
     """Partially controlled dependence: TDP with the control variables
     held at their values. An empty control reduces to TDP exactly."""
-    return kind_curves("PCDP", ecm, data, var, grid, control)
+    return curves("PCDP", ecm.predictor, ecm.scm, data, var, grid, control)
 
 
 def nddp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     """Natural direct dependence: children of var are held at each
     unit's observed values, so only the direct edge moves. For a
     variable with no children this coincides with TDP."""
-    return kind_curves("NDDP", ecm, data, var, grid)
+    return curves("NDDP", ecm.predictor, ecm.scm, data, var, grid)
 
 
 def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
@@ -365,7 +365,7 @@ def nidp(ecm: Ecm, data: Dataset, var: str, grid: Grid) -> CurveSet:
     its observed per-unit value; only mediated responses remain. For a
     variable with no children every curve is constant at the factual
     prediction."""
-    return kind_curves("NIDP", ecm, data, var, grid)
+    return curves("NIDP", ecm.predictor, ecm.scm, data, var, grid)
 
 
 @dataclass(frozen=True)
@@ -431,13 +431,6 @@ def uncertainty_band(
         if label in labels:
             label = f"{label}#{i}"
         labels.append(label)
-        rows.append(kind_curves(kind, ecm, data, var, grid).mean)
-    curves = np.vstack(rows)
-    return BandSet(
-        kind,
-        grid,
-        tuple(labels),
-        curves,
-        curves.min(axis=0),
-        curves.max(axis=0),
-    )
+        rows.append(curves(kind, ecm.predictor, ecm.scm, data, var, grid).mean)
+    means = np.vstack(rows)
+    return BandSet(kind, grid, tuple(labels), means, means.min(axis=0), means.max(axis=0))

@@ -34,7 +34,7 @@ import os
 import select
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -681,18 +681,10 @@ def save_predictor(predictor: Predictor) -> dict:
             "expression": to_source(predictor.expression),
         }
     if isinstance(predictor, ForestPredictor):
-        cfg = predictor.config
         return {
             "kind": "forest",
             "features": list(predictor.features),
-            "config": {
-                "n_trees": cfg.n_trees,
-                "max_depth": cfg.max_depth,
-                "min_leaf": cfg.min_leaf,
-                "features_per_split": cfg.features_per_split,
-                "bootstrap": cfg.bootstrap,
-                "seed": cfg.seed,
-            },
+            "config": asdict(predictor.config),
             "trees": [
                 {name: arr.tolist() for name, arr in tree.items()}
                 for tree in predictor.trees
@@ -713,29 +705,40 @@ def _node_indices(values) -> np.ndarray:
 
 
 def load_predictor(blob: Mapping) -> Predictor:
-    """Inverse of save_predictor."""
+    """Inverse of save_predictor. A blob it cannot have written, with
+    features that are not a list of names, an OLS degree that is not a
+    whole number of at least 1 or an expression that is not text, raises
+    PredictorError."""
     kind = blob.get("kind")
+    if kind not in ("ols", "closed_form", "forest"):
+        raise PredictorError(f"unknown predictor kind {kind!r}")
+    features = blob["features"]
+    if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+        raise PredictorError(f"saved features {features!r} are not a list of names")
     if kind == "ols":
+        degree = blob["degree"]
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+            raise PredictorError(f"saved degree {degree!r} is not a whole number >= 1")
         return OlsPredictor(
-            blob["features"],
-            blob["degree"],
+            features,
+            degree,
             [tuple(e) for e in blob["exponents"]],
             np.asarray(blob["coefficients"], dtype=np.float64),
         )
     if kind == "closed_form":
-        return ClosedFormPredictor(blob["expression"], blob["features"])
-    if kind == "forest":
-        config = ForestConfig(**blob["config"])
-        trees = [
-            {
-                "feature": _node_indices(tree["feature"]),
-                "threshold": np.asarray(tree["threshold"], dtype=np.float64),
-                "left": _node_indices(tree["left"]),
-                "right": _node_indices(tree["right"]),
-                "value": np.asarray(tree["value"], dtype=np.float64),
-            }
-            for tree in blob["trees"]
-        ]
-        # blobs saved by older versions also carry y_min/y_max; they are ignored
-        return ForestPredictor(blob["features"], config, trees)
-    raise PredictorError(f"unknown predictor kind {kind!r}")
+        if not isinstance(blob["expression"], str):
+            raise PredictorError(f"saved expression {blob['expression']!r} is not text")
+        return ClosedFormPredictor(blob["expression"], features)
+    config = ForestConfig(**blob["config"])
+    trees = [
+        {
+            "feature": _node_indices(tree["feature"]),
+            "threshold": np.asarray(tree["threshold"], dtype=np.float64),
+            "left": _node_indices(tree["left"]),
+            "right": _node_indices(tree["right"]),
+            "value": np.asarray(tree["value"], dtype=np.float64),
+        }
+        for tree in blob["trees"]
+    ]
+    # blobs saved by older versions also carry y_min/y_max; they are ignored
+    return ForestPredictor(features, config, trees)

@@ -603,6 +603,13 @@ def _damaged_ols(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
+def _ols_with_degree(tmp_path, degree):
+    """A saved OLS model whose degree is the JSON literal degree."""
+    data = read_dataset_csv(_salary_data(tmp_path))
+    blob = {**save_predictor(fit_ols(data, "S", ("P", "F"))), "degree": None}
+    return _model_file(tmp_path, json.dumps(blob).replace('"degree": null', f'"degree": {degree}'))
+
+
 def _run_explaining_p_f_only(tmp_path):
     """A run whose explain_data has the P and F columns but not S."""
     explain = tmp_path / "pf.csv"
@@ -768,7 +775,17 @@ EXIT_CASES = {
             t, lambda tree: tree["right"].__setitem__(0, len(tree["feature"])))),
     "explain-forest-blob-fractional-index": (
         2, lambda t: _damaged_forest(t, lambda tree: tree["feature"].__setitem__(0, 0.7))),
+    "explain-ols-blob-degree-beyond-float-range": (2, lambda t: _ols_with_degree(t, "1e400")),
+    "explain-ols-blob-fractional-degree": (2, lambda t: _ols_with_degree(t, "1.5")),
+    "explain-closed-form-blob-expression-not-text": (
+        2, lambda t: _model_file(t, '{"kind": "closed_form", "features": ["P", "F"], '
+                                    '"expression": 5}')),
+    "explain-ols-blob-features-a-string": (
+        2, lambda t: _damaged_ols(t, lambda blob: blob.__setitem__("features", "PF"))),
     "discover-bad-label-map": (2, _discover_label_map),
+    "discover-label-map-integer-too-long": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)),
+                      "--label-map", '{"a": 1' + "0" * 5000 + "}"]),
     "simulate-out-missing-dir": (
         2, lambda t: ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "5",
                       "--out", str(t / "nodir" / "d.csv")]),

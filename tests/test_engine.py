@@ -1,6 +1,7 @@
 """Plot computations over the explanatory causal model."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
 from cdplot import engine
+from cdplot.errors import CdpError
 from cdplot.engine import (
     NIDP_NOTE,
     CurveSet,
@@ -520,9 +522,32 @@ def test_sweeps_propagate_once_per_block_and_predict_once_per_grid_value(
     monkeypatch.setattr(engine, "counterfactual_table", counting_propagate)
     monkeypatch.setattr(Predictor, "predict", counting_predict)
     _engine_curves(kind, ecm, data, "X", grid, {"M": 0.0})
-    calls_per_block = {"ICE": 0, "NIDP": 2}.get(kind, 1)
+    # PCDP {M: 0} and NDDP pin both features, X and M, so need no model
+    calls_per_block = {"ICE": 0, "PCDP": 0, "NDDP": 0, "NIDP": 2}.get(kind, 1)
     assert propagated == [b * data.m for b in blocks for _ in range(calls_per_block)]
     assert predicted == [data.m] * len(grid)
+
+
+def test_kinds_whose_pins_cover_the_features_need_no_model(monkeypatch):
+    # the mediation model with a child Z = exp(1000*X) whose abduction
+    # overflows; NDDP holds X's children M and Z and PCDP {M: 0} holds M,
+    # so both pin the features X and M and never abduct, while TDP does
+    mechanisms = dict(mediation_scm().mechanisms)
+    mechanisms["Z"] = Mechanism(("X",), parse("exp(1000*X)"), NoiseSpec.normal(0.0, 1.0))
+    scm = build_scm("overflow", mechanisms)
+    sampled, _ = sample(mediation_scm(), 30, seed=8)
+    data = _dataset(X=sampled.column("X"), M=sampled.column("M"), Z=np.zeros(30))
+    ecm = build_ecm(scm, correct_model())
+    grid = make_grid(data, "X", resolution=6)
+    abducted = mock.Mock(wraps=abduct)
+    monkeypatch.setattr(engine, "abduct", abducted)
+    direct = nddp(ecm, data, "X", grid)
+    pcdp(ecm, data, "X", grid, {"M": 0.0})
+    assert abducted.call_count == 0
+    assert direct.curves.tobytes() == ice(ecm.predictor, data, "X", grid).curves.tobytes()
+    with pytest.raises(CdpError, match="exp"):
+        tdp(ecm, data, "X", grid)
+    assert abducted.call_count == 1
 
 
 # --- world keys ------------------------------------------------------------
@@ -565,7 +590,13 @@ def test_kinds_with_one_world_key_have_bitwise_equal_curves(case):
     by_key = {}
     for kind in kinds:
         key = world_key(kind, ecm.scm, features, var, control)
-        by_key.setdefault(key, []).append(_engine_curves(kind, ecm, data, var, grid, control))
+        with mock.patch.object(engine, "abduct", wraps=engine.abduct) as abducted:
+            by_key.setdefault(key, []).append(_engine_curves(kind, ecm, data, var, grid, control))
+        # every feature is reached, so the key holds its pin, if any; a
+        # kind whose pins hold every feature needs no model
+        pins = dict(key)
+        model_free = all(pins.get(f) not in (None, engine.TDP_WORLD) for f in features)
+        assert abducted.call_count == (0 if model_free else 1), kind
     for curve_sets in by_key.values():
         for curve_set in curve_sets[1:]:
             assert np.array_equal(curve_set.curves, curve_sets[0].curves), curve_set.kind
