@@ -286,18 +286,19 @@ def _sweep(
     """The grid loop of every plot kind: column gi of the curves is the
     prediction on the world at grid value gi. world(xs) returns the
     stacked worlds of a block of grid values xs, len(xs) * m rows, grid
-    value by grid value; the predictor sees one grid value's m rows at a
-    time."""
+    value by grid value; the predictor gets the block's matrices at once
+    and predicts one grid value's m rows at a time."""
     curves = np.empty((m, len(grid)))
     block = max(1, _BLOCK_ROWS // m)
     for start in range(0, len(grid), block):
         xs = grid.values[start : start + block]
         columns = world(xs)
-        for j in range(len(xs)):
-            rows = slice(j * m, (j + 1) * m)
-            curves[:, start + j] = predictor.predict_columns(
-                {f: columns[f][rows] for f in predictor.features}
-            )
+        matrices = (
+            np.column_stack([columns[f][j * m : (j + 1) * m] for f in predictor.features])
+            for j in range(len(xs))
+        )
+        for j, predicted in enumerate(predictor.predict_each(matrices)):
+            curves[:, start + j] = predicted
     return curves
 
 

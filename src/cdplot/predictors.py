@@ -17,12 +17,14 @@ stdin/stdout (UTF-8, LF newlines):
     engine -> QUIT
 
 Floats travel with 17 significant digits so values round-trip exactly.
-Each request is written from one buffer while its answer is read, so a
-child may answer each row as soon as it reads it; the timeout bounds
-any stall on either pipe. A protocol error (timeout, early exit, broken
-pipe, bad handshake, short answer, malformed line, or output beyond the
-answer) raises ExternalPredictorError, kills the child, and makes every
-later request raise too.
+The requests of a block are written ahead of their answers, a chunk at
+a time as they are formatted, and each request's answers are parsed as
+soon as its lines are in; so a child answers in order, and may answer
+each row as soon as it reads it. The timeout bounds any stall on either
+pipe. A protocol error (timeout, early exit, broken pipe, bad handshake,
+short answer, malformed line, or output beyond the answers) raises
+ExternalPredictorError, kills the child, and makes every later request
+raise too.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import os
 import select
 import shlex
 import subprocess
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -87,6 +90,19 @@ class Predictor:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Predict for a matrix whose columns follow self.features."""
+        out = np.asarray(self._predict(self._checked(rows)), dtype=np.float64)
+        if not np.all(np.isfinite(out)):
+            raise PredictorError("predictor produced non-finite values")
+        return out
+
+    def predict_each(self, matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """The predictions for each matrix in turn, one predict call per
+        matrix; an external predictor sends them all ahead of the answers."""
+        return map(self.predict, matrices)
+
+    def _checked(self, rows: np.ndarray) -> np.ndarray:
+        """rows as a float matrix with one column per feature and only
+        finite values."""
         x = np.asarray(rows, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != len(self.features):
             raise PredictorError(
@@ -95,10 +111,7 @@ class Predictor:
             )
         if not np.all(np.isfinite(x)):
             raise PredictorError("feature rows contain non-finite values")
-        out = np.asarray(self._predict(x), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise PredictorError("predictor produced non-finite values")
-        return out
+        return x
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -519,13 +532,47 @@ def fit_forest(
 
 # --- external subprocess ---------------------------------------------------
 
+# Rows formatted into one chunk of a PREDICT request; a block's requests
+# are formatted a chunk at a time as the child drains the pipe.
+_CHUNK_ROWS = 512
+
+
+@dataclass(eq=False)
+class _Request:
+    """One request in flight: its text as chunks, formatted on demand;
+    the number of answer lines it expects and how they are parsed; the
+    key (its matrix, or None for the handshake) a predict call matches;
+    whether any of it was written, and its parsed answer once in."""
+
+    key: object
+    chunks: Iterator[bytes]
+    lines: int
+    parse: Callable[[list[bytes]], object]
+    started: bool = False
+    answer: object = None
+
+
+def _predict_chunks(x: np.ndarray) -> Iterator[bytes]:
+    """The PREDICT request for the rows of x, _CHUNK_ROWS rows a chunk."""
+    head = f"PREDICT {len(x)}\n"
+    for start in range(0, max(len(x), 1), _CHUNK_ROWS):
+        yield (head + _csv_rows(x[start : start + _CHUNK_ROWS])).encode("utf-8")
+        head = ""
+
 
 class ExternalPredictor(Predictor):
     """Bridges predict calls to a subprocess speaking the line protocol.
 
+    predict_each checks every matrix of a block and queues one PREDICT
+    request per matrix; each predict call then runs the exchange loop
+    until its own answers are in, and the loop keeps writing the later
+    requests meanwhile. So cdplot formats and parses while the child
+    evaluates. The handshake and a lone predict call are queues of one.
+
     After any protocol error the child is killed and every later call
     raises, so a late answer can never be read as the answer to a later
-    request."""
+    request. The same holds after a block whose answers were not all
+    taken, because its iterator was dropped or its consumer raised."""
 
     def __init__(self, command: str | Sequence[str], features: Sequence[str], timeout: float = 30.0):
         self.features = tuple(features)
@@ -536,6 +583,15 @@ class ExternalPredictor(Predictor):
             argv = list(command)
         self.command = argv
         self._broken: str | None = None
+        # requests not fully written, not fully answered, and not yet
+        # returned, each in request order
+        self._to_write: deque[_Request] = deque()
+        self._to_read: deque[_Request] = deque()
+        self._to_take: deque[_Request] = deque()
+        self._pending = memoryview(b"")  # formatted, unwritten bytes of _to_write[0]
+        self._received: list[bytes] = []  # answer bytes after the last parsed request
+        self._count = 0  # newlines in _received
+        self._expected = 0  # answer lines of the requests queued last
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -547,76 +603,136 @@ class ExternalPredictor(Predictor):
             raise ExternalPredictorError(f"could not start {argv!r}: {exc}") from None
         os.set_blocking(self._proc.stdin.fileno(), False)
         hello = f"HELLO CDP/1 {len(self.features)} {','.join(self.features)}\n"
-        answer = self._exchange(hello.encode("utf-8"), 1)[0].rstrip(b"\r")
+        self._queue([_Request(None, iter([hello.encode("utf-8")]), 1, list)])
+        answer = self._take()[0].rstrip(b"\r")
         if answer != b"READY":
             self._fail(f"handshake failed: expected READY, got {answer!r}")
 
     def _fail(self, message: str) -> NoReturn:
         """Kill the child and refuse every later request."""
         self._broken = message
+        for flight in (self._to_write, self._to_read, self._to_take):
+            flight.clear()
         self._terminate()
         raise ExternalPredictorError(message)
 
-    def _exchange(self, request: bytes, lines: int) -> list[bytes]:
-        """Write the whole request and read exactly `lines` answer lines.
+    def predict_each(self, matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Check every matrix, queue one PREDICT request per matrix, and
+        return the predictions in order, one predict call each. Nothing
+        is written before every matrix has passed its checks."""
+        checked = [self._checked(rows) for rows in matrices]
+        self._queue([self._request(x) for x in checked])
+        return map(self.predict, checked)
 
-        Writes and reads share one select loop, so a child that answers
-        each row as soon as it reads it never stalls on a full output
-        pipe while the request is still being written. The timeout
-        bounds any stall on either pipe."""
+    def _predict(self, x: np.ndarray) -> np.ndarray:
+        if not self._to_take or self._to_take[0].key is not x:
+            self._queue([self._request(x)])
+        return self._take()
+
+    def _request(self, x: np.ndarray) -> _Request:
+        return _Request(x, _predict_chunks(x), len(x), self._answers)
+
+    def _queue(self, requests: list[_Request]) -> None:
+        """Put requests in flight, unless the child is unusable or an
+        earlier block still has answers nobody took."""
         if self._broken is not None:
             raise ExternalPredictorError(
                 f"external predictor is unusable: {self._broken}"
             )
+        if self._to_take:
+            self._fail(
+                f"a block of requests was abandoned with {len(self._to_take)} "
+                "answer(s) not taken"
+            )
+        self._expected = sum(request.lines for request in requests)
+        for flight in (self._to_write, self._to_read, self._to_take):
+            flight.extend(requests)
+
+    def _take(self) -> object:
+        """The answer of the oldest request not yet taken."""
+        request = self._to_take.popleft()
+        self._exchange(request)
+        return request.answer
+
+    def _exchange(self, request: _Request) -> None:
+        """Run the one select loop until request's answer is in.
+
+        The loop writes the requests in flight in order, ahead of their
+        answers, formatting the next chunk whenever the last one is out;
+        and it reads answer lines whenever there are any, parsing each
+        request's lines as soon as they are complete. So a child that
+        answers each row as soon as it reads it never stalls on a full
+        output pipe, and cdplot formats and parses while the child
+        evaluates. Once every request in flight is answered the loop
+        also finishes writing, so the pipe never holds half a request.
+        The timeout bounds any stall on either pipe."""
         stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
-        pending = memoryview(request)
-        received = bytearray()
-        count = 0
-        while pending or count < lines:
+        self._settle()  # a request of 0 rows has all its answer lines
+        while request.answer is None or (self._to_write and not self._to_read):
+            if not self._pending and self._to_write:
+                chunk = next(self._to_write[0].chunks, None)
+                if chunk is None:
+                    self._to_write.popleft()
+                    continue
+                self._pending = memoryview(chunk)
             readable, writable, _ = select.select(
-                [stdout], [stdin] if pending else [], [], self.timeout
+                [stdout], [stdin] if self._pending else [], [], self.timeout
             )
             if not readable and not writable:
                 self._fail(f"external predictor timed out after {self.timeout} s")
             if readable:
-                chunk = os.read(stdout, 65536)
-                if not chunk:
-                    self._fail(
-                        f"external predictor exited (status {self._proc.poll()}) "
-                        f"before QUIT: expected {lines} answer line(s), got {count}"
-                    )
-                if len(pending) == len(request):
-                    self._fail(f"unexpected output before the request: {chunk[:80]!r}")
-                received += chunk
-                count += chunk.count(b"\n")
+                self._receive(os.read(stdout, 65536))
             if writable:
                 try:
-                    written = os.write(stdin, pending)
+                    written = os.write(stdin, self._pending)
                 except OSError as exc:
                     self._fail(
                         f"external predictor stopped reading (status {self._proc.poll()}) "
                         f"before QUIT: {exc}"
                     )
-                pending = pending[written:]
-        *answers, tail = bytes(received).split(b"\n")
-        if tail or count > lines:
-            self._fail(f"external predictor sent more than {lines} answer line(s)")
-        return answers
+                self._to_write[0].started = True
+                self._pending = self._pending[written:]
 
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        request = f"PREDICT {n}\n" + _csv_rows(x)
-        answers = self._exchange(request.encode("utf-8"), n)
-        out = np.empty(n)
-        for i, line in enumerate(answers):
-            try:
-                out[i] = float(line)
-            except ValueError:
-                self._fail(f"malformed response line {line!r}")
-        # float() also parses nan and inf, which are no answer either
+    def _receive(self, data: bytes) -> None:
+        """Take in answer bytes read from the child."""
+        if not data:
+            lines = self._to_read[0].lines if self._to_read else 0
+            self._fail(
+                f"external predictor exited (status {self._proc.poll()}) "
+                f"before QUIT: expected {lines} answer line(s), got {self._count}"
+            )
+        if self._to_read and not self._to_read[0].started:
+            self._fail(f"unexpected output before the request: {data[:80]!r}")
+        self._received.append(data)
+        self._count += data.count(b"\n")
+        self._settle()
+        if not self._to_read and self._received:
+            self._fail(f"external predictor sent more than {self._expected} answer line(s)")
+
+    def _settle(self) -> None:
+        """Parse the answers of every request whose lines are all in."""
+        while self._to_read and self._count >= self._to_read[0].lines:
+            request = self._to_read.popleft()
+            *lines, rest = b"".join(self._received).split(b"\n", request.lines)
+            self._received = [rest] if rest else []
+            self._count -= request.lines
+            request.answer = request.parse(lines)
+
+    def _answers(self, lines: list[bytes]) -> np.ndarray:
+        """Answer lines as floats; a line float() cannot parse, or one it
+        parses to nan or inf, is a protocol error."""
+        try:
+            out = np.fromiter(map(float, lines), np.float64, count=len(lines))
+        except ValueError:
+            for line in lines:
+                try:
+                    float(line)
+                except ValueError:
+                    self._fail(f"malformed response line {line!r}")
+            raise
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
-            self._fail(f"malformed response line {answers[bad[0]]!r}")
+            self._fail(f"malformed response line {lines[bad[0]]!r}")
         return out
 
     def describe(self) -> str:
@@ -624,14 +740,16 @@ class ExternalPredictor(Predictor):
 
     def close(self) -> None:
         """Send QUIT and give the child 5 s to exit. A broken predictor's
-        child is already dead, so closing it does not wait."""
+        child is already dead, and a child with requests in flight would
+        read QUIT as a row, so closing either does not wait."""
         if self._broken is None:
             self._broken = "it was closed"
-            try:
-                os.write(self._proc.stdin.fileno(), b"QUIT\n")
-                self._proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+            if not self._to_take:
+                try:
+                    os.write(self._proc.stdin.fileno(), b"QUIT\n")
+                    self._proc.wait(timeout=5.0)
+                except (OSError, subprocess.TimeoutExpired):
+                    pass
         self._terminate()
 
     def _terminate(self) -> None:
@@ -704,11 +822,36 @@ def _node_indices(values) -> np.ndarray:
     return indices
 
 
+def _saved_count(name: str, value) -> int:
+    """A saved setting that must be a whole number of at least 1; JSON's
+    true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise PredictorError(f"saved {name} {value!r} is not a whole number >= 1")
+    return value
+
+
+def _saved_forest_config(saved: Mapping) -> ForestConfig:
+    """A saved forest's config as fit_forest can have used it: tree
+    count, depth and leaf size whole numbers of at least 1,
+    features_per_split null or such a number, bootstrap true or false and
+    an integer seed. A setting left out takes its default."""
+    values = {**asdict(ForestConfig()), **saved}
+    for name in ("n_trees", "max_depth", "min_leaf"):
+        _saved_count(name, values[name])
+    if values["features_per_split"] is not None:
+        _saved_count("features_per_split", values["features_per_split"])
+    if not isinstance(values["bootstrap"], bool):
+        raise PredictorError(f"saved bootstrap {values['bootstrap']!r} is not true or false")
+    if isinstance(values["seed"], bool) or not isinstance(values["seed"], int):
+        raise PredictorError(f"saved seed {values['seed']!r} is not an integer")
+    return ForestConfig(**values)
+
+
 def load_predictor(blob: Mapping) -> Predictor:
     """Inverse of save_predictor. A blob it cannot have written, with
     features that are not a list of names, an OLS degree that is not a
-    whole number of at least 1 or an expression that is not text, raises
-    PredictorError."""
+    whole number of at least 1, an expression that is not text, or a
+    forest config fit_forest cannot have used, raises PredictorError."""
     kind = blob.get("kind")
     if kind not in ("ols", "closed_form", "forest"):
         raise PredictorError(f"unknown predictor kind {kind!r}")
@@ -716,12 +859,9 @@ def load_predictor(blob: Mapping) -> Predictor:
     if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
         raise PredictorError(f"saved features {features!r} are not a list of names")
     if kind == "ols":
-        degree = blob["degree"]
-        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-            raise PredictorError(f"saved degree {degree!r} is not a whole number >= 1")
         return OlsPredictor(
             features,
-            degree,
+            _saved_count("degree", blob["degree"]),
             [tuple(e) for e in blob["exponents"]],
             np.asarray(blob["coefficients"], dtype=np.float64),
         )
@@ -729,7 +869,7 @@ def load_predictor(blob: Mapping) -> Predictor:
         if not isinstance(blob["expression"], str):
             raise PredictorError(f"saved expression {blob['expression']!r} is not text")
         return ClosedFormPredictor(blob["expression"], features)
-    config = ForestConfig(**blob["config"])
+    config = _saved_forest_config(blob["config"])
     trees = [
         {
             "feature": _node_indices(tree["feature"]),
@@ -741,4 +881,7 @@ def load_predictor(blob: Mapping) -> Predictor:
         for tree in blob["trees"]
     ]
     # blobs saved by older versions also carry y_min/y_max; they are ignored
-    return ForestPredictor(features, config, trees)
+    forest = ForestPredictor(features, config, trees)
+    if config.n_trees != len(forest.trees):
+        raise PredictorError(f"saved n_trees {config.n_trees} but {len(forest.trees)} tree(s)")
+    return forest

@@ -596,6 +596,15 @@ def _damaged_forest(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
+def _forest_config_set(tmp_path, setting, literal):
+    """A saved two-tree forest whose config setting is the JSON literal."""
+    data = read_dataset_csv(_salary_data(tmp_path))
+    model = fit_forest(data, "S", ("P", "F"), ForestConfig(n_trees=2, max_depth=3, min_leaf=2))
+    blob = save_predictor(model)
+    blob["config"][setting] = "<setting>"
+    return _model_file(tmp_path, json.dumps(blob).replace('"<setting>"', literal))
+
+
 def _damaged_ols(tmp_path, damage):
     data = read_dataset_csv(_salary_data(tmp_path))
     blob = save_predictor(fit_ols(data, "S", ("P", "F")))
@@ -775,6 +784,14 @@ EXIT_CASES = {
             t, lambda tree: tree["right"].__setitem__(0, len(tree["feature"])))),
     "explain-forest-blob-fractional-index": (
         2, lambda t: _damaged_forest(t, lambda tree: tree["feature"].__setitem__(0, 0.7))),
+    "explain-forest-blob-fractional-tree-count": (
+        2, lambda t: _forest_config_set(t, "n_trees", "2.5")),
+    "explain-forest-blob-tree-count-a-bool": (
+        2, lambda t: _forest_config_set(t, "n_trees", "true")),
+    "explain-forest-blob-tree-count-not-the-trees-saved": (
+        2, lambda t: _forest_config_set(t, "n_trees", "7")),
+    "explain-forest-blob-seed-not-a-number": (
+        2, lambda t: _forest_config_set(t, "seed", '"x"')),
     "explain-ols-blob-degree-beyond-float-range": (2, lambda t: _ols_with_degree(t, "1e400")),
     "explain-ols-blob-fractional-degree": (2, lambda t: _ols_with_degree(t, "1.5")),
     "explain-closed-form-blob-expression-not-text": (

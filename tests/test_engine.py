@@ -1,6 +1,7 @@
 """Plot computations over the explanatory causal model."""
 
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from cdplot.engine import (
     world_key,
 )
 from cdplot.expr import parse
-from cdplot.predictors import ClosedFormPredictor, OlsPredictor, Predictor, fit_ols
+from cdplot.predictors import ClosedFormPredictor, OlsPredictor, Predictor, fit_ols, open_external
 from cdplot.scm import (
     Dataset,
     Mechanism,
@@ -526,6 +527,42 @@ def test_sweeps_propagate_once_per_block_and_predict_once_per_grid_value(
     calls_per_block = {"ICE": 0, "PCDP": 0, "NDDP": 0, "NIDP": 2}.get(kind, 1)
     assert propagated == [b * data.m for b in blocks for _ in range(calls_per_block)]
     assert predicted == [data.m] * len(grid)
+
+
+# An external predictor answering each row with the sum of its cells as
+# soon as it reads the row.
+SUM_CHILD = """\
+import sys
+sys.stdin.readline()
+sys.stdout.write("READY\\n"); sys.stdout.flush()
+while True:
+    req = sys.stdin.readline().split()
+    if not req or req == ["QUIT"]:
+        break
+    for _ in range(int(req[1])):
+        cells = [float(c) for c in sys.stdin.readline().split(",")]
+        sys.stdout.write(format(sum(cells), ".17g") + "\\n")
+    sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("per_block", [None, 3], ids=["one-block", "blocks-of-3"])
+def test_external_sweeps_equal_the_in_process_ones(tmp_path, monkeypatch, per_block):
+    # the external predictor gets each block's requests at once and its
+    # answers arrive while the later requests are still being written
+    script = tmp_path / "sum.py"
+    script.write_text(SUM_CHILD, encoding="utf-8")
+    scm = mediation_scm()
+    data, _ = sample(scm, 30, seed=2)
+    grid = make_grid(data, "X", resolution=10)
+    if per_block is not None:
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", per_block * data.m)
+    in_process = ClosedFormPredictor("X + M", ("X", "M"))
+    with open_external([sys.executable, str(script)], ("X", "M"), timeout=10.0) as external:
+        for kind in ("ICE", "TDP", "NIDP"):
+            swept = engine.curves(kind, external, scm, data, "X", grid).curves
+            expected = engine.curves(kind, in_process, scm, data, "X", grid).curves
+            assert swept.tobytes() == expected.tobytes(), kind
 
 
 def test_kinds_whose_pins_cover_the_features_need_no_model(monkeypatch):

@@ -438,6 +438,30 @@ def test_forest_blob_with_legacy_bounds_still_loads():
     assert np.array_equal(clone.predict(grid), model.predict(grid))
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("n_trees", 2.5, "n_trees 2.5 is not a whole number"),
+    ("n_trees", True, "n_trees True is not a whole number"),
+    ("n_trees", 7, "n_trees 7 but 2 tree"),
+    ("max_depth", 0, "max_depth 0 is not a whole number"),
+    ("min_leaf", "5", "min_leaf '5' is not a whole number"),
+    ("features_per_split", 1.5, "features_per_split 1.5 is not a whole number"),
+    ("features_per_split", False, "features_per_split False is not a whole number"),
+    ("bootstrap", 1, "bootstrap 1 is not true or false"),
+    ("seed", "x", "seed 'x' is not an integer"),
+    ("seed", 1.0, "seed 1.0 is not an integer"),
+    ("seed", True, "seed True is not an integer"),
+])
+def test_saved_forest_config_is_checked(setting, value, message):
+    blob = _damaged_forest_blob(lambda b, t: b["config"].__setitem__(setting, value))
+    with pytest.raises(PredictorError, match=message):
+        load_predictor(blob)
+
+
+def test_saved_forest_config_without_features_per_split_loads():
+    blob = _damaged_forest_blob(lambda b, t: b["config"].__setitem__("features_per_split", None))
+    assert load_predictor(blob).describe() == "forest(trees=2, depth=3)"
+
+
 # --- external bridge -------------------------------------------------------
 
 
@@ -694,3 +718,167 @@ def test_bundled_reference_script_matches_closed_form():
     rows = np.array([[1.0, 2.0], [1.5, 2.0], [0.5, -1.0]])
     with open_external(command, ("P", "F")) as model:
         assert np.allclose(model.predict(rows), closed.predict(rows), atol=1e-15)
+
+
+# --- pipelined blocks ------------------------------------------------------
+
+# Answers each row with the sum of its cells, after the whole request
+# is read, and copies every byte it reads from stdin to the file named
+# by its first argument.
+RECORDING_SCRIPT = """\
+    import sys
+    record = open(sys.argv[1], "wb")
+    def line():
+        text = sys.stdin.buffer.readline()
+        record.write(text); record.flush()
+        return text
+    line()
+    sys.stdout.write("READY\\n"); sys.stdout.flush()
+    while True:
+        req = line().split()
+        if not req or req == [b"QUIT"]:
+            break
+        sums = [sum(float(c) for c in line().split(b",")) for _ in range(int(req[1]))]
+        sys.stdout.write("".join(format(v, ".17g") + "\\n" for v in sums)); sys.stdout.flush()
+"""
+
+# Answers request r with r on every row after reading it, except that
+# request 3 goes wrong in the way the mode names.
+BLOCK_FAULT_SCRIPT = """\
+    import sys
+    mode = sys.argv[1]
+    sys.stdin.readline()
+    sys.stdout.write("READY\\n"); sys.stdout.flush()
+    request = 0
+    while True:
+        req = sys.stdin.readline().split()
+        if not req or req == ["QUIT"]:
+            break
+        n = int(req[1])
+        for _ in range(n):
+            sys.stdin.readline()
+        request += 1
+        if request == 3 and mode == "exit":
+            sys.exit(0)
+        lines = ["%d.0\\n" % request] * n
+        if request == 3 and mode == "malformed":
+            lines[1] = "banana\\n"
+        sys.stdout.write("".join(lines)); sys.stdout.flush()
+"""
+
+
+def _block(sizes, k=2, seed=5):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(scale=1e3, size=(n, k)) for n in sizes]
+
+
+def test_a_block_goes_out_as_the_requests_of_its_matrices_in_order(tmp_path):
+    record = tmp_path / "stdin.txt"
+    command = _script(tmp_path, "record.py", RECORDING_SCRIPT) + f" {record}"
+    # sizes around the chunk size, and an empty request
+    block = _block([1, 511, 512, 513, 0, 1025, 3, 700])
+    with open_external(command, ("a", "b")) as model:
+        out = list(model.predict_each(block))
+    assert [len(o) for o in out] == [len(x) for x in block]
+    for x, o in zip(block, out):
+        assert np.array_equal(o, x[:, 0] + x[:, 1])
+    sent = "".join(f"PREDICT {len(x)}\n" + predictors._csv_rows(x) for x in block)
+    assert record.read_text() == "HELLO CDP/1 2 a,b\n" + sent + "QUIT\n"
+
+
+def test_a_surplus_line_in_a_block_is_a_protocol_error(tmp_path):
+    # the first request's extra line shifts every later answer by one,
+    # so the count over the block finds it when the last answer is in
+    command = _script(tmp_path, "desync.py", DESYNC_SCRIPT) + " extra"
+    model = open_external(command, ("x",), timeout=5.0)
+    try:
+        with pytest.raises(ExternalPredictorError, match="more than 16 answer line"):
+            list(model.predict_each([np.zeros((2, 1))] * 8))
+        with pytest.raises(ExternalPredictorError, match="unusable: .*more than 16"):
+            model.predict(np.zeros((2, 1)))
+    finally:
+        model.close()
+
+
+def test_a_child_exiting_within_a_block_fails_promptly(tmp_path):
+    command = _script(tmp_path, "fault.py", BLOCK_FAULT_SCRIPT) + " exit"
+    model = open_external(command, ("x",), timeout=30.0)
+    start = time.monotonic()
+    taken = []
+    try:
+        with pytest.raises(ExternalPredictorError, match="before QUIT"):
+            for out in model.predict_each(_block([600] * 8, k=1)):
+                taken.append(out[0])
+    finally:
+        model.close()
+    assert time.monotonic() - start < 10.0
+    # the exit may surface while an earlier answer is awaited, since the
+    # later requests are being written meanwhile; no answer is wrong
+    assert taken == [1.0, 2.0][: len(taken)]
+
+
+def test_a_malformed_answer_within_a_block_names_its_line(tmp_path):
+    command = _script(tmp_path, "fault.py", BLOCK_FAULT_SCRIPT) + " malformed"
+    model = open_external(command, ("x",), timeout=5.0)
+    try:
+        with pytest.raises(ExternalPredictorError, match="malformed response line b'banana'"):
+            list(model.predict_each(_block([4] * 8, k=1)))
+        with pytest.raises(ExternalPredictorError, match="unusable: malformed"):
+            model.predict(np.zeros((4, 1)))
+    finally:
+        model.close()
+
+
+def test_a_non_finite_row_anywhere_in_a_block_stops_it_before_any_write(tmp_path):
+    record = tmp_path / "stdin.txt"
+    command = _script(tmp_path, "record.py", RECORDING_SCRIPT) + f" {record}"
+    block = _block([50] * 8)
+    block[-1][-1, 0] = np.nan
+    with open_external(command, ("a", "b")) as model:
+        with pytest.raises(PredictorError, match="non-finite") as raised:
+            model.predict_each(block)
+        assert not isinstance(raised.value, ExternalPredictorError)
+        assert np.array_equal(model.predict(block[0]), block[0].sum(axis=1))
+    assert record.read_text() == (
+        "HELLO CDP/1 2 a,b\n"
+        + f"PREDICT 50\n{predictors._csv_rows(block[0])}QUIT\n"
+    )
+
+
+def test_a_row_by_row_child_takes_a_block_of_large_requests_without_deadlock(tmp_path):
+    # SUM_SCRIPT answers each row as it reads it, so its output pipe is
+    # full while most of a request, and the block behind it, is unwritten
+    command = _script(tmp_path, "sum.py", SUM_SCRIPT)
+    block = list(np.arange(160_000, dtype=np.float64).reshape(8, 20_000, 1))
+    model = open_external(command, ("x",), timeout=5.0)
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.update(out=list(model.predict_each(block))), daemon=True
+    )
+    worker.start()
+    worker.join(60)
+    hung = worker.is_alive()
+    if hung:
+        model._proc.kill()  # unblock the writer so the test fails, not hangs
+        worker.join(10)
+    model.close()
+    assert not hung, "predict_each deadlocked"
+    assert all(np.array_equal(o, x[:, 0]) for o, x in zip(result["out"], block))
+
+
+def test_calls_after_an_abandoned_block_refuse(tmp_path):
+    command = _script(tmp_path, "sum.py", SUM_SCRIPT)
+    block = _block([3] * 8)
+    model = open_external(command, ("a", "b"))
+    try:
+        answers = model.predict_each(block)
+        assert np.array_equal(next(answers), block[0].sum(axis=1))
+        del answers
+        with pytest.raises(ExternalPredictorError, match="abandoned with 7 answer"):
+            model.predict(block[1].copy())
+        with pytest.raises(ExternalPredictorError, match="unusable: .*abandoned"):
+            model.predict_each(block)
+    finally:
+        start = time.monotonic()
+        model.close()
+        assert time.monotonic() - start < 1.0
