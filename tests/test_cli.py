@@ -642,6 +642,14 @@ def _fit(tmp_path, *extra):
             "--out", str(tmp_path / "m.json"), *extra]
 
 
+def _fit_huge_target(tmp_path):
+    data = tmp_path / "huge.csv"
+    data.write_text("x,y\n" + "".join(
+        f"{i / 20},{1e200 if i >= 10 else -1e200}\n" for i in range(20)))
+    return ["fit", "--data", str(data), "--target", "y", "--kind", "forest",
+            "--trees", "3", "--out", str(tmp_path / "m.json")]
+
+
 def _render_into_missing_dir(tmp_path):
     argv = _render(tmp_path, "plot_kind,unit,grid_value,value\nTDP,0,0.5,1\n"
                              "TDP,mean,0.5,1\n")
@@ -876,6 +884,7 @@ EXIT_CASES = {
     "explain-mean-overflows": (
         4, lambda t: _explain(t, "--var", "P", "--plots", "ICE", "--closed-form", "P*1e308",
                               "--features", "P")),
+    "fit-forest-target-squares-overflow": (4, _fit_huge_target),
     "external-protocol-failure": (5, _mute_external),
     "external-nan-answer": (5, _nan_external),
 }

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import sys
 import textwrap
 import threading
@@ -354,6 +355,143 @@ def test_rows_on_a_threshold_go_left():
     model = fit_forest(data, "y", ("x",), config)
     assert model.trees[0]["threshold"][0] == 0.5
     assert np.array_equal(model.predict(np.array([[0.5], [np.nextafter(0.5, 1)]])), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n_trees", [1, 7, 50])
+def test_packed_forest_matches_the_per_tree_walk_across_row_blocks(n_trees):
+    rng = np.random.default_rng(n_trees)
+    x = rng.normal(size=(300, 2))
+    y = x[:, 0] ** 2 + x[:, 1] + rng.normal(scale=0.1, size=300)
+    config = ForestConfig(n_trees=n_trees, seed=n_trees)
+    model = fit_forest(_dataset(a=x[:, 0], b=x[:, 1], y=y), "y", ("a", "b"), config)
+    step = max(1, predictors._FOREST_NODES // n_trees)
+    pool = np.vstack([_on_thresholds(model, x), rng.normal(scale=1.5, size=(2 * step + 3, 2))])
+    pool = rng.permutation(pool)
+    for count in (1, step - 1, step, step + 1, 2 * step + 3):
+        rows = pool[:count]
+        expected = _forest_by_tree(model, rows).view(np.int64)
+        assert np.array_equal(model.predict(rows).view(np.int64), expected)
+    assert model.predict(np.empty((0, 2))).shape == (0,)
+
+
+def _best_split_by_reference(x, y, idx, feature, min_leaf):
+    """Best SSE-reducing threshold on one feature, or None; scores every
+    split position. With _grow_by_reference, the grower before the lean
+    one, kept as the reference for fit_forest's trees."""
+    values = x[idx, feature]
+    order = np.argsort(values, kind="stable")
+    xs = values[order]
+    ys = y[idx][order]
+    n = len(idx)
+    if xs[0] == xs[-1]:
+        return None
+    csum = np.cumsum(ys)
+    csum2 = np.cumsum(ys * ys)
+    total, total2 = csum[-1], csum2[-1]
+    counts = np.arange(1, n)
+    left_sse = csum2[:-1] - csum[:-1] ** 2 / counts
+    right_sse = (total2 - csum2[:-1]) - (total - csum[:-1]) ** 2 / (n - counts)
+    score = left_sse + right_sse
+    valid = (counts >= min_leaf) & (counts <= n - min_leaf) & (xs[:-1] < xs[1:])
+    if not np.any(valid):
+        return None
+    score = np.where(valid, score, np.inf)
+    best = int(np.argmin(score))
+    threshold = 0.5 * (xs[best] + xs[best + 1])
+    return float(score[best]), threshold, order[: best + 1], order[best + 1 :]
+
+
+def _grow_by_reference(tree, x, y, idx, depth, config, mtry, rng):
+    subset = y[idx]
+    mean = float(np.mean(subset))
+    if (
+        depth >= config.max_depth
+        or len(idx) < 2 * config.min_leaf
+        or np.ptp(subset) == 0.0
+    ):
+        return tree.add_leaf(mean)
+    k = x.shape[1]
+    chosen = rng.choice(k, size=min(mtry, k), replace=False)
+    best = None
+    for feature in chosen:
+        found = _best_split_by_reference(x, y, idx, int(feature), config.min_leaf)
+        if found is None:
+            continue
+        score, threshold, left_local, right_local = found
+        if best is None or score < best[0]:
+            best = (score, int(feature), threshold, left_local, right_local)
+    if best is None:
+        return tree.add_leaf(mean)
+    _, feature, threshold, left_local, right_local = best
+    node = tree.add_split(feature, threshold)
+    tree.left[node] = _grow_by_reference(tree, x, y, idx[left_local], depth + 1, config, mtry, rng)
+    tree.right[node] = _grow_by_reference(tree, x, y, idx[right_local], depth + 1, config, mtry, rng)
+    return node
+
+
+def _trees_by_reference(x, y, config):
+    """fit_forest's draws per tree, grown by the reference grower."""
+    n = x.shape[0]
+    mtry = config.features_per_split or math.ceil(x.shape[1] / 3)
+    trees = []
+    for t in range(config.n_trees):
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        tree = predictors._Tree()
+        _grow_by_reference(tree, x, y, np.asarray(idx), 0, config, mtry, rng)
+        trees.append(tree.freeze())
+    return trees
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grower_builds_the_reference_trees(data):
+    k = data.draw(st.integers(1, 4), label="features")
+    min_leaf = data.draw(st.integers(1, 5), label="min_leaf")
+    n = data.draw(st.one_of(
+        st.integers(2 * min_leaf, 2 * min_leaf + 2), st.integers(2 * min_leaf, 60)), label="rows")
+    x = np.array(data.draw(st.lists(
+        st.lists(_cells, min_size=k, max_size=k), min_size=n, max_size=n)))
+    # tied targets, and sevenths, whose sums round differently in another
+    # order, so that a change of the stable tie order shows
+    targets = {
+        "constant": st.just(2.5),
+        "tied": st.integers(-2, 2).map(float),
+        "sevenths": st.integers(-70, 70).map(lambda i: i / 7),
+        "floats": st.floats(-10, 10),
+    }
+    cell = targets[data.draw(st.sampled_from(sorted(targets)), label="target")]
+    y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
+    config = ForestConfig(
+        n_trees=data.draw(st.integers(1, 4), label="n_trees"),
+        max_depth=data.draw(st.integers(1, 9), label="max_depth"),
+        min_leaf=min_leaf,
+        features_per_split=data.draw(st.integers(1, k), label="features_per_split"),
+        bootstrap=data.draw(st.booleans(), label="bootstrap"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    names = [f"x{j}" for j in range(k)]
+    model = fit_forest(_dataset(**dict(zip(names, x.T)), y=y), "y", names, config)
+    expected = _trees_by_reference(x, y, config)
+    assert len(model.trees) == len(expected)
+    for got, want in zip(model.trees, expected):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert got[name].dtype == want[name].dtype
+            assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64)), name
+
+
+def test_forest_rejects_a_target_whose_squares_overflow():
+    # the sums of squared targets would overflow, and NaN scores would
+    # split the root far from the step at 0.5
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 1, size=200)
+    config = ForestConfig(n_trees=3, seed=1)
+    with pytest.raises(PredictorError, match="overflow"):
+        fit_forest(_dataset(x=x, y=np.where(x > 0.5, 1e200, -1e200)), "y", ("x",), config)
+    model = fit_forest(_dataset(x=x, y=np.where(x > 0.5, 1e150, -1e150)), "y", ("x",), config)
+    for tree in model.trees:
+        assert abs(tree["threshold"][0] - 0.5) < 0.05
 
 
 def _damaged_forest_blob(damage):
