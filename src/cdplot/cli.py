@@ -93,12 +93,14 @@ def _read_input(path: str | Path, what: str, error: type[CdpError]) -> str:
 
 
 def _json(text: str, source: str | Path):
-    """JSON text from source, a file or a flag; text that does not parse
-    is a ConfigError."""
+    """JSON text from source, a file or a flag; text that does not parse,
+    or nests too deeply for the decoder, is a ConfigError."""
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{source}: invalid JSON: nested too deeply") from None
 
 
 def _read_json(path: str | Path, what: str):
@@ -281,15 +283,6 @@ class SimulateBlock:
 
 
 @dataclasses.dataclass(frozen=True)
-class DiscoveryBlock:
-    alpha: float = 0.05
-    max_cond: int = 3
-    degree: int = 3
-    variables: tuple[str, ...] = ()
-    cap: int = 64
-
-
-@dataclasses.dataclass(frozen=True)
 class PredictorBlock:
     label: str
     kind: str
@@ -302,7 +295,7 @@ class PredictorBlock:
 class RunConfig:
     raw: dict
     scm_path: Path | None
-    discovery: DiscoveryBlock | None
+    discovery: disc.DiscoverySettings | None
     data_source: Path | SimulateBlock
     explain_data: Path | None
     predictors: tuple[PredictorBlock, ...]
@@ -417,9 +410,9 @@ def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
 
 
 def _names(key: str, value) -> tuple[str, ...]:
-    """A list-valued config key; a string is not accepted, because it
-    would be taken apart into its characters."""
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+    """A list-valued config key, or a default's tuple; a string is not
+    accepted, because it would be taken apart into its characters."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
         raise ConfigError(f"{key!r} must be a list of names, got {value!r}")
     return tuple(value)
 
@@ -541,19 +534,18 @@ def _check_band_models(
         raise ConfigError("band models lack " + ", ".join(missing))
 
 
-def _discovery_block(block) -> DiscoveryBlock:
+def _discovery_block(block) -> disc.DiscoverySettings:
     """Discovery settings as a run config's 'discovery' object or the
-    discover flags give them."""
+    discover flags give them; a setting left out takes its default."""
     if not isinstance(block, dict):
         raise ConfigError("'discovery' must be an object")
-    return DiscoveryBlock(
-        alpha=_alpha(_number("alpha", block.get("alpha", 0.05))),
-        max_cond=_at_least("max_cond", _number("max_cond", block.get("max_cond", 3), int), 0),
-        degree=_at_least("degree", _number("degree", block.get("degree", 3), int), 1),
-        variables=_distinct(
-            "discovery variable", _names("variables", block.get("variables", []))
-        ),
-        cap=_at_least("cap", _number("cap", block.get("cap", 64), int), 1),
+    given = {**dataclasses.asdict(disc.DiscoverySettings()), **block}
+    return disc.DiscoverySettings(
+        alpha=_alpha(_number("alpha", given["alpha"])),
+        max_cond=_at_least("max_cond", _number("max_cond", given["max_cond"], int), 0),
+        degree=_at_least("degree", _number("degree", given["degree"], int), 1),
+        variables=_distinct("discovery variable", _names("variables", given["variables"])),
+        cap=_at_least("cap", _number("cap", given["cap"], int), 1),
     )
 
 
@@ -677,11 +669,23 @@ def _write_file(path: str | Path, text: str) -> None:
 
 
 class _Outputs:
-    """Tracks files written so a failed run leaves nothing behind."""
+    """Tracks files written so a failed run leaves nothing behind: as a
+    context manager it removes them when the block raises."""
 
     def __init__(self, directory: Path):
         self.directory = directory
         self.written: list[Path] = []
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None:
+            for target in self.written:
+                try:
+                    target.unlink()
+                except OSError:
+                    pass
 
     def write(self, name: str, text: str) -> None:
         try:
@@ -691,13 +695,6 @@ class _Outputs:
         target = self.directory / name
         _write_file(target, text)
         self.written.append(target)
-
-    def discard_all(self) -> None:
-        for target in self.written:
-            try:
-                target.unlink()
-            except OSError:
-                pass
 
 
 def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
@@ -709,31 +706,10 @@ def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
     return names
 
 
-def _cpdag(block: DiscoveryBlock, data: Dataset) -> disc.Cpdag:
-    """The partially directed graph of the block's variables, or of
-    every column when it names none."""
-    names = _columns(data, block.variables or data.columns, "discovery variable")
-    subset = Dataset(names, np.column_stack([data.column(n) for n in names]))
-    skeleton, sepsets = disc.pc_skeleton(subset, block.alpha, block.max_cond)
-    return disc.orient_cpdag(skeleton, sepsets)
-
-
-def _strip_variable(dag: disc.Dag, drop: set[str]) -> disc.Dag:
-    keep = tuple(v for v in dag.variables if v not in drop)
-    edges = frozenset(
-        (a, b) for a, b in dag.edges if a not in drop and b not in drop
-    )
-    return disc.Dag(keep, edges)
-
-
 def run_pipeline(config: RunConfig, config_label: str = "config") -> dict:
     """Execute a run config; returns the manifest dict."""
-    outputs = _Outputs(config.output_dir)
-    try:
+    with _Outputs(config.output_dir) as outputs:
         return _run_stages(config, config_label, outputs)
-    except BaseException:
-        outputs.discard_all()
-        raise
 
 
 def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict:
@@ -754,23 +730,8 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
 
     # structure
     if config.discovery is not None:
-        block = config.discovery
-        cpdag = _cpdag(block, data)
-        enumeration = disc.enumerate_dags(cpdag, block.cap)
-        if not enumeration.dags:
-            raise disc.DiscoveryError("no acyclic orientation of the discovered graph")
-        chosen = enumeration.dags[0]
         targets = {b.target for b in config.predictors if b.target}
-        predictor_dag = _strip_variable(chosen, targets)
-        scm = disc.fit_anm(predictor_dag, data, block.degree)
-        inputs["discovery"] = {
-            "cpdag": disc.cpdag_to_text(cpdag).splitlines(),
-            "chosen_dag": sorted(f"{a} -> {b}" for a, b in chosen.edges),
-            "collider_conflicts": [f"{a} -- {b}" for a, b in cpdag.conflicts],
-            "contested": [f"{a} -- {b}" for a, b in cpdag.contested],
-            "candidates": len(enumeration.dags),
-            "truncated": enumeration.truncated,
-        }
+        scm, inputs["discovery"] = disc.select(config.discovery, data, targets)
     else:
         inputs["scm"] = str(config.scm_path)
     for table in (data, explain_data):
@@ -818,12 +779,11 @@ def _write_plots(
     writers,
     band_scms: Sequence[Scm] = (),
 ) -> None:
-    """Check the request against the predictor's features, then write the
-    curves of each explained variable and plot kind through each
-    (extension, writer), one sweep per _sweep_groups group, plus the band
-    files of band_scms; close the predictor at the end, also on failure."""
+    """Write the curves of each explained variable and plot kind through
+    each (extension, writer), one sweep per _sweep_groups group, plus the
+    band files of band_scms; close the predictor at the end, also on
+    failure. The caller has checked the request (_check_request)."""
     try:
-        _check_request(scm, variables, plots, control, [predictor.features])
         if any(kind not in ("ICE", "PDP") for kind in plots):
             engine.build_ecm(scm, predictor)  # every feature is a model variable
         candidates = [engine.build_ecm(s, predictor) for s in band_scms]
@@ -906,7 +866,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_discover(args) -> int:
     label_map = _label_map(_json(args.label_map, "--label-map")) if args.label_map else None
     block = _discovery_block(_given(args, "alpha", "max_cond", "variables"))
-    text = disc.cpdag_to_text(_cpdag(block, read_dataset_csv(args.data, label_map)))
+    text = disc.cpdag_to_text(disc.learn_cpdag(block, read_dataset_csv(args.data, label_map)))
     if args.out:
         _write_file(args.out, text)
     sys.stdout.write(text)
@@ -944,28 +904,28 @@ def _cmd_explain(args) -> int:
     plots = _plot_kinds(tuple(args.plots.split(",")))
     control = _parse_controls(args.control)
     resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
+    block = None
     if args.model:
         blob = _read_json(args.model, "model")
         try:
             predictor: Predictor = load_predictor(blob)
-        except (AttributeError, KeyError, TypeError, ValueError, PredictorError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, CdpError) as exc:
             raise ConfigError(f"{args.model}: not a saved predictor: {exc!r}") from None
     elif args.expression or args.command:
         kind = "closed_form" if args.expression else "external"
         flags = _given(args, "features", "expression", "command", "timeout")
         block = _predictor_block(kind, kind, flags)
-        predictor = _build_predictor(block, data, ())
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
-    outputs = _Outputs(Path(args.out_dir))
-    try:
+    features = predictor.features if block is None else block.features
+    _check_request(scm, (args.var,), plots, control, [features])
+    if block is not None:  # as in run, an external child starts only for a valid request
+        predictor = _build_predictor(block, data, ())
+    with _Outputs(Path(args.out_dir)) as outputs:
         _write_plots(
             outputs, "", scm, predictor, data, (args.var,), plots, resolution, control,
             (("csv", render.export_csv),),
         )
-    except BaseException:
-        outputs.discard_all()
-        raise
     for path in outputs.written:
         print(f"wrote {path}")
     return 0

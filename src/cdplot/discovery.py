@@ -26,6 +26,12 @@ of k undirected edges.
 fit_anm turns one candidate DAG into a concrete additive-noise model
 by polynomial least squares, so abduction on the training data returns
 exactly the per-unit fit residuals.
+
+select is the structure step of a run: it learns the graph
+(learn_cpdag, also behind `discover`), keeps the first candidate in name
+order, drops the predictors' targets and fits the ANM to the rest. It
+returns the model with the record the manifest keeps. DiscoverySettings
+holds the defaults of every step.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CdpError
+from .errors import CdpError, DataError
 from .expr import BinOp, Const, Expression, Neg, Var, evaluate_batch
 from .predictors import fit_ols
 from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm, ndtri, topological_order
@@ -47,14 +53,17 @@ __all__ = [
     "Dag",
     "DagEnumeration",
     "DiscoveryError",
+    "DiscoverySettings",
     "SepsetTable",
     "Skeleton",
     "cpdag_to_text",
     "enumerate_dags",
     "fisher_z_test",
     "fit_anm",
+    "learn_cpdag",
     "orient_cpdag",
     "pc_skeleton",
+    "select",
 ]
 
 logger = logging.getLogger(__name__)
@@ -546,3 +555,49 @@ def fit_anm(dag: Dag, data: Dataset, degree: int = 3) -> Scm:
         sd = float(np.std(residuals))
         mechanisms[var] = Mechanism(parents, expression, NoiseSpec.normal(0.0, sd))
     return build_scm("anm", mechanisms)
+
+
+# --- selection -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DiscoverySettings:
+    """Discovery settings and their defaults; no variables: every column."""
+
+    alpha: float = 0.05
+    max_cond: int = 3
+    degree: int = 3
+    variables: tuple[str, ...] = ()
+    cap: int = 64
+
+
+def learn_cpdag(settings: DiscoverySettings, data: Dataset) -> Cpdag:
+    """The partially directed graph of the settings' variables."""
+    names = settings.variables or data.columns
+    for name in names:
+        if name not in data.columns:
+            raise DataError(f"discovery variable {name!r} missing from the data")
+    subset = Dataset(names, np.column_stack([data.column(n) for n in names]))
+    skeleton, sepsets = pc_skeleton(subset, settings.alpha, settings.max_cond)
+    return orient_cpdag(skeleton, sepsets)
+
+
+def select(settings: DiscoverySettings, data: Dataset, targets: set[str]) -> tuple[Scm, dict]:
+    """The additive-noise model of the first candidate without the
+    targets, and the manifest record of the graph and its candidates."""
+    cpdag = learn_cpdag(settings, data)
+    enumeration = enumerate_dags(cpdag, settings.cap)
+    if not enumeration.dags:
+        raise DiscoveryError("no acyclic orientation of the discovered graph")
+    chosen = enumeration.dags[0]
+    kept = tuple(v for v in chosen.variables if v not in targets)
+    edges = frozenset((a, b) for a, b in chosen.edges if a in kept and b in kept)
+    record = {
+        "cpdag": cpdag_to_text(cpdag).splitlines(),
+        "chosen_dag": sorted(f"{a} -> {b}" for a, b in chosen.edges),
+        "collider_conflicts": [f"{a} -- {b}" for a, b in cpdag.conflicts],
+        "contested": [f"{a} -- {b}" for a, b in cpdag.contested],
+        "candidates": len(enumeration.dags),
+        "truncated": enumeration.truncated,
+    }
+    return fit_anm(Dag(kept, edges), data, settings.degree), record

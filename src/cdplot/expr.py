@@ -21,6 +21,13 @@ raise EvaluationError instead. The canonical printer ``to_source`` and
 ``e`` for any tree the parser can produce. The parser never creates a
 negative Const (a leading minus becomes a Neg node), so canonical trees
 represent negation via Neg.
+
+Nesting is bounded: ``parse`` rejects source nested deeper than
+``MAX_DEPTH`` levels with a ParseError. The depth of an operand is the
+number of operators, function calls and parentheses around it, so a
+left-deep sum of n terms is n - 1 deep. Every walk over a parsed tree
+(evaluation, printing, variable lookup) recurses at most that deep, so
+none of them can exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "Expression",
     "ExpressionError",
     "FUNCTION_ARITY",
+    "MAX_DEPTH",
     "Neg",
     "ParseError",
     "Var",
@@ -63,6 +71,8 @@ FUNCTION_ARITY = {
     "max": 2,
     "pow": 2,
 }
+
+MAX_DEPTH = 100  # nesting levels parse accepts; see the module docstring
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _BINARY_OPS = ("+", "-", "*", "/", "^")
@@ -174,6 +184,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.open = 0  # the calls, parentheses, minuses and powers being parsed
 
     def error(self, message: str, token_index: int | None = None) -> ParseError:
         index = self.pos if token_index is None else token_index
@@ -204,44 +215,72 @@ class _Parser:
         if self.accept_op(op) is None:
             raise self.error(f"expected {op!r}")
 
+    def too_deep(self) -> ParseError:
+        return self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+
+    def inner(self, parse) -> tuple[Expression, int]:
+        """parse() one level further in. Counting the levels on the way
+        down bounds the parser's own recursion."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise self.too_deep()
+        parsed = parse()
+        self.open -= 1
+        return parsed
+
+    def node(self, tree: Expression, *depths: int) -> tuple[Expression, int]:
+        """tree, whose operands are as deep as depths, with its own depth.
+        Counting on the way up catches a long chain of binary operators,
+        whose depth is known only once it is parsed."""
+        depth = 1 + max(depths)
+        if self.open + depth > MAX_DEPTH:
+            raise self.too_deep()
+        return tree, depth
+
+    # Each rule returns its tree and the tree's nesting depth.
+
     def parse(self) -> Expression:
         if not self.tokens:
             raise ParseError("empty expression", 0)
-        tree = self.expr()
+        tree, _ = self.expr()
         if self.peek() is not None:
             raise self.error("unexpected trailing input")
         return tree
 
-    def expr(self) -> Expression:
-        tree = self.term()
+    def expr(self) -> tuple[Expression, int]:
+        tree, depth = self.term()
         while True:
             op = self.accept_op("+", "-")
             if op is None:
-                return tree
-            tree = BinOp(op, tree, self.term())
+                return tree, depth
+            right, right_depth = self.term()
+            tree, depth = self.node(BinOp(op, tree, right), depth, right_depth)
 
-    def term(self) -> Expression:
-        tree = self.unary()
+    def term(self) -> tuple[Expression, int]:
+        tree, depth = self.unary()
         while True:
             op = self.accept_op("*", "/")
             if op is None:
-                return tree
-            tree = BinOp(op, tree, self.unary())
+                return tree, depth
+            right, right_depth = self.unary()
+            tree, depth = self.node(BinOp(op, tree, right), depth, right_depth)
 
-    def unary(self) -> Expression:
+    def unary(self) -> tuple[Expression, int]:
         if self.accept_op("-"):
-            return Neg(self.unary())
+            operand, depth = self.inner(self.unary)
+            return self.node(Neg(operand), depth)
         return self.power()
 
-    def power(self) -> Expression:
-        base = self.atom()
+    def power(self) -> tuple[Expression, int]:
+        base, depth = self.atom()
         if self.accept_op("^"):
             # The exponent re-enters unary so "2^-3" works; recursing at
             # this level rather than looping makes ^ right-associative.
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, exponent_depth = self.inner(self.unary)
+            return self.node(BinOp("^", base, exponent), depth, exponent_depth)
+        return base, depth
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         token = self.peek()
         if token is None:
             raise self.error("unexpected end of input")
@@ -251,33 +290,33 @@ class _Parser:
             value = float(text)
             if not math.isfinite(value):
                 raise self.error("numeric literal out of range", self.pos - 1)
-            return Const(value)
+            return Const(value), 0
         if kind == "name":
             self.take()
             if self.accept_op("("):
                 return self.call(text, self.pos - 2)
-            return Var(text)
+            return Var(text), 0
         if kind == "op" and text == "(":
             self.take()
-            tree = self.expr()
+            tree, depth = self.inner(self.expr)
             self.expect_op(")")
-            return tree
+            return self.node(tree, depth)  # the parentheses are a level
         raise self.error(f"unexpected token {text!r}")
 
-    def call(self, func: str, name_index: int) -> Expression:
+    def call(self, func: str, name_index: int) -> tuple[Expression, int]:
         arity = FUNCTION_ARITY.get(func)
         if arity is None:
             raise self.error(f"unknown function {func!r}", name_index)
-        args = [self.expr()]
+        args = [self.inner(self.expr)]
         while self.accept_op(","):
-            args.append(self.expr())
+            args.append(self.inner(self.expr))
         self.expect_op(")")
         if len(args) != arity:
             raise self.error(
                 f"function '{func}' expects {arity} argument(s), got {len(args)}",
                 name_index,
             )
-        return Call(func, tuple(args))
+        return self.node(Call(func, tuple(a for a, _ in args)), *(d for _, d in args))
 
 
 def parse(source: str) -> Expression:

@@ -512,7 +512,8 @@ class ForestPredictor(Predictor):
 def _check_tree(tree: Mapping[str, np.ndarray], k: int) -> None:
     """Reject node arrays no fitted tree has: arrays of unequal length,
     a child that does not follow its parent (which rules out cycles),
-    a feature index beyond the k features, or a NaN threshold."""
+    a feature index beyond the k features, a NaN threshold, or a value
+    that is not finite."""
     n = len(tree["feature"])
     names = ("feature", "threshold", "left", "right", "value")
     if n == 0 or any(np.shape(tree[name]) != (n,) for name in names):
@@ -526,6 +527,8 @@ def _check_tree(tree: Mapping[str, np.ndarray], k: int) -> None:
         raise PredictorError(f"tree splits on a feature index beyond {k} features")
     if np.any(np.isnan(tree["threshold"][internal])):
         raise PredictorError("tree has a NaN threshold")
+    if not np.all(np.isfinite(tree["value"])):
+        raise PredictorError("tree has a value that is not finite")
 
 
 def fit_forest(

@@ -9,10 +9,16 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
-from cdplot.cli import PLOT_KINDS, load_run_config, run_pipeline
+from cdplot.cli import PLOT_KINDS, load_run_config, main, run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 SALARY = Path(str(resources.files("cdplot").joinpath("fixtures", "salary.scm")))
+CHAIN = """\
+scm chain
+var X { noise = normal(0.0, 1.0) }
+var M { parents = [X]; eq = "X"; noise = normal(0.0, 0.5) }
+var Y { parents = [M]; eq = "M"; noise = normal(0.0, 0.5) }
+"""
 
 
 def test_traced_run_times_every_file_and_kind(tmp_path, monkeypatch):
@@ -38,3 +44,30 @@ def test_traced_run_times_every_file_and_kind(tmp_path, monkeypatch):
     assert tracer.counts["render.svg_calls"] == extensions[".svg"]
     spans = Counter(span.name for span in tracer.spans if span.name.startswith("engine."))
     assert spans == {f"engine.{kind}": 2 for kind in PLOT_KINDS}
+
+
+def test_traced_discovery_run_times_each_step_once(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    spec = tmp_path / "chain.scm"
+    spec.write_text(CHAIN, encoding="utf-8")
+    assert main(["simulate", "--scm", str(spec), "--n", "1500", "--seed", "4",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    config = {
+        "discovery": {"alpha": 0.05, "max_cond": 2, "degree": 1},
+        "data": "d.csv",
+        "predictor": {"kind": "ols", "target": "Y", "degree": 1},
+        "variables": ["X"],
+        "plots": ["TDP"],
+        "grid_resolution": 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        run_pipeline(load_run_config(path))
+    spans = Counter(span.name for span in tracer.spans if span.name.startswith("discovery."))
+    steps = ("skeleton", "orient", "enumerate", "fit_anm")
+    assert {f"discovery.{step}": 1 for step in steps}.items() <= spans.items()
+    assert tracer.counts["discovery.ci_test_calls"] > 0

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -596,6 +597,13 @@ def _damaged_forest(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
+def _simulate_eq(tmp_path, eq):
+    """simulate on a two-variable spec whose Y has the equation eq."""
+    spec = _spec(tmp_path, "scm deep\nvar X { noise = normal(0.0, 1.0) }\n"
+                           f'var Y {{ parents = [X]; eq = "{eq}"; noise = normal(0.0, 1.0) }}\n')
+    return ["simulate", "--scm", str(spec), "--n", "5", "--out", str(tmp_path / "d.csv")]
+
+
 def _forest_config_set(tmp_path, setting, literal):
     """A saved two-tree forest whose config setting is the JSON literal."""
     data = read_dataset_csv(_salary_data(tmp_path))
@@ -732,6 +740,20 @@ EXIT_CASES = {
     "run-config-integer-too-long": (
         2, lambda t: ["run", "--config", str(_spec(t, '{"seed": 1' + "0" * 5000 + "}",
                                                    "run.json"))]),
+    "run-config-json-nested-too-deeply": (
+        2, lambda t: ["run", "--config", str(_spec(t, "[" * 100_000 + "]" * 100_000,
+                                                   "run.json"))]),
+    "discover-label-map-nested-too-deeply": (
+        2, lambda t: ["discover", "--data", str(_salary_data(t)),
+                      "--label-map", "[" * 5000 + "]" * 5000]),
+    "simulate-eq-parentheses-too-deep": (
+        2, lambda t: _simulate_eq(t, "(" * 1000 + "X" + ")" * 1000)),
+    "simulate-eq-sum-too-long": (2, lambda t: _simulate_eq(t, "+".join(["X"] * 30_000))),
+    "simulate-eq-minuses-too-deep": (2, lambda t: _simulate_eq(t, "-" * 5000 + "X")),
+    "simulate-eq-power-chain-too-long": (2, lambda t: _simulate_eq(t, "^".join(["X"] * 3000))),
+    "explain-closed-form-parentheses-too-deep": (
+        2, lambda t: _explain(t, "--var", "P", "--closed-form", "(" * 2000 + "P" + ")" * 2000,
+                              "--features", "P")),
     "simulate-spec-not-utf8": (
         2, lambda t: ["simulate", "--scm", str(_not_utf8(t, "m.scm")), "--n", "5",
                       "--out", str(t / "d.csv")]),
@@ -792,6 +814,10 @@ EXIT_CASES = {
             t, lambda tree: tree["right"].__setitem__(0, len(tree["feature"])))),
     "explain-forest-blob-fractional-index": (
         2, lambda t: _damaged_forest(t, lambda tree: tree["feature"].__setitem__(0, 0.7))),
+    "explain-forest-blob-leaf-nan": (
+        2, lambda t: _damaged_forest(t, lambda tree: tree["value"].__setitem__(-1, math.nan))),
+    "explain-forest-blob-leaf-infinite": (
+        2, lambda t: _damaged_forest(t, lambda tree: tree["value"].__setitem__(-1, -math.inf))),
     "explain-forest-blob-fractional-tree-count": (
         2, lambda t: _forest_config_set(t, "n_trees", "2.5")),
     "explain-forest-blob-tree-count-a-bool": (
@@ -805,6 +831,9 @@ EXIT_CASES = {
     "explain-closed-form-blob-expression-not-text": (
         2, lambda t: _model_file(t, '{"kind": "closed_form", "features": ["P", "F"], '
                                     '"expression": 5}')),
+    "explain-closed-form-blob-expression-too-deep": (
+        2, lambda t: _model_file(t, json.dumps({"kind": "closed_form", "features": ["P"],
+                                                "expression": "(" * 500 + "P" + ")" * 500}))),
     "explain-ols-blob-features-a-string": (
         2, lambda t: _damaged_ols(t, lambda blob: blob.__setitem__("features", "PF"))),
     "discover-bad-label-map": (2, _discover_label_map),

@@ -1,6 +1,7 @@
 """Structure learning: independence tests, skeleton, orientation, ANM fit."""
 
 import itertools
+import json
 import re
 
 import numpy as np
@@ -8,19 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdplot.cli import main, write_dataset_csv
 from cdplot.discovery import (
     Cpdag,
     Dag,
     DiscoveryError,
+    DiscoverySettings,
     SepsetTable,
     Skeleton,
     cpdag_to_text,
     enumerate_dags,
     fisher_z_test,
     fit_anm,
+    learn_cpdag,
     orient_cpdag,
     pc_skeleton,
+    select,
 )
+from cdplot.errors import DataError
 from cdplot.expr import evaluate
 from cdplot.scm import Dataset, abduct, sample
 
@@ -581,3 +587,52 @@ def test_fit_anm_round_trip_recovers_coefficients():
         refit.mechanisms["y"].expression, {"x": 0.0}
     )
     assert abs(slope - 2.0) / 2.0 < 0.1
+
+
+# --- selection -------------------------------------------------------------
+
+
+def test_select_keeps_the_first_candidate_without_the_targets():
+    scm, record = select(DiscoverySettings(degree=1), _chain(0), {"Y"})
+    assert record == {
+        "cpdag": ["M -- X", "M -- Y"],
+        "chosen_dag": ["M -> X", "M -> Y"],
+        "collider_conflicts": [],
+        "contested": [],
+        "candidates": 3,
+        "truncated": False,
+    }
+    assert scm.variables == ("X", "M")
+    assert scm.mechanisms["X"].parents == ("M",)
+    assert scm.mechanisms["M"].parents == ()
+
+
+def test_a_discovery_variable_missing_from_the_data_is_a_data_error(tmp_path, capsys):
+    message = "discovery variable 'Q' missing from the data"
+    with pytest.raises(DataError, match=f"^{message}$"):
+        learn_cpdag(DiscoverySettings(variables=("X", "Q")), _chain(0))
+    data = tmp_path / "d.csv"
+    data.write_text(write_dataset_csv(_chain(0, n=200)), encoding="utf-8")
+    assert main(["discover", "--data", str(data), "--variables", "X,Q"]) == 3
+    assert capsys.readouterr().err == f"error (data): {message}\n"
+
+
+def test_a_graph_without_an_acyclic_candidate_is_a_compute_error(tmp_path, capsys):
+    # seed 20's collider conflicts leave no acyclic orientation (see
+    # test_propagation_never_closes_a_cycle)
+    data = _random_linear_gaussian(20)
+    message = "no acyclic orientation of the discovered graph"
+    with pytest.raises(DiscoveryError, match=f"^{message}$"):
+        select(DiscoverySettings(), data, set())
+    (tmp_path / "d.csv").write_text(write_dataset_csv(data), encoding="utf-8")
+    config = {
+        "discovery": {},
+        "data": "d.csv",
+        "predictor": {"kind": "ols", "target": "V11"},
+        "variables": ["V00"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "run.json")]) == 4
+    assert capsys.readouterr().err == f"error (compute): {message}\n"
+    assert not (tmp_path / "out").exists()

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdplot.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -18,6 +19,7 @@ from cdplot.expr import (
     evaluate,
     evaluate_batch,
     free_variables,
+    _level,
     parse,
     to_source,
 )
@@ -241,3 +243,33 @@ def test_var_rejects_bad_identifier():
         Var("2bad")
     with pytest.raises(ExpressionError):
         Var("")
+
+
+# --- nesting depth -----------------------------------------------------------
+
+# each shape, n levels deep
+_NESTED = {
+    "parentheses": lambda n: "(" * n + "X" + ")" * n,
+    "sum": lambda n: "+".join(["X"] * (n + 1)),
+    "product": lambda n: "*".join(["X"] * (n + 1)),
+    "minuses": lambda n: "-" * n + "X",
+    "powers": lambda n: "^".join(["X"] * (n + 1)),
+    "calls": lambda n: "sin(" * n + "X" + ")" * n,
+    "mixed": lambda n: "".join("(-"[i % 2] for i in range(n)) + "X" + ")" * ((n + 1) // 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_every_walk_succeeds_at_the_depth_limit(shape):
+    tree = parse(_NESTED[shape](MAX_DEPTH))
+    assert evaluate_batch(tree, {"X": np.array([0.5, 0.25])}, 2).shape == (2,)
+    assert parse(to_source(tree)) == tree
+    assert free_variables(tree) == {"X"}
+    assert _level(tree) >= 1
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_one_level_past_the_depth_limit_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(_NESTED[shape](MAX_DEPTH + 1))
+
