@@ -36,6 +36,7 @@ import numpy as np
 
 from . import discovery as disc
 from . import engine, render
+from .engine import PLOT_KINDS  # read by the benchmark's tracing shims
 from .errors import CdpError, ConfigError, DataError
 from .expr import parse as parse_expression
 from .predictors import (
@@ -67,8 +68,6 @@ __all__ = [
     "run_pipeline",
     "write_dataset_csv",
 ]
-
-PLOT_KINDS = ("ICE", "PDP", "TDP", "PCDP", "NDDP", "NIDP")
 
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time
 
@@ -336,43 +335,49 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
 
 def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
     """A predictor's settings as a run-config entry or the fit and explain
-    flags give them: ols and forest need a target, closed_form and
-    external explicit features, and no feature may be listed twice. The
-    kind's own settings are checked here too, so a bad one stops a run
-    before any data is read or any predictor is fitted."""
+    flags give them: ols and forest need a target that is not a feature,
+    closed_form and external explicit features, and no feature may be
+    listed twice. The kind's own settings are checked here too, so a bad
+    one stops a run before any data is read or any predictor is fitted."""
     target = block.get("target")
     target = None if target is None else _text("target", target)
     features = _distinct("feature", _names("features", block.get("features", [])))
     if kind in ("ols", "forest") and target is None:
         raise ConfigError(f"predictor {label!r} needs a target")
+    if kind in ("ols", "forest") and target in features:
+        raise ConfigError(f"predictor {label!r}: target {target!r} cannot also be a feature")
     if kind in ("closed_form", "external") and not features:
         raise ConfigError(f"predictor {label!r} needs explicit features")
     settings = _predictor_settings(label, kind, features, block)
     return PredictorBlock(label, kind, target, features, settings)
 
 
+# run-config keys of the forest settings -> ForestConfig fields
+_FOREST_KEYS = {"trees": "n_trees", "depth": "max_depth", "min_leaf": "min_leaf",
+                "features_per_split": "features_per_split", "seed": "seed"}
+
+
 def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block: dict) -> dict:
     """The settings of one predictor kind, checked, as keyword arguments
-    of its builder in _build_predictor; settings of other kinds are
+    of its builder in _build_predictor; a setting left out is not passed,
+    so it takes the builder's default, and settings of other kinds are
     ignored."""
     if kind == "ols":
-        return {"degree": _at_least("degree", _number("degree", block.get("degree", 1), int), 1)}
+        if "degree" not in block:
+            return {}
+        return {"degree": _at_least("degree", _number("degree", block["degree"], int), 1)}
     if kind == "forest":
-        per_split = block.get("features_per_split")
-        bootstrap = block.get("bootstrap", True)
-        if not isinstance(bootstrap, bool):
-            raise ConfigError(f"bootstrap must be true or false, got {bootstrap!r}")
+        given = {
+            field: _number(key, block[key], int)
+            for key, field in _FOREST_KEYS.items()
+            if key in block and (key != "features_per_split" or block[key] is not None)
+        }
+        if "bootstrap" in block:
+            if not isinstance(block["bootstrap"], bool):
+                raise ConfigError(f"bootstrap must be true or false, got {block['bootstrap']!r}")
+            given["bootstrap"] = block["bootstrap"]
         try:
-            return {"config": ForestConfig(
-                n_trees=_number("trees", block.get("trees", 100), int),
-                max_depth=_number("depth", block.get("depth", 8), int),
-                min_leaf=_number("min_leaf", block.get("min_leaf", 5), int),
-                features_per_split=None if per_split is None else _number(
-                    "features_per_split", per_split, int
-                ),
-                bootstrap=bootstrap,
-                seed=_number("seed", block.get("seed", 0), int),
-            )}
+            return {"config": ForestConfig(**given)}
         except PredictorError as exc:
             raise ConfigError(f"bad forest settings: {exc}") from None
     if kind == "closed_form":
@@ -383,10 +388,10 @@ def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block:
             return {"expression": ClosedFormPredictor(str(expression), features).expression}
         except CdpError as exc:
             raise ConfigError(f"predictor {label!r}: {exc}") from None
-    return {
-        "command": _text("command", block.get("command")),
-        "timeout": _timeout(_number("timeout", block.get("timeout", 30.0))),
-    }
+    settings = {"command": _text("command", block.get("command"))}
+    if "timeout" in block:
+        settings["timeout"] = _timeout(_number("timeout", block["timeout"]))
+    return settings
 
 
 def _label_map(raw) -> dict[str, float]:
@@ -396,13 +401,11 @@ def _label_map(raw) -> dict[str, float]:
 
 
 def _controls(pairs: Iterable[tuple[str, object]]) -> dict[str, float]:
-    """PCDP controls as {variable: value}, in the order given: finite
-    numbers on distinct names."""
+    """PCDP controls as {variable: value}, in the order given: numbers on
+    distinct names."""
     controls: dict[str, float] = {}
     for name, value in pairs:
         number = _number(f"control value for {name!r}", value)
-        if not math.isfinite(number):
-            raise ConfigError(f"control value for {name!r} must be finite")
         if name in controls:
             raise ConfigError(f"control {name!r} is set twice")
         controls[name] = number
@@ -447,9 +450,7 @@ def _distinct(what: str, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _plot_kinds(plots: tuple[str, ...]) -> tuple[str, ...]:
-    for kind in plots:
-        if kind not in PLOT_KINDS:
-            raise ConfigError(f"unknown plot kind {kind!r}")
+    _check_request(None, (), (), plots)
     return _distinct("plot kind", plots)
 
 
@@ -494,44 +495,12 @@ def _timeout(value: float) -> float:
     return value
 
 
-def _check_request(
-    scm: Scm,
-    variables: Sequence[str],
-    plots: Sequence[str],
-    control: Mapping[str, float],
-    feature_sets: Sequence[Sequence[str]],
-) -> None:
-    """Explained variables must be model variables, and features of every
-    predictor when ICE or PDP vary them; PCDP controls must name model
-    variables other than the explained ones."""
-    for var in variables:
-        if var not in scm.variables:
-            raise ConfigError(f"variable {var!r} is not in the model")
-        if "ICE" in plots or "PDP" in plots:
-            if any(var not in features for features in feature_sets):
-                raise ConfigError(f"ICE/PDP variable {var!r} is not a predictor feature")
-    if "PCDP" not in plots:
-        return
-    for name in control:
-        if name not in scm.variables:
-            raise ConfigError(f"control on unknown variable {name!r}")
-        if name in variables:
-            raise ConfigError(f"control on explained variable {name!r}")
-
-
-def _check_band_models(
-    band_scms: Sequence[Scm], variables: Sequence[str], feature_sets: Sequence[Sequence[str]]
-) -> None:
-    """Band models must share one variable set that holds every explained
-    variable and every predictor feature."""
-    if not band_scms:
-        return
-    if len({frozenset(s.variables) for s in band_scms}) != 1:
-        raise ConfigError("band models must share a variable set")
-    needed = dict.fromkeys([*variables, *(f for features in feature_sets for f in features)])
-    missing = [name for name in needed if name not in band_scms[0].variables]
-    if missing:
-        raise ConfigError("band models lack " + ", ".join(missing))
+def _check_request(scm, feature_sets, variables, plots, control=None, band_scms=()) -> None:
+    """engine.check_request, whose refusal is a configuration error."""
+    try:
+        engine.check_request(scm, feature_sets, variables, plots, control, band_scms)
+    except engine.EngineError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _discovery_block(block) -> disc.DiscoverySettings:
@@ -706,6 +675,19 @@ def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
     return names
 
 
+def _predictor_columns(block: PredictorBlock, features: tuple[str, ...], data: Dataset,
+                       explain_data: Dataset) -> None:
+    """A fitted predictor's target and features are columns of the data
+    it is fitted on, and every predictor's features of the data it
+    explains."""
+    if not features:
+        raise ConfigError(f"predictor {block.label!r} has no features besides its target")
+    if block.kind in ("ols", "forest"):
+        _columns(data, (block.target,), "predictor target")
+        _columns(data, features, "predictor feature")
+    _columns(explain_data, features, "predictor feature")
+
+
 def run_pipeline(config: RunConfig, config_label: str = "config") -> dict:
     """Execute a run config; returns the manifest dict."""
     with _Outputs(config.output_dir) as outputs:
@@ -738,9 +720,10 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
         _columns(table, scm.variables, "model variable")
 
     features = [_block_features(block, scm.variables) for block in config.predictors]
-    _check_request(scm, config.variables, config.plots, config.controls, features)
+    for block, names in zip(config.predictors, features):
+        _predictor_columns(block, names, data, explain_data)
     band_scms = [load_scm_spec(p) for p in config.band_scms]
-    _check_band_models(band_scms, config.variables, features)
+    _check_request(scm, features, config.variables, config.plots, config.controls, band_scms)
     if band_scms:
         inputs["band_scms"] = [str(p) for p in config.band_scms]
         _columns(explain_data, band_scms[0].variables, "band model variable")  # shared
@@ -784,8 +767,6 @@ def _write_plots(
     band files of band_scms; close the predictor at the end, also on
     failure. The caller has checked the request (_check_request)."""
     try:
-        if any(kind not in ("ICE", "PDP") for kind in plots):
-            engine.build_ecm(scm, predictor)  # every feature is a model variable
         candidates = [engine.build_ecm(s, predictor) for s in band_scms]
         for var in variables:
             grid = engine.make_grid(data, var, resolution)
@@ -879,6 +860,7 @@ def _cmd_fit(args) -> int:
                    "bootstrap", "seed")
     block = _predictor_block(args.kind, args.kind, flags)
     data = read_dataset_csv(args.data)
+    _predictor_columns(block, _block_features(block, data.columns), data, data)
     predictor = _build_predictor(block, data, data.columns)
     blob = save_predictor(predictor)
     _write_file(args.out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
@@ -918,7 +900,8 @@ def _cmd_explain(args) -> int:
     else:
         raise ConfigError("need one of --model, --closed-form, --external")
     features = predictor.features if block is None else block.features
-    _check_request(scm, (args.var,), plots, control, [features])
+    _columns(data, features, "predictor feature")
+    _check_request(scm, [features], (args.var,), plots, control)
     if block is not None:  # as in run, an external child starts only for a valid request
         predictor = _build_predictor(block, data, ())
     with _Outputs(Path(args.out_dir)) as outputs:

@@ -30,6 +30,14 @@ causal kind whose pins cover the features. The causal kinds' pins:
 
 Some plot kinds share a sweep: world_key keeps the pins that can reach a
 predictor feature, and kinds with one key give bitwise-equal curves.
+
+check_request holds the one copy of the rules a request must meet: a
+known kind; explained variables in the model, and for ICE/PDP a feature
+of every predictor; for a causal kind only, every feature in the model;
+finite controls, which for PCDP sit on model variables other than the
+explained ones; band models of one variable set holding the variables
+and features. build_ecm, curves and uncertainty_band check through it;
+the command line calls it once, before any predictor is fitted.
 """
 
 from __future__ import annotations
@@ -53,8 +61,10 @@ __all__ = [
     "EffectDifference",
     "EngineError",
     "Grid",
+    "PLOT_KINDS",
     "band_kinds",
     "build_ecm",
+    "check_request",
     "curves",
     "effect_difference",
     "ice",
@@ -67,6 +77,10 @@ __all__ = [
     "uncertainty_band",
     "world_key",
 ]
+
+PLOT_KINDS = ("ICE", "PDP", "TDP", "PCDP", "NDDP", "NIDP")
+_MODEL_FREE_KINDS = ("ICE", "PDP")
+_CAUSAL_KINDS = tuple(kind for kind in PLOT_KINDS if kind not in _MODEL_FREE_KINDS)
 
 GRID_RESOLUTION_DEFAULT = 40
 ORDINAL_CUTOFF = 15
@@ -99,14 +113,45 @@ class Ecm:
     predictor: Predictor
 
 
+def check_request(scm: Scm | None, feature_sets: Sequence[Sequence[str]], variables: Sequence[str],
+                  kinds: Sequence[str], control: Mapping[str, float] | None = None,
+                  band_scms: Sequence[Scm] = ()) -> None:
+    """Raise EngineError unless the module docstring's rules define the
+    request; with scm None, a request names no model."""
+    for kind in kinds:
+        if kind not in PLOT_KINDS:
+            raise EngineError(f"unknown plot kind {kind!r}")
+    model = () if scm is None else scm.variables
+    for var in variables:
+        if scm is not None and var not in model:
+            raise EngineError(f"variable {var!r} is not in the model")
+        if any(k in _MODEL_FREE_KINDS for k in kinds) and not all(var in f for f in feature_sets):
+            raise EngineError(f"ICE/PDP variable {var!r} is not a predictor feature")
+    if any(k in _CAUSAL_KINDS for k in kinds):
+        for features in feature_sets:
+            missing = [f for f in features if f not in model]
+            if missing:
+                raise EngineError("predictor features missing from model: " + ", ".join(missing))
+    for name, value in (control or {}).items():
+        if not math.isfinite(value):
+            raise EngineError(f"control value for {name!r} must be finite")
+        if "PCDP" in kinds and name not in model:
+            raise EngineError(f"control on unknown variable {name!r}")
+        if "PCDP" in kinds and name in variables:
+            raise EngineError(f"control on explained variable {name!r}")
+    if band_scms:
+        if len({frozenset(s.variables) for s in band_scms}) != 1:
+            raise EngineError("band models must share a variable set")
+        needed = dict.fromkeys([*variables, *(f for features in feature_sets for f in features)])
+        missing = [name for name in needed if name not in band_scms[0].variables]
+        if missing:
+            raise EngineError("band models lack " + ", ".join(missing))
+
+
 def build_ecm(scm: Scm, predictor: Predictor) -> Ecm:
-    """Couple a predictor to a model; every feature must be a model
-    variable."""
-    missing = [f for f in predictor.features if f not in scm.variables]
-    if missing:
-        raise EngineError(
-            "predictor features missing from model: " + ", ".join(missing)
-        )
+    """Couple a predictor to a model for the causal kinds: every feature
+    must be a model variable."""
+    check_request(scm, [predictor.features], (), _CAUSAL_KINDS)
     return Ecm(scm, predictor)
 
 
@@ -213,7 +258,7 @@ def plot_metadata(kind: str, predictor: Predictor, scm: Scm | None, var: str,
         "NIDP": f"do({var}=grid) routed through children of {var}",
     }.get(kind, f"set({var}=grid)")
     meta = {"predictor": predictor.describe(), "intervention": intervention}
-    if kind in ("ICE", "PDP"):
+    if kind in _MODEL_FREE_KINDS:
         return meta
     if kind == "NIDP":
         meta["notes"] = NIDP_NOTE
@@ -222,18 +267,11 @@ def plot_metadata(kind: str, predictor: Predictor, scm: Scm | None, var: str,
 
 def _world_pins(kind: str, scm: Scm | None, features: Sequence[str], var: str,
                 control: Mapping[str, float] | None = None) -> dict[str, Pin]:
-    """The pins of every world of a plot kind's sweep. ICE and PDP pin
-    every feature, so they need no model."""
-    if kind in ("ICE", "PDP"):
+    """The pins of every world of a plot kind's sweep (check_request has
+    passed). ICE and PDP pin every feature, so they need no model."""
+    if kind in _MODEL_FREE_KINDS:
         return {**dict.fromkeys(features, OBSERVED), var: GRID}
     if kind == "PCDP":
-        for name, value in control.items():
-            if name == var:
-                raise EngineError(f"control touches {var!r}")
-            if name not in scm.variables:
-                raise EngineError(f"control on unknown variable {name!r}")
-            if not math.isfinite(value):
-                raise EngineError(f"control value for {name!r} must be finite")
         return {**{name: float(value) for name, value in control.items()}, var: GRID}
     if kind == "NDDP":
         return {**dict.fromkeys(scm.children(var), OBSERVED), var: GRID}
@@ -312,13 +350,11 @@ def curves(kind: str, predictor: Predictor, scm: Scm | None, data: Dataset, var:
     largest block, then for each block of grid values xs propagate the
     first len(xs) * m rows of those columns, as views, through the model
     under the pins (first TDP's world, when a pin takes its values)."""
-    if kind in ("ICE", "PDP") and var not in predictor.features:
-        raise EngineError(f"{var!r} is not a predictor feature")
+    check_request(scm, [predictor.features], [var], [kind], control)
     pins = _world_pins(kind, scm, predictor.features, var, control)
     if all(f in pins and pins[f] != TDP_WORLD for f in predictor.features):
         world = functools.partial(_pin_columns, {f: pins[f] for f in predictor.features}, data)
     else:
-        scm.var_index(var)
         per_block = min(len(grid), max(1, _BLOCK_ROWS // data.m))  # as in _sweep
         tiled = {v: np.tile(u, per_block) for v, u in abduct(scm, data).items()}
 
@@ -422,9 +458,8 @@ def uncertainty_band(
         raise EngineError("need at least two candidate models for a band")
     if kind not in band_kinds():
         raise EngineError(f"no band for plot kind {kind!r}")
-    variable_sets = {frozenset(e.scm.variables) for e in ecms}
-    if len(variable_sets) != 1:
-        raise EngineError("candidate models must share a variable set")
+    check_request(ecms[0].scm, [e.predictor.features for e in ecms], [var], [kind],
+                  band_scms=[e.scm for e in ecms])
     labels = []
     rows = []
     for i, ecm in enumerate(ecms):

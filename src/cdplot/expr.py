@@ -27,7 +27,10 @@ Nesting is bounded: ``parse`` rejects source nested deeper than
 number of operators, function calls and parentheses around it, so a
 left-deep sum of n terms is n - 1 deep. Every walk over a parsed tree
 (evaluation, printing, variable lookup) recurses at most that deep, so
-none of them can exhaust Python's recursion limit.
+none of them can exhaust Python's recursion limit. Evaluation walks a
+left-deep chain of binary operators in a loop, so a tree built in code
+rather than parsed, such as a fitted polynomial of thousands of terms,
+evaluates at any length.
 """
 
 from __future__ import annotations
@@ -419,6 +422,19 @@ def _batch_check(value, what: str):
     return value
 
 
+def _binop_array(op: str, left, right):
+    with np.errstate(all="ignore"):
+        if op == "+":
+            return _batch_check(left + right, "'+'")
+        if op == "-":
+            return _batch_check(left - right, "'-'")
+        if op == "*":
+            return _batch_check(left * right, "'*'")
+        if op == "/":
+            return _batch_check(np.divide(left, right), "'/'")
+        return _batch_check(np.power(left, right), "'^'")
+
+
 def _eval_array(expr: Expression, env: Mapping[str, np.ndarray]):
     if isinstance(expr, Const):
         return expr.value
@@ -430,18 +446,17 @@ def _eval_array(expr: Expression, env: Mapping[str, np.ndarray]):
     if isinstance(expr, Neg):
         return -_eval_array(expr.operand, env)
     if isinstance(expr, BinOp):
-        left = _eval_array(expr.left, env)
-        right = _eval_array(expr.right, env)
-        with np.errstate(all="ignore"):
-            if expr.op == "+":
-                return _batch_check(left + right, "'+'")
-            if expr.op == "-":
-                return _batch_check(left - right, "'-'")
-            if expr.op == "*":
-                return _batch_check(left * right, "'*'")
-            if expr.op == "/":
-                return _batch_check(np.divide(left, right), "'/'")
-            return _batch_check(np.power(left, right), "'^'")
+        # a left-deep chain of operators, such as a sum of fitted
+        # monomials, is walked in a loop: left operand first, then each
+        # right operand and its operator, as the recursion would
+        chain = []
+        while isinstance(expr, BinOp):
+            chain.append(expr)
+            expr = expr.left
+        value = _eval_array(expr, env)
+        for node in reversed(chain):
+            value = _binop_array(node.op, value, _eval_array(node.right, env))
+        return value
     args = [_eval_array(a, env) for a in expr.args]
     func = expr.func
     with np.errstate(all="ignore"):

@@ -686,6 +686,28 @@ def _run_with_bands(tmp_path, *specs, **overrides):
     return _run(tmp_path, band_scms=names, **overrides)
 
 
+def _fit_on_the_target_alone(tmp_path):
+    data = tmp_path / "s.csv"
+    data.write_text("S\n1\n2\n3\n", encoding="utf-8")
+    return ["fit", "--data", str(data), "--target", "S", "--out", str(tmp_path / "m.json")]
+
+
+def _salary_data_with_z(tmp_path):
+    """Salary data plus a column Z that no salary model holds."""
+    data = read_dataset_csv(_salary_data(tmp_path))
+    path = tmp_path / "dz.csv"
+    z = np.linspace(0.0, 1.0, data.m)
+    path.write_text(write_dataset_csv(Dataset((*data.columns, "Z"),
+                                              np.column_stack([data.values, z]))))
+    return path
+
+
+def _run_with_feature_z(tmp_path, plots):
+    """A run whose OLS predictor reads P and Z, on data that holds Z."""
+    return _run(tmp_path, data=_salary_data_with_z(tmp_path).name, plots=plots,
+                predictor={"kind": "ols", "target": "S", "features": ["P", "Z"]})
+
+
 EXIT_CASES = {
     "success": (0, lambda t: _explain(t, "--var", "P", "--closed-form", "P",
                                       "--features", "P")),
@@ -900,6 +922,27 @@ EXIT_CASES = {
         2, lambda t: _explain(t, "--var", "F", "--plots", "PDP", "--closed-form", "P",
                               "--features", "P")),
     "run-explain-data-lacks-a-model-variable": (3, _run_explaining_p_f_only),
+    "run-feature-outside-the-model": (2, lambda t: _run_with_feature_z(t, ["ICE", "TDP"])),
+    "run-feature-missing-from-the-data": (
+        3, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "features": ["P", "Q"]})),
+    "run-target-missing-from-the-data": (
+        3, lambda t: _run(t, plots=["ICE"], predictor={"kind": "forest", "target": "Q",
+                                                       "features": ["P"], "trees": 2})),
+    "run-explain-data-lacks-a-feature-outside-the-model": (
+        3, lambda t: _run(t, data=_salary_data_with_z(t).name, plots=["ICE"],
+                          explain_data=_salary_data(t).name,
+                          predictor={"kind": "ols", "target": "S", "features": ["P", "Z"]})),
+    "fit-target-missing-from-the-data": (
+        3, lambda t: ["fit", "--data", str(_salary_data(t)), "--target", "Q",
+                      "--out", str(t / "m.json")]),
+    "fit-feature-missing-from-the-data": (3, lambda t: _fit(t, "--features", "P,Q")),
+    "fit-target-also-a-feature": (2, lambda t: _fit(t, "--features", "P,S")),
+    "fit-no-feature-besides-the-target": (2, _fit_on_the_target_alone),
+    "run-target-also-a-feature": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "features": ["S", "P"]})),
+    "explain-feature-missing-from-the-data": (
+        3, lambda t: _explain(t, "--var", "P", "--plots", "ICE", "--closed-form", "P + Q",
+                              "--features", "P,Q")),
     "render-missing-csv": (3, lambda t: _render(t, None)),
     "render-non-numeric-cell": (
         3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nTDP,0,0.5,abc\n"
@@ -953,6 +996,24 @@ def test_bad_predictor_settings_exit_before_any_fit(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("error (config):")
     assert fits == []
     assert not (tmp_path / "out").exists()
+
+
+def test_a_feature_outside_the_model_exits_before_any_fit(tmp_path, monkeypatch, capsys):
+    # a causal kind needs every feature in the model, which is checked
+    # before the predictor is fitted; ICE needs no model
+    fits = []
+    fit_ols = cli.fit_ols
+    monkeypatch.setattr(cli, "fit_ols", lambda *args, **kwargs: fits.append(args) or
+                        fit_ols(*args, **kwargs))
+    assert main(_run_with_feature_z(tmp_path, ["TDP"])) == 2
+    assert capsys.readouterr().err == (
+        "error (config): predictor features missing from model: Z\n")
+    assert fits == []
+    assert not (tmp_path / "out").exists()
+    assert main(_run_with_feature_z(tmp_path, ["ICE"])) == 0
+    assert len(fits) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "P_ice.csv", "P_ice.svg", "manifest.json"]
 
 
 def test_cli_starts_without_scipy():

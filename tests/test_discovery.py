@@ -28,6 +28,7 @@ from cdplot.discovery import (
 )
 from cdplot.errors import DataError
 from cdplot.expr import evaluate
+from cdplot.predictors import fit_ols
 from cdplot.scm import Dataset, abduct, sample
 
 
@@ -636,3 +637,16 @@ def test_a_graph_without_an_acyclic_candidate_is_a_compute_error(tmp_path, capsy
     assert main(["run", "--config", str(tmp_path / "run.json")]) == 4
     assert capsys.readouterr().err == f"error (compute): {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_anm_fits_and_abducts_a_twenty_parent_star():
+    # a hub of 20 parents at degree 3 has a left-deep sum of 1,771
+    # monomials, deeper than Python's recursion limit
+    rng = np.random.default_rng(4)
+    names = tuple(f"X{i:02d}" for i in range(20)) + ("Y",)
+    data = Dataset(names, rng.normal(size=(2000, 21)))
+    dag = Dag(names, frozenset((parent, "Y") for parent in names[:-1]))
+    scm = fit_anm(dag, data, degree=3)
+    noise = abduct(scm, data)
+    fitted = fit_ols(data, "Y", names[:-1], 3).predict(data.values[:, :-1])
+    assert np.max(np.abs(noise["Y"] - (data.column("Y") - fitted))) < 1e-9

@@ -1,6 +1,7 @@
 """Plot computations over the explanatory causal model."""
 
 import itertools
+import re
 import sys
 from unittest import mock
 
@@ -14,11 +15,14 @@ from cdplot import engine
 from cdplot.errors import CdpError
 from cdplot.engine import (
     NIDP_NOTE,
+    PLOT_KINDS,
     CurveSet,
     EngineError,
     Grid,
     band_kinds,
     build_ecm,
+    check_request,
+    curves,
     effect_difference,
     ice,
     make_grid,
@@ -791,3 +795,76 @@ def test_band_rejects_single_model_and_bad_kind():
     with pytest.raises(EngineError):
         uncertainty_band([ecm, ecm], data, "P", grid, "ICE")
     assert band_kinds() == ("TDP", "NDDP", "NIDP")
+
+
+# --- request rules -------------------------------------------------------------
+
+XM = [("X", "M")]
+
+# name: (model, feature sets, variables, kinds, control, band models, the
+# message of the EngineError or None for a valid request)
+REQUEST_CASES = {
+    "every-kind": (mediation_scm, XM, ["X"], PLOT_KINDS, {"M": 0.0}, (), None),
+    "unknown-kind": (mediation_scm, XM, ["X"], ["TDP", "XDP"], {}, (),
+                     "unknown plot kind 'XDP'"),
+    "variable-not-in-model": (mediation_scm, [("Q",)], ["Q"], ["ICE"], {}, (),
+                              "variable 'Q' is not in the model"),
+    "ice-variable-not-a-feature-of-each-predictor": (
+        mediation_scm, [("X", "M"), ("M",)], ["X"], ["TDP", "PDP"], {}, (),
+        "ICE/PDP variable 'X' is not a predictor feature"),
+    "causal-kind-feature-outside-model": (
+        mediation_scm, [("X", "Z", "W")], ["X"], ["ICE", "NIDP"], {}, (),
+        "predictor features missing from model: Z, W"),
+    "ice-feature-outside-model": (mediation_scm, [("X", "Z")], ["X"], ["ICE", "PDP"], {}, (),
+                                  None),
+    "no-model-ice": (lambda: None, [("X", "Z")], ["X"], ["ICE"], {}, (), None),
+    "no-model-causal-kind": (lambda: None, XM, ["X"], ["TDP"], {}, (),
+                             "predictor features missing from model: X, M"),
+    "control-not-finite": (mediation_scm, XM, ["X"], ["TDP"], {"M": float("nan")}, (),
+                           "control value for 'M' must be finite"),
+    "control-on-unknown-variable": (mediation_scm, XM, ["X"], ["PCDP"], {"Q": 1.0}, (),
+                                    "control on unknown variable 'Q'"),
+    "control-on-explained-variable": (mediation_scm, XM, ["X"], ["PCDP"], {"X": 1.0}, (),
+                                      "control on explained variable 'X'"),
+    "controls-named-only-for-pcdp": (mediation_scm, XM, ["X"], ["TDP"], {"Q": 1.0}, (),
+                                     None),
+    "band-models": (_salary_full, [("P", "F")], ["P"], ["TDP"], {}, (_salary_full,) * 2,
+                    None),
+    "band-models-differ": (_salary_full, [("P", "F")], ["P"], ["TDP"], {},
+                           (_salary_full, salary_scm), "band models must share a variable set"),
+    "band-models-lack-names": (_salary_full, [("P", "S")], ["F"], ["TDP"], {},
+                               (salary_scm,) * 2, "band models lack S"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REQUEST_CASES))
+def test_check_request_holds_every_rule(case):
+    model, feature_sets, variables, kinds, control, bands, message = REQUEST_CASES[case]
+    args = (model(), feature_sets, variables, kinds, control, [band() for band in bands])
+    if message is None:
+        check_request(*args)
+    else:
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            check_request(*args)
+
+
+def test_curves_rejects_an_unknown_kind():
+    # an unknown kind once swept TDP's worlds under ICE's caption
+    scm = mediation_scm()
+    data, _ = sample(scm, 5, seed=0)
+    with pytest.raises(EngineError, match="unknown plot kind 'XDP'"):
+        curves("XDP", correct_model(), scm, data, "X", Grid("X", np.array([0.0, 1.0])))
+
+
+def test_every_entry_checks_through_check_request():
+    scm = _salary_full()
+    data, _ = sample(scm, 10, seed=0)
+    model = ClosedFormPredictor("F - P^2", ("P", "F"))
+    grid = make_grid(data, "P", 3)
+    with mock.patch.object(engine, "check_request", wraps=check_request) as checked:
+        ecm = build_ecm(scm, model)
+        curves("NDDP", model, scm, data, "P", grid)
+        uncertainty_band([ecm, ecm], data, "P", grid, "TDP")
+    # the band checks once, then each model's curves
+    assert checked.call_count == 5
+    assert checked.call_args_list[2].kwargs["band_scms"] == [scm, scm]

@@ -273,3 +273,22 @@ def test_one_level_past_the_depth_limit_is_a_parse_error(shape):
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
         parse(_NESTED[shape](MAX_DEPTH + 1))
 
+
+
+def test_a_left_deep_chain_built_in_code_evaluates_at_any_length():
+    # fitted mechanisms are built, not parsed, so MAX_DEPTH does not bound
+    # them; the chain is evaluated in a loop with the recursion's order of
+    # operations, so the result is the left-to-right fold bit for bit
+    x = np.array([0.5, -1.25, 3.0])
+    ops = ("+", "*", "-", "/")
+    tree, expected = Var("X"), x
+    for i in range(5000):
+        op, c = ops[i % 4], 1.0 + (i % 7) / 8
+        tree = BinOp(op, tree, BinOp("*", Const(c), Var("X")))
+        right = c * x
+        expected = {"+": expected + right, "*": expected * right,
+                    "-": expected - right, "/": expected / right}[op]
+    assert np.array_equal(evaluate_batch(tree, {"X": x}, 3), expected)
+    with pytest.raises(ExpressionError, match="'/'"):
+        evaluate_batch(BinOp("+", tree, BinOp("/", Const(1.0), Var("X"))),
+                       {"X": np.array([0.0, 1.0, 2.0])}, 3)
