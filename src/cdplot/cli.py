@@ -44,6 +44,8 @@ from .predictors import (
     ForestConfig,
     Predictor,
     PredictorError,
+    check_count,
+    check_features,
     fit_forest,
     fit_ols,
     load_predictor,
@@ -335,17 +337,16 @@ def _config_predictors(raw: dict) -> tuple[PredictorBlock, ...]:
 
 def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
     """A predictor's settings as a run-config entry or the fit and explain
-    flags give them: ols and forest need a target that is not a feature,
-    closed_form and external explicit features, and no feature may be
-    listed twice. The kind's own settings are checked here too, so a bad
-    one stops a run before any data is read or any predictor is fitted."""
+    flags give them: known keys, a target for ols and forest, explicit
+    features for closed_form and external, and no feature listed twice.
+    The kind's own settings are checked here too, so a bad one stops a
+    run before any data is read or any predictor is fitted."""
+    _known_keys(f"predictor {label!r}", block, _PREDICTOR_KEYS)
     target = block.get("target")
     target = None if target is None else _text("target", target)
     features = _distinct("feature", _names("features", block.get("features", [])))
     if kind in ("ols", "forest") and target is None:
         raise ConfigError(f"predictor {label!r} needs a target")
-    if kind in ("ols", "forest") and target in features:
-        raise ConfigError(f"predictor {label!r}: target {target!r} cannot also be a feature")
     if kind in ("closed_form", "external") and not features:
         raise ConfigError(f"predictor {label!r} needs explicit features")
     settings = _predictor_settings(label, kind, features, block)
@@ -354,32 +355,26 @@ def _predictor_block(label: str, kind: str, block: dict) -> PredictorBlock:
 
 # run-config keys of the forest settings -> ForestConfig fields
 _FOREST_KEYS = {"trees": "n_trees", "depth": "max_depth", "min_leaf": "min_leaf",
-                "features_per_split": "features_per_split", "seed": "seed"}
+                "features_per_split": "features_per_split", "bootstrap": "bootstrap",
+                "seed": "seed"}
+# the keys of every predictor kind: an entry may hold another kind's settings
+_PREDICTOR_KEYS = {"kind", "label", "target", "features", "degree", *_FOREST_KEYS,
+                   "expression", "command", "timeout"}
 
 
 def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block: dict) -> dict:
-    """The settings of one predictor kind, checked, as keyword arguments
-    of its builder in _build_predictor; a setting left out is not passed,
-    so it takes the builder's default, and settings of other kinds are
-    ignored."""
+    """The settings of one predictor kind, checked (the ols degree and the
+    forest settings by the predictors module), as keyword arguments of its
+    builder in _build_predictor; a setting left out is not passed, so it
+    takes the builder's default, and settings of other kinds are ignored."""
     if kind == "ols":
         if "degree" not in block:
             return {}
-        return {"degree": _at_least("degree", _number("degree", block["degree"], int), 1)}
+        degree = _whole("degree", block["degree"])
+        return {"degree": _as_config(label, check_count, "degree", degree)}
     if kind == "forest":
-        given = {
-            field: _number(key, block[key], int)
-            for key, field in _FOREST_KEYS.items()
-            if key in block and (key != "features_per_split" or block[key] is not None)
-        }
-        if "bootstrap" in block:
-            if not isinstance(block["bootstrap"], bool):
-                raise ConfigError(f"bootstrap must be true or false, got {block['bootstrap']!r}")
-            given["bootstrap"] = block["bootstrap"]
-        try:
-            return {"config": ForestConfig(**given)}
-        except PredictorError as exc:
-            raise ConfigError(f"bad forest settings: {exc}") from None
+        given = {f: _whole(key, block[key]) for key, f in _FOREST_KEYS.items() if key in block}
+        return {"config": _as_config(label, ForestConfig, **given)}
     if kind == "closed_form":
         expression = block.get("expression")
         if not expression:
@@ -392,6 +387,22 @@ def _predictor_settings(label: str, kind: str, features: tuple[str, ...], block:
     if "timeout" in block:
         settings["timeout"] = _timeout(_number("timeout", block["timeout"]))
     return settings
+
+
+def _as_config(label: str, check, *args, **kwargs):
+    """check(*args, **kwargs); its PredictorError is a ConfigError."""
+    try:
+        return check(*args, **kwargs)
+    except PredictorError as exc:
+        raise ConfigError(f"predictor {label!r}: {exc}") from None
+
+
+def _known_keys(what: str, block: dict, known) -> None:
+    """A config object holds only known keys: a misspelt one would
+    otherwise be ignored, and its setting would take its default."""
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"{what}: unknown key {key!r}")
 
 
 def _label_map(raw) -> dict[str, float]:
@@ -477,6 +488,16 @@ def _number(name: str, value, kind: type = float):
     return int(number)
 
 
+def _whole(name: str, value):
+    """A predictor count as every run-config whole number reads: one that
+    _number reads as whole (40, 40.0, "40") as its int, and anything else
+    as given, for the predictors module's check to refuse in its words."""
+    try:
+        return _number(name, value, int)
+    except ConfigError:
+        return value
+
+
 def _at_least(name: str, value: int, low: int) -> int:
     if value < low:
         raise ConfigError(f"{name} must be at least {low}, got {value}")
@@ -508,6 +529,7 @@ def _discovery_block(block) -> disc.DiscoverySettings:
     discover flags give them; a setting left out takes its default."""
     if not isinstance(block, dict):
         raise ConfigError("'discovery' must be an object")
+    _known_keys("discovery", block, {f.name for f in dataclasses.fields(disc.DiscoverySettings)})
     given = {**dataclasses.asdict(disc.DiscoverySettings()), **block}
     return disc.DiscoverySettings(
         alpha=_alpha(_number("alpha", given["alpha"])),
@@ -516,6 +538,12 @@ def _discovery_block(block) -> disc.DiscoverySettings:
         variables=_distinct("discovery variable", _names("variables", given["variables"])),
         cap=_at_least("cap", _number("cap", given["cap"], int), 1),
     )
+
+
+# the top-level keys of a run config
+_CONFIG_KEYS = {"scm", "discovery", "data", "explain_data", "predictor", "predictors",
+                "variables", "plots", "grid_resolution", "controls", "band_scms",
+                "output_dir", "seed", "label_map"}
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -527,6 +555,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         raise ConfigError(f"{path}: config must be a JSON object")
     raw = dict(raw)
     raw.update(overrides or {})
+    _known_keys("config", raw, _CONFIG_KEYS)
     base = path.parent
 
     has_scm = "scm" in raw
@@ -552,6 +581,8 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             )
         except (KeyError, TypeError):
             raise ConfigError("bad simulate block; need {'n': int}") from None
+        _known_keys("data", data_raw, {"simulate"})
+        _known_keys("simulate", sim, {"n", "seed"})
         _at_least("simulate n", data_source.n, 1)
     else:
         raise ConfigError("'data' must be a path or a {'simulate': ...} object")
@@ -677,14 +708,11 @@ def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
 
 def _predictor_columns(block: PredictorBlock, features: tuple[str, ...], data: Dataset,
                        explain_data: Dataset) -> None:
-    """A fitted predictor's target and features are columns of the data
-    it is fitted on, and every predictor's features of the data it
+    """A fitted predictor's features pass check_features on the data it is
+    fitted on, and every predictor's features are columns of the data it
     explains."""
-    if not features:
-        raise ConfigError(f"predictor {block.label!r} has no features besides its target")
     if block.kind in ("ols", "forest"):
-        _columns(data, (block.target,), "predictor target")
-        _columns(data, features, "predictor feature")
+        _as_config(block.label, check_features, data, block.target, features)
     _columns(explain_data, features, "predictor feature")
 
 
@@ -881,7 +909,7 @@ def _parse_controls(spec: str | None) -> dict[str, float]:
 
 def _cmd_explain(args) -> int:
     scm = load_scm_spec(args.scm)
-    data = read_dataset_csv(args.explain_data or args.data)
+    data = read_dataset_csv(args.data)
     _columns(data, scm.variables, "model variable")
     plots = _plot_kinds(tuple(args.plots.split(",")))
     control = _parse_controls(args.control)
@@ -982,7 +1010,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="compute dependence curves as CSV")
     p.add_argument("--scm", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--explain-data")
     p.add_argument("--var", required=True)
     p.add_argument("--plots", default="TDP")
     p.add_argument("--model")

@@ -34,10 +34,11 @@ predictor feature, and kinds with one key give bitwise-equal curves.
 check_request holds the one copy of the rules a request must meet: a
 known kind; explained variables in the model, and for ICE/PDP a feature
 of every predictor; for a causal kind only, every feature in the model;
-finite controls, which for PCDP sit on model variables other than the
-explained ones; band models of one variable set holding the variables
-and features. build_ecm, curves and uncertainty_band check through it;
-the command line calls it once, before any predictor is fitted.
+finite controls, which, whenever a model is named and whatever the
+kinds, sit on model variables other than the explained ones; band
+models of one variable set holding the variables and features.
+build_ecm, curves and uncertainty_band check through it; the command
+line calls it once, before any predictor is fitted.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def check_request(scm: Scm | None, feature_sets: Sequence[Sequence[str]], variab
     for name, value in (control or {}).items():
         if not math.isfinite(value):
             raise EngineError(f"control value for {name!r} must be finite")
-        if "PCDP" in kinds and name not in model:
+        if scm is not None and name not in model:
             raise EngineError(f"control on unknown variable {name!r}")
-        if "PCDP" in kinds and name in variables:
+        if scm is not None and name in variables:
             raise EngineError(f"control on explained variable {name!r}")
     if band_scms:
         if len({frozenset(s.variables) for s in band_scms}) != 1:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import select
 import shlex
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import CdpError
+from .errors import CdpError, DataError
 from .expr import Expression, evaluate_batch, free_variables, parse, to_source
 from .scm import Dataset
 
@@ -55,6 +56,8 @@ __all__ = [
     "Predictor",
     "PredictorError",
     "ExternalPredictorError",
+    "check_count",
+    "check_features",
     "fit_forest",
     "fit_ols",
     "load_predictor",
@@ -64,6 +67,9 @@ __all__ = [
 
 _GRAM_CONDITION_LIMIT = 1e12
 _RIDGE = 1e-8
+# Cells fit_ols allows in its terms x terms Gram matrix (4,096 terms,
+# 128 MiB of floats); the terms are counted before any is enumerated.
+_GRAM_CELLS = 1 << 24
 
 
 class PredictorError(CdpError):
@@ -134,15 +140,27 @@ def _distinct_features(features: Sequence[str]) -> tuple[str, ...]:
     return features
 
 
-def _check_features(data: Dataset, target: str, features: Sequence[str]) -> tuple[str, ...]:
+def check_count(name: str, value) -> int:
+    """value, a whole number of at least 1 (a numpy integer too), as an
+    int; JSON's true and false, which Python counts as ints, are not
+    numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise PredictorError(f"{name} {value!r} is not a whole number >= 1")
+    return int(value)
+
+
+def check_features(data: Dataset, target: str, features: Sequence[str]) -> tuple[str, ...]:
+    """Features of a predictor of target fitted on data: at least one, none
+    twice, not the target (else PredictorError), all columns of data with
+    the target (else DataError)."""
     features = _distinct_features(features)
     if not features:
         raise PredictorError("need at least one feature")
-    data.index(target)
-    for f in features:
-        data.index(f)
     if target in features:
         raise PredictorError(f"target {target!r} cannot also be a feature")
+    for what, name in (("target", target), *(("feature", f) for f in features)):
+        if name not in data.columns:
+            raise DataError(f"predictor {what} {name!r} missing from the data")
     return features
 
 
@@ -252,7 +270,7 @@ class OlsPredictor(Predictor):
         coefficients: np.ndarray,
     ):
         self.features = _distinct_features(features)
-        self.degree = int(degree)
+        self.degree = check_count("degree", degree)
         self.exponents = tuple(tuple(e) for e in exponents)
         coefficients = np.array(coefficients, dtype=np.float64)
         coefficients.flags.writeable = False
@@ -283,10 +301,14 @@ def _check_ols(k: int, exponents: Sequence[tuple], coefficients: np.ndarray) -> 
 def fit_ols(data: Dataset, target: str, features: Sequence[str], degree: int = 1) -> OlsPredictor:
     """Least-squares polynomial fit. When the Gram matrix is close to
     singular (condition estimate above 1e12) a small ridge penalty is
-    added instead of failing."""
-    features = _check_features(data, target, features)
-    if degree < 1:
-        raise PredictorError(f"degree must be at least 1, got {degree}")
+    added instead of failing. A degree with more terms than _GRAM_CELLS
+    admits is refused."""
+    features = check_features(data, target, features)
+    degree = check_count("degree", degree)
+    terms = math.comb(len(features) + degree, degree)
+    if terms * terms > _GRAM_CELLS:
+        raise PredictorError(f"degree {degree} on {len(features)} feature(s) gives {terms} "
+                             f"terms; their Gram matrix passes {_GRAM_CELLS} cells")
     y = data.column(target)
     x = np.column_stack([data.column(f) for f in features])
     exponents = _monomial_exponents(len(features), degree)
@@ -313,7 +335,7 @@ def fit_ols(data: Dataset, target: str, features: Sequence[str], degree: int = 1
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Knobs for the bagged regression forest."""
+    """Knobs for the bagged regression forest; every field is checked."""
 
     n_trees: int = 100
     max_depth: int = 8
@@ -323,10 +345,15 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise PredictorError("invalid forest configuration")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise PredictorError("features_per_split must be positive")
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            check_count(name, getattr(self, name))
+        if self.features_per_split is not None:
+            check_count("features_per_split", self.features_per_split)
+        if not isinstance(self.bootstrap, bool):
+            raise PredictorError(f"bootstrap {self.bootstrap!r} is not true or false")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise PredictorError(f"seed {self.seed!r} is not an integer >= 0")
 
 
 class _Tree:
@@ -539,7 +566,7 @@ def fit_forest(
 ) -> ForestPredictor:
     """Bagged CART regression forest with variance-reduction splits."""
     config = config or ForestConfig()
-    features = _check_features(data, target, features)
+    features = check_features(data, target, features)
     y = data.column(target)
     columns = np.array([data.column(f) for f in features])
     n = len(y)
@@ -859,36 +886,11 @@ def _node_indices(values) -> np.ndarray:
     return indices
 
 
-def _saved_count(name: str, value) -> int:
-    """A saved setting that must be a whole number of at least 1; JSON's
-    true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise PredictorError(f"saved {name} {value!r} is not a whole number >= 1")
-    return value
-
-
-def _saved_forest_config(saved: Mapping) -> ForestConfig:
-    """A saved forest's config as fit_forest can have used it: tree
-    count, depth and leaf size whole numbers of at least 1,
-    features_per_split null or such a number, bootstrap true or false and
-    an integer seed. A setting left out takes its default."""
-    values = {**asdict(ForestConfig()), **saved}
-    for name in ("n_trees", "max_depth", "min_leaf"):
-        _saved_count(name, values[name])
-    if values["features_per_split"] is not None:
-        _saved_count("features_per_split", values["features_per_split"])
-    if not isinstance(values["bootstrap"], bool):
-        raise PredictorError(f"saved bootstrap {values['bootstrap']!r} is not true or false")
-    if isinstance(values["seed"], bool) or not isinstance(values["seed"], int):
-        raise PredictorError(f"saved seed {values['seed']!r} is not an integer")
-    return ForestConfig(**values)
-
-
 def load_predictor(blob: Mapping) -> Predictor:
     """Inverse of save_predictor. A blob it cannot have written, with
     features that are not a list of names, an OLS degree that is not a
     whole number of at least 1, an expression that is not text, or a
-    forest config fit_forest cannot have used, raises PredictorError."""
+    forest config ForestConfig refuses, raises PredictorError."""
     kind = blob.get("kind")
     if kind not in ("ols", "closed_form", "forest"):
         raise PredictorError(f"unknown predictor kind {kind!r}")
@@ -896,17 +898,13 @@ def load_predictor(blob: Mapping) -> Predictor:
     if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
         raise PredictorError(f"saved features {features!r} are not a list of names")
     if kind == "ols":
-        return OlsPredictor(
-            features,
-            _saved_count("degree", blob["degree"]),
-            [tuple(e) for e in blob["exponents"]],
-            np.asarray(blob["coefficients"], dtype=np.float64),
-        )
+        exponents = [tuple(e) for e in blob["exponents"]]
+        return OlsPredictor(features, blob["degree"], exponents, blob["coefficients"])
     if kind == "closed_form":
         if not isinstance(blob["expression"], str):
             raise PredictorError(f"saved expression {blob['expression']!r} is not text")
         return ClosedFormPredictor(blob["expression"], features)
-    config = _saved_forest_config(blob["config"])
+    config = ForestConfig(**blob["config"])
     trees = [
         {
             "feature": _node_indices(tree["feature"]),

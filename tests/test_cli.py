@@ -957,6 +957,29 @@ EXIT_CASES = {
         4, lambda t: _explain(t, "--var", "P", "--plots", "ICE", "--closed-form", "P*1e308",
                               "--features", "P")),
     "fit-forest-target-squares-overflow": (4, _fit_huge_target),
+    "fit-ols-degree-past-the-design-bound": (4, lambda t: _fit(t, "--degree", "200")),
+    "fit-ols-degree-past-any-enumeration": (4, lambda t: _fit(t, "--degree", str(10**30))),
+    "run-config-key-misspelt": (2, lambda t: _run(t, grid_resolutoin=3)),
+    "run-discovery-key-misspelt": (2, lambda t: _run_discovery(t, alpah=0.1)),
+    "run-simulate-key-misspelt": (2, lambda t: _run(t, data={"simulate": {"n": 80, "sed": 3}})),
+    "run-predictor-key-misspelt": (
+        2, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "degre": 2})),
+    "run-control-unknown-variable-without-pcdp": (
+        2, lambda t: _run(t, plots=["TDP"], controls={"Q": 1.0})),
+    "run-control-on-explained-variable-without-pcdp": (
+        2, lambda t: _run(t, plots=["TDP"], controls={"P": 1.0})),
+    "explain-control-unknown-variable-without-pcdp": (
+        2, lambda t: _explain(t, "--var", "P", "--plots", "TDP", "--control", "Q=1",
+                              "--closed-form", "P", "--features", "P")),
+    "run-predictor-counts-as-numeric-strings": (
+        0, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": "2",
+                                        "depth": "3.0", "seed": "1"})),
+    "run-ols-degree-a-numeric-string": (
+        0, lambda t: _run(t, predictor={"kind": "ols", "target": "S", "degree": "2"})),
+    "run-forest-seed-negative": (
+        2, lambda t: _run(t, predictor={"kind": "forest", "target": "S", "trees": 2,
+                                        "seed": -1})),
+    "explain-forest-blob-seed-negative": (2, lambda t: _forest_config_set(t, "seed", "-1")),
     "external-protocol-failure": (5, _mute_external),
     "external-nan-answer": (5, _nan_external),
 }
@@ -975,6 +998,56 @@ def test_exit_code_table(tmp_path, capsys, deadline, case):
         assert err.startswith(f"error ({EXIT_KINDS[code]}):")
     else:
         assert err == ""
+
+
+# A setting the predictors module checks, as each source gives it, and the
+# wording of its one check. The fit flags cannot give a bootstrap other
+# than --no-bootstrap, nor a seed argparse does not read as an int.
+ONE_CHECK = {
+    "trees-zero": ({"kind": "forest", "trees": 0}, ("--kind", "forest", "--trees", "0"),
+                   ("n_trees", "0"), "n_trees 0 is not a whole number >= 1"),
+    "bootstrap-no": ({"kind": "forest", "bootstrap": "no"}, None, ("bootstrap", '"no"'),
+                     "bootstrap 'no' is not true or false"),
+    "seed-x": ({"kind": "forest", "seed": "x"}, None, ("seed", '"x"'),
+               "seed 'x' is not an integer"),
+    "degree-zero": ({"kind": "ols", "degree": 0}, ("--degree", "0"), ("degree", "0"),
+                    "degree 0 is not a whole number >= 1"),
+}
+
+
+def _one_check_argv(tmp_path, case, source):
+    """The argv that gives ONE_CHECK[case]'s setting through source."""
+    entry, flags, (saved, literal), _ = ONE_CHECK[case]
+    if source == "run-config":
+        return _run(tmp_path, predictor={"target": "S", **entry})
+    if source == "fit-flags":
+        return _fit(tmp_path, *flags)
+    if saved == "degree":
+        return _ols_with_degree(tmp_path, literal)
+    return _forest_config_set(tmp_path, saved, literal)
+
+
+@pytest.mark.parametrize("case, source", [
+    (case, source) for case in sorted(ONE_CHECK)
+    for source in ("run-config", "fit-flags", "saved-model")
+    if source != "fit-flags" or ONE_CHECK[case][1] is not None
+])
+def test_a_predictor_setting_is_refused_in_one_wording_from_every_source(
+        tmp_path, capsys, case, source):
+    assert main(_one_check_argv(tmp_path, case, source)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (config):")
+    assert ONE_CHECK[case][3] in err
+
+
+def test_explain_has_no_explain_data_flag(tmp_path, capsys):
+    # the flag replaced --data, which was then never read
+    argv = _explain(tmp_path, "--var", "P", "--closed-form", "P", "--features", "P")
+    argv[argv.index("--data") + 1] = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--explain-data", str(_salary_data(tmp_path))])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --explain-data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("second", [

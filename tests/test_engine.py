@@ -826,8 +826,9 @@ REQUEST_CASES = {
                                     "control on unknown variable 'Q'"),
     "control-on-explained-variable": (mediation_scm, XM, ["X"], ["PCDP"], {"X": 1.0}, (),
                                       "control on explained variable 'X'"),
+    # controls are named against the model with every kind, not only PCDP
     "controls-named-only-for-pcdp": (mediation_scm, XM, ["X"], ["TDP"], {"Q": 1.0}, (),
-                                     None),
+                                     "control on unknown variable 'Q'"),
     "band-models": (_salary_full, [("P", "F")], ["P"], ["TDP"], {}, (_salary_full,) * 2,
                     None),
     "band-models-differ": (_salary_full, [("P", "F")], ["P"], ["TDP"], {},

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import textwrap
 import threading
@@ -28,6 +29,7 @@ from cdplot.predictors import (
     open_external,
     save_predictor,
 )
+from cdplot.errors import DataError
 from cdplot.scm import Dataset, Mechanism, NoiseSpec, build_scm, sample
 from cdplot.expr import parse
 
@@ -190,6 +192,53 @@ def test_ols_rejects_bad_inputs():
         fit_ols(data, "y", (), degree=1)
 
 
+def test_ols_degree_is_checked_as_a_whole_number():
+    # OlsPredictor once truncated 2.5 to 2; a numpy integer is a whole number
+    data = _dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
+    with pytest.raises(PredictorError, match="degree 2.5 is not a whole number >= 1"):
+        OlsPredictor(("x",), 2.5, _monomial_exponents(1, 2), np.zeros(3))
+    with pytest.raises(PredictorError, match="degree 2.5 is not a whole number >= 1"):
+        fit_ols(data, "y", ("x",), degree=2.5)
+    fitted = fit_ols(data, "y", ("x",), degree=np.int64(2))
+    assert type(fitted.degree) is int and fitted.degree == 2
+    assert OlsPredictor(("x",), np.int64(2), fitted.exponents, fitted.coefficients).degree == 2
+
+
+@pytest.mark.parametrize("degree", [200, 10**30])
+def test_ols_refuses_a_degree_past_the_gram_bound_before_building(deadline, degree):
+    # degree 200 on two features is 20,301 terms, a Gram matrix of 3.3 GB;
+    # 10**30 once enumerated exponent vectors for ever
+    data = _dataset(x=np.arange(60.0), z=np.arange(60.0) ** 0.5, y=np.arange(60.0))
+    with deadline(10), pytest.raises(PredictorError, match="passes 16777216 cells"):
+        fit_ols(data, "y", ("x", "z"), degree=degree)
+
+
+def test_ols_bound_does_not_count_rows():
+    # 120 terms on 140,000 rows: 16.8M design cells, past 2**24, but a
+    # Gram matrix of 14,400; a long table is no reason to refuse a fit
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(140_000, 14))
+    names = tuple(f"x{i}" for i in range(14))
+    data = Dataset((*names, "y"), np.column_stack([x, x @ np.arange(14.0)]))
+    fitted = fit_ols(data, "y", names, degree=2)
+    assert len(fitted.exponents) * data.m > 1 << 24
+    assert np.allclose(fitted.predict(x[:5]), data.column("y")[:5])
+
+
+@pytest.mark.parametrize("features, target, error, message", [
+    ((), "y", PredictorError, "need at least one feature"),
+    (("x", "x"), "y", PredictorError, "duplicate feature names"),
+    (("x", "y"), "y", PredictorError, "target 'y' cannot also be a feature"),
+    (("x",), "q", DataError, "predictor target 'q' missing from the data"),
+    (("x", "q"), "y", DataError, "predictor feature 'q' missing from the data"),
+], ids=["none", "repeated", "target-among-them", "target-missing", "feature-missing"])
+def test_check_features_holds_the_column_rules(features, target, error, message):
+    data = _dataset(x=[1.0, 2.0], y=[1.0, 2.0])
+    with pytest.raises(error, match=f"^{message}$"):
+        predictors.check_features(data, target, features)
+    assert predictors.check_features(data, "y", ["x"]) == ("x",)
+
+
 def test_ols_rejects_an_overflowing_design_quietly(capfd):
     # (1e100)^4 overflows; LAPACK would print an illegal-argument notice
     # if the non-finite Gram matrix reached the condition estimate
@@ -276,6 +325,26 @@ def test_forest_config_validation():
         ForestConfig(max_depth=0)
     with pytest.raises(PredictorError):
         ForestConfig(min_leaf=0)
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("n_trees", 2.5, "n_trees 2.5 is not a whole number >= 1"),
+    ("features_per_split", 0, "features_per_split 0 is not a whole number >= 1"),
+    ("bootstrap", 0, "bootstrap 0 is not true or false"),
+    ("seed", -1, "seed -1 is not an integer >= 0"),
+    ("n_trees", np.int64(50), None),
+    ("seed", np.int64(3), None),
+], ids=["fractional-count", "zero-features-per-split", "bootstrap-an-int", "negative-seed",
+        "numpy-count", "numpy-seed"])
+def test_forest_config_checks_every_field_with_its_type(setting, value, message):
+    # a library caller's fractional count and non-bool bootstrap once passed;
+    # a negative seed passed and then failed in SeedSequence with a traceback;
+    # a numpy integer is a whole number (message None: accepted)
+    if message is None:
+        assert getattr(ForestConfig(**{setting: value}), setting) == value
+        return
+    with pytest.raises(PredictorError, match=f"^{re.escape(message)}$"):
+        ForestConfig(**{setting: value})
 
 
 def _tree_predict(tree, x):
