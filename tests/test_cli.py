@@ -620,10 +620,11 @@ def _damaged_ols(tmp_path, damage):
     return _model_file(tmp_path, json.dumps(blob))
 
 
-def _ols_with_degree(tmp_path, degree):
-    """A saved OLS model whose degree is the JSON literal degree."""
+def _ols_with_degree(tmp_path, degree, fitted=1):
+    """A saved OLS model of the given fitted degree whose degree is the
+    JSON literal degree."""
     data = read_dataset_csv(_salary_data(tmp_path))
-    blob = {**save_predictor(fit_ols(data, "S", ("P", "F"))), "degree": None}
+    blob = {**save_predictor(fit_ols(data, "S", ("P", "F"), fitted)), "degree": None}
     return _model_file(tmp_path, json.dumps(blob).replace('"degree": null', f'"degree": {degree}'))
 
 
@@ -850,6 +851,8 @@ EXIT_CASES = {
         2, lambda t: _forest_config_set(t, "seed", '"x"')),
     "explain-ols-blob-degree-beyond-float-range": (2, lambda t: _ols_with_degree(t, "1e400")),
     "explain-ols-blob-fractional-degree": (2, lambda t: _ols_with_degree(t, "1.5")),
+    "explain-ols-blob-degree-below-its-terms": (
+        2, lambda t: _ols_with_degree(t, "1", fitted=2)),
     "explain-closed-form-blob-expression-not-text": (
         2, lambda t: _model_file(t, '{"kind": "closed_form", "features": ["P", "F"], '
                                     '"expression": 5}')),

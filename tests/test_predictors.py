@@ -204,6 +204,17 @@ def test_ols_degree_is_checked_as_a_whole_number():
     assert OlsPredictor(("x",), np.int64(2), fitted.exponents, fitted.coefficients).degree == 2
 
 
+def test_saved_ols_degree_bounds_its_exponent_vectors():
+    # a degree-2 fit saved with degree 1 once loaded, described itself as
+    # ols(degree=1) and evaluated degree-2 terms
+    rng = np.random.default_rng(6)
+    x, z = rng.normal(size=(2, 40))
+    blob = save_predictor(fit_ols(_dataset(x=x, z=z, y=x * z), "y", ("x", "z"), degree=2))
+    assert load_predictor(blob).describe() == "ols(degree=2)"
+    with pytest.raises(PredictorError, match=r"exponent vector \[2, 0\] passes degree 1"):
+        load_predictor({**blob, "degree": 1})
+
+
 @pytest.mark.parametrize("degree", [200, 10**30])
 def test_ols_refuses_a_degree_past_the_gram_bound_before_building(deadline, degree):
     # degree 200 on two features is 20,301 terms, a Gram matrix of 3.3 GB;
@@ -377,15 +388,36 @@ def _forest_by_tree(model, x):
     return total / len(model.trees)
 
 
-def _on_thresholds(model, x):
-    """One row per split, sitting exactly on its threshold."""
+def _around_thresholds(model, x):
+    """Rows on each split's threshold, on the floats either side of it
+    and, for a zero, on the other zero; then rows of all -0.0 and all
+    0.0. Values that are not finite are left out."""
     rows = []
     for tree in model.trees:
         for i in np.flatnonzero(tree["feature"] >= 0):
-            row = x[i % len(x)].copy()
-            row[tree["feature"][i]] = tree["threshold"][i]
-            rows.append(row)
-    return np.array(rows).reshape(-1, x.shape[1])
+            t = tree["threshold"][i]
+            other = -t if t == 0 else t
+            for value in (np.nextafter(t, -np.inf), t, other, np.nextafter(t, np.inf)):
+                if np.isfinite(value):
+                    row = x[i % len(x)].copy()
+                    row[tree["feature"][i]] = value
+                    rows.append(row)
+    rows += [np.full(x.shape[1], -0.0), np.zeros(x.shape[1])]
+    return np.array(rows)
+
+
+def _both_paths(model):
+    """model and its copy loaded while _FOREST_CELLS admits no cell
+    table, which predicts by the packed rounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictors, "_FOREST_CELLS", 0)
+        rounds = load_predictor(save_predictor(model))
+    assert rounds._cells is None
+    return model, rounds
+
+
+def _splits(model):
+    return any(np.any(tree["feature"] >= 0) for tree in model.trees)
 
 
 _cells = st.one_of(st.integers(-3, 3).map(float), st.floats(-5, 5))
@@ -411,11 +443,21 @@ def test_packed_forest_matches_the_per_tree_walk(data):
     )
     names = [f"x{j}" for j in range(k)]
     model = fit_forest(_dataset(**dict(zip(names, x.T)), y=y), "y", names, config)
-    rows = np.vstack([x, _on_thresholds(model, x)])
-    expected = _forest_by_tree(model, rows).view(np.int64)
-    assert np.array_equal(model.predict(rows).view(np.int64), expected)
-    clone = load_predictor(json.loads(json.dumps(save_predictor(model))))
-    assert np.array_equal(clone.predict(rows).view(np.int64), expected)
+    # forests this small take the cell tables whenever a tree splits
+    assert (model._cells is not None) == _splits(model)
+    blob = json.loads(json.dumps(save_predictor(model)))
+    # a saved threshold may be any float but NaN
+    edge = data.draw(st.sampled_from([None, math.inf, -math.inf, -0.0, 0.0]), label="edge")
+    if edge is not None and _splits(model):
+        tree = data.draw(st.sampled_from([t for t in blob["trees"] if max(t["feature"]) >= 0]))
+        split = data.draw(st.sampled_from([i for i, f in enumerate(tree["feature"]) if f >= 0]))
+        tree["threshold"][split] = edge
+    clone = load_predictor(blob)
+    for forest in (model, clone):
+        rows = np.vstack([x, _around_thresholds(forest, x)])
+        expected = _forest_by_tree(forest, rows).view(np.int64)
+        for path in _both_paths(forest):
+            assert np.array_equal(path.predict(rows).view(np.int64), expected)
 
 
 def test_rows_on_a_threshold_go_left():
@@ -426,6 +468,58 @@ def test_rows_on_a_threshold_go_left():
     assert np.array_equal(model.predict(np.array([[0.5], [np.nextafter(0.5, 1)]])), [0.0, 1.0])
 
 
+def test_saved_zero_and_infinite_thresholds_predict_alike_on_both_paths():
+    # x0 <= 0.0, then x0 <= -0.0, or else x1 <= inf, then x1 <= -inf:
+    # -0.0 and 0.0 both go left twice, and past a positive x0 every
+    # finite x1 goes left, then right
+    tree = {
+        "feature": [0, 0, 1, -1, -1, 1, -1, -1, -1],
+        "threshold": [0.0, -0.0, math.inf, 0.0, 0.0, -math.inf, 0.0, 0.0, 0.0],
+        "left": [1, 3, 5, -1, -1, 7, -1, -1, -1],
+        "right": [2, 4, 6, -1, -1, 8, -1, -1, -1],
+        "value": [0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 4.0, 8.0, 16.0],
+    }
+    blob = {"kind": "forest", "features": ["a", "b"], "trees": [tree],
+            "config": {"n_trees": 1, "max_depth": 3, "min_leaf": 1}}
+    model = load_predictor(json.loads(json.dumps(blob)))
+    assert model._cells is not None
+    big = np.finfo(float).max
+    rows = np.array([[-0.0, 0.0], [0.0, -big], [5e-324, big], [-5e-324, 0.0], [big, -big]])
+    for path in _both_paths(model):
+        assert np.array_equal(path.predict(rows), [1.0, 1.0, 16.0, 1.0, 16.0])
+
+
+@pytest.mark.parametrize("k, per", [(20, 10), (16, 15)])
+def test_a_wide_saved_forest_predicts_by_rounds_without_counting_past_int64(deadline, k, per):
+    # k features with per thresholds each in both trees: 11**20 cells a
+    # tree pass int64, and an int64 product of 16**16 wraps to 0
+    trees = []
+    for shift in (0.0, 0.25):
+        # a chain: split s sends left to a leaf and right to the next split
+        splits = k * per
+        tree = {name: [] for name in ("feature", "threshold", "left", "right", "value")}
+        for s in range(splits):
+            tree["feature"] += [s % k, -1]
+            tree["threshold"] += [s // k + shift, 0.0]
+            tree["left"] += [2 * s + 1, -1]
+            tree["right"] += [2 * s + 2, -1]
+            tree["value"] += [0.0, float(s)]
+        for name, end in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                          ("right", -1), ("value", -1.0)):
+            tree[name].append(end)
+        trees.append(tree)
+    blob = {"kind": "forest", "features": [f"x{j}" for j in range(k)], "trees": trees,
+            "config": {"n_trees": 2, "max_depth": k * per, "min_leaf": 1}}
+    rng = np.random.default_rng(8)
+    with deadline(10):
+        model = load_predictor(json.loads(json.dumps(blob)))
+        assert model._cells is None
+        x = rng.uniform(-1, per + 1, size=(200, k))
+        rows = np.vstack([x, _around_thresholds(model, x)])
+        expected = _forest_by_tree(model, rows).view(np.int64)
+        assert np.array_equal(model.predict(rows).view(np.int64), expected)
+
+
 @pytest.mark.parametrize("n_trees", [1, 7, 50])
 def test_packed_forest_matches_the_per_tree_walk_across_row_blocks(n_trees):
     rng = np.random.default_rng(n_trees)
@@ -433,14 +527,16 @@ def test_packed_forest_matches_the_per_tree_walk_across_row_blocks(n_trees):
     y = x[:, 0] ** 2 + x[:, 1] + rng.normal(scale=0.1, size=300)
     config = ForestConfig(n_trees=n_trees, seed=n_trees)
     model = fit_forest(_dataset(a=x[:, 0], b=x[:, 1], y=y), "y", ("a", "b"), config)
+    assert model._cells is not None
     step = max(1, predictors._FOREST_NODES // n_trees)
-    pool = np.vstack([_on_thresholds(model, x), rng.normal(scale=1.5, size=(2 * step + 3, 2))])
+    pool = np.vstack([_around_thresholds(model, x), rng.normal(scale=1.5, size=(2 * step + 3, 2))])
     pool = rng.permutation(pool)
-    for count in (1, step - 1, step, step + 1, 2 * step + 3):
-        rows = pool[:count]
-        expected = _forest_by_tree(model, rows).view(np.int64)
-        assert np.array_equal(model.predict(rows).view(np.int64), expected)
-    assert model.predict(np.empty((0, 2))).shape == (0,)
+    for path in _both_paths(model):
+        for count in (1, step - 1, step, step + 1, 2 * step + 3):
+            rows = pool[:count]
+            expected = _forest_by_tree(model, rows).view(np.int64)
+            assert np.array_equal(path.predict(rows).view(np.int64), expected)
+        assert path.predict(np.empty((0, 2))).shape == (0,)
 
 
 def _best_split_by_reference(x, y, idx, feature, min_leaf):
