@@ -460,6 +460,9 @@ def _grow(tree, columns, y, idx, depth, config, mtry, rng, sizes):
 _FOREST_NODES = 1 << 15
 # Entries a forest's cell tables may hold, leaf cells and cell-map entries
 # together (16 MB of 8-byte entries); a larger forest predicts by rounds.
+# Past it the tables still predict 3-4x faster than the rounds (measured
+# to 4M entries, 2 MB of L2 per core), so the cap bounds their memory and
+# build time: about 0.05 s at 2^21 entries on 2 features, 0.13 s on 3.
 _FOREST_CELLS = 1 << 21
 
 

@@ -448,14 +448,18 @@ def test_packed_forest_matches_the_per_tree_walk(data):
     blob = json.loads(json.dumps(save_predictor(model)))
     # a saved threshold may be any float but NaN
     edge = data.draw(st.sampled_from([None, math.inf, -math.inf, -0.0, 0.0]), label="edge")
-    if edge is not None and _splits(model):
+    edited = edge is not None and _splits(model)
+    if edited:
         tree = data.draw(st.sampled_from([t for t in blob["trees"] if max(t["feature"]) >= 0]))
         split = data.draw(st.sampled_from([i for i, f in enumerate(tree["feature"]) if f >= 0]))
         tree["threshold"][split] = edge
     clone = load_predictor(blob)
     for forest in (model, clone):
-        rows = np.vstack([x, _around_thresholds(forest, x)])
-        expected = _forest_by_tree(forest, rows).view(np.int64)
+        # an unedited round trip keeps every threshold and leaf value, so
+        # the loaded forest must predict the fitted forest's walk
+        truth = forest if edited else model
+        rows = np.vstack([x, _around_thresholds(truth, x)])
+        expected = _forest_by_tree(truth, rows).view(np.int64)
         for path in _both_paths(forest):
             assert np.array_equal(path.predict(rows).view(np.int64), expected)
 
