@@ -428,11 +428,42 @@ def _best_split(column, targets, idx, min_leaf, sizes):
     return score[best], 0.5 * (xs[cut] + xs[cut + 1]), order, cut + 1
 
 
-def _grow(tree, columns, y, idx, depth, config, mtry, rng, sizes):
+def _feature_draws(rng, k: int, mtry: int, nodes: int) -> Iterator[list[int]]:
+    """The features rng.choice(k, mtry, replace=False) would draw at each
+    successive node, from one rng.integers call per `nodes` nodes.
+
+    For k <= 10000, or mtry <= k // 50, numpy's choice runs Floyd's
+    algorithm and then shuffles the drawn set, each step one bounded draw
+    equal to the one integers(0, bound, endpoint=True) makes: bounds
+    k - mtry ... k - 1, then mtry - 1 ... 1. Past that numpy shuffles the
+    tail of arange(k) instead, and each node calls choice. Draws past a
+    tree's last node are never used."""
+    if k > 10000 and mtry > k // 50:
+        while True:
+            yield rng.choice(k, size=mtry, replace=False).tolist()
+    per_node = np.concatenate([np.arange(k - mtry, k), np.arange(mtry - 1, 0, -1)])
+    bounds = np.tile(per_node, nodes)
+    while True:
+        draws = rng.integers(0, bounds, endpoint=True).tolist()
+        for start in range(0, len(draws), len(per_node)):
+            chosen = []
+            taken = set()
+            for j, value in zip(range(k - mtry, k), draws[start : start + mtry]):
+                value = j if value in taken else value  # Floyd's step
+                taken.add(value)
+                chosen.append(value)
+            swaps = draws[start + mtry : start + len(per_node)]
+            for i, j in zip(range(mtry - 1, 0, -1), swaps):
+                chosen[i], chosen[j] = chosen[j], chosen[i]
+            yield chosen
+
+
+def _grow(tree, columns, y, idx, depth, config, draws, sizes):
     """Grow the subtree of the rows idx depth first and return its node.
-    columns holds one contiguous row per feature, and mtry of them are
-    drawn at each split. fit_forest checks that no sum of squared
-    targets overflows, so every score is finite."""
+    columns holds one contiguous row per feature, and each node that may
+    split takes the next features from draws (see _feature_draws).
+    fit_forest checks that no sum of squared targets overflows, so every
+    score is finite."""
     targets = y.take(idx)
     best = None
     if (
@@ -440,7 +471,7 @@ def _grow(tree, columns, y, idx, depth, config, mtry, rng, sizes):
         and len(idx) >= 2 * config.min_leaf
         and targets.max() != targets.min()
     ):
-        for feature in rng.choice(len(columns), size=mtry, replace=False).tolist():
+        for feature in next(draws):
             found = _best_split(columns[feature], targets, idx, config.min_leaf, sizes)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (*found, feature)
@@ -449,8 +480,8 @@ def _grow(tree, columns, y, idx, depth, config, mtry, rng, sizes):
     _, threshold, order, left, feature = best
     node = tree.add_split(feature, threshold)
     rows = idx.take(order)
-    tree.left[node] = _grow(tree, columns, y, rows[:left], depth + 1, config, mtry, rng, sizes)
-    tree.right[node] = _grow(tree, columns, y, rows[left:], depth + 1, config, mtry, rng, sizes)
+    tree.left[node] = _grow(tree, columns, y, rows[:left], depth + 1, config, draws, sizes)
+    tree.right[node] = _grow(tree, columns, y, rows[left:], depth + 1, config, draws, sizes)
     return node
 
 
@@ -678,8 +709,10 @@ def fit_forest(
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
         rng = np.random.Generator(np.random.PCG64(seq))
         idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        # nodes at depth below max_depth draw: at most 255 of them for depth 8
+        draws = _feature_draws(rng, k, mtry, 2 ** min(config.max_depth, 8) - 1)
         tree = _Tree()
-        _grow(tree, columns, y, idx, 0, config, mtry, rng, sizes)
+        _grow(tree, columns, y, idx, 0, config, draws, sizes)
         trees.append(tree.freeze())
     return ForestPredictor(features, config, trees)
 
@@ -979,8 +1012,9 @@ def _node_indices(values) -> np.ndarray:
 def load_predictor(blob: Mapping) -> Predictor:
     """Inverse of save_predictor. A blob it cannot have written, with
     features that are not a list of names, an OLS degree that is not a
-    whole number of at least 1, an expression that is not text, or a
-    forest config ForestConfig refuses, raises PredictorError."""
+    whole number of at least 1, an expression that is not text, a forest
+    config ForestConfig refuses, or trees deeper than the config's
+    max_depth, raises PredictorError."""
     kind = blob.get("kind")
     if kind not in ("ols", "closed_form", "forest"):
         raise PredictorError(f"unknown predictor kind {kind!r}")
@@ -1009,4 +1043,8 @@ def load_predictor(blob: Mapping) -> Predictor:
     forest = ForestPredictor(features, config, trees)
     if config.n_trees != len(forest.trees):
         raise PredictorError(f"saved n_trees {config.n_trees} but {len(forest.trees)} tree(s)")
+    if forest._depth > config.max_depth:
+        raise PredictorError(
+            f"saved max_depth {config.max_depth} but a tree of depth {forest._depth}"
+        )
     return forest

@@ -18,9 +18,13 @@ unit is a 0-based integer or the literal "mean"; band files use the
 model index plus the literals "lower" and "upper". Rows are ordered by
 (unit, grid_value) with the named rows after the numbered ones.
 
-The CSV and SVG writers format each curve with one "%": values through
-"%.17g" and pixel coordinates through "%.2f", which give the same bytes
-as `format(value, ".17g")` and `_coord` on each value.
+The CSV writer fills each row with one "%". A row whose values are all
+one float, bit for bit, formats it once and repeats it through "%s"
+(a variable with no causal path to the features has such rows); any
+other row goes through "%.17g". The SVG writer maps all rows of pixel
+y coordinates at once to integer hundredths (`_hundredths`) and writes
+their digits into one byte buffer. The bytes are those of
+`format(value, ".17g")` and `format(coordinate, ".2f")` on each value.
 
 Plot kinds with one world key (engine.world_key) share a sweep, for
 example PDP and ICE, or NDDP and ICE when every other feature is a child
@@ -71,6 +75,25 @@ _TICKS = 5  # about this many ticks per axis
 
 def _coord(value: float) -> str:
     return format(value, ".2f")
+
+
+def _hundredths(coords: np.ndarray) -> np.ndarray:
+    """format(c, ".2f") of each pixel coordinate c as an int64 count of
+    hundredths, for coordinates in [_MARGIN, _WIDTH - _MARGIN], where
+    _Frame maps every value. There k = floor(100 c + 0.5) has 4 or 5
+    digits and the error of 100 c is below 1e-11, so k is what the
+    correctly rounded "%.2f" prints unless 100 c is within 1e-7 of a
+    half-integer. Those coordinates, among them the exact ties such as
+    50.125, which "%.2f" rounds half-even, go through format one by one."""
+    if coords.size and not (coords.min() >= _MARGIN and coords.max() <= _WIDTH - _MARGIN):
+        raise EngineError("curve values fall outside the plot range")
+    scaled = coords * 100.0
+    scaled += 0.5
+    cents = scaled.astype(np.int64)  # the floor, as every value is positive
+    scaled -= cents
+    for i in np.flatnonzero((scaled < 1e-7) | (scaled > 1 - 1e-7)).tolist():
+        cents.flat[i] = int(format(coords.flat[i], ".2f").replace(".", ""))
+    return cents
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
@@ -133,9 +156,31 @@ class _Frame:
         return self.bottom - frac * (self.bottom - self.top)
 
     def points(self, xs, rows) -> list[str]:
-        """The points attribute of one polyline per row of y values."""
-        template = " ".join(f"{_coord(x)},%.2f" for x in self.sx(xs).tolist())
-        return [template % tuple(ys) for ys in self.sy(np.asarray(rows)).tolist()]
+        """The points attribute of one polyline per row of y values. The
+        digits of every row are written into one byte buffer, over a row
+        of the fixed x strings, which is decoded once."""
+        # hundredths of a coordinate in the frame are at most 59000
+        cents = _hundredths(self.sy(np.asarray(rows, dtype=np.float64))).astype(np.uint16)
+        cells = [f"{_coord(x)},\0\0\0.\0\0" for x in self.sx(xs).tolist()]
+        return _lines(cells, cents).decode("ascii").split("\n")[:-1]
+
+
+def _lines(cells: list[str], cents: np.ndarray) -> bytearray:
+    """One line per row of cents: the cells joined by spaces, where the
+    field "\\0\\0\\0.\\0\\0" that ends each cell takes the digits of the
+    row's hundredths in that column. A hundreds digit of 0 stays NUL, and
+    every NUL is dropped."""
+    line = (" ".join(cells) + "\n").encode("ascii")
+    starts = np.cumsum([0] + [len(cell) + 1 for cell in cells[:-1]])
+    at = starts + [len(cell) - 6 for cell in cells]
+    out = bytearray(len(cents) * len(line))
+    buf = np.frombuffer(out, np.uint8).reshape(len(cents), len(line))
+    buf[:] = np.frombuffer(line, np.uint8)
+    for offset in (5, 4, 2, 1):
+        cents, digit = np.divmod(cents, 10)
+        buf[:, at + offset] = digit + 48
+    buf[:, at] = np.where(cents, cents + 48, 0)
+    return out.translate(None, b"\0")
 
 
 def _open_svg() -> list[str]:
@@ -270,8 +315,8 @@ def render_curves(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = No
         )
     (mean_points,) = frame.points(xs, [curve_set.mean])
     parts.append(f'{stroke}stroke-width="{_MEAN_WIDTH}" points="{mean_points}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # ends the text; "+" would copy it once more
+    return "\n".join(parts)
 
 
 def render_band(band: BandSet) -> str:
@@ -307,21 +352,33 @@ def render_band(band: BandSet) -> str:
             f'<text x="{frame.right - 94}" y="{y + 4}" font-size="11" '
             f'font-family="sans-serif">{_escape(label)}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # ends the text; "+" would copy it once more
+    return "\n".join(parts)
 
 
 # --- delimited export ------------------------------------------------------
 
 
-def _table(kind: str, grid: Grid, rows) -> str:
-    """CSV of (label, values) rows over one grid, one "%" per row."""
-    cells = ["%.17g,%%.17g\n" % x for x in grid.values]
+def _table(kind: str, grid: Grid, blocks) -> str:
+    """CSV of the rows of (labels, matrix) blocks over one grid, one "%"
+    per row. A row whose values are one float, bit for bit (so 0.0 and
+    -0.0 differ), formats it once and repeats it through "%s"; any other
+    row formats each value through "%.17g"."""
+    xs = ["%.17g" % x for x in grid.values]
+    cells = [f"{x},%.17g\n" for x in xs]
+    repeated = [f"{x},%s\n" for x in xs]
     kind = kind.replace("%", "%%")
     parts = ["plot_kind,unit,grid_value,value\n"]
-    for label, values in rows:
-        prefix = f"{kind},{label},"
-        parts.append((prefix + prefix.join(cells)) % tuple(values.tolist()))
+    for labels, matrix in blocks:
+        bits = np.asarray(matrix, dtype=np.float64).view(np.int64)
+        flat = (bits == bits[:, :1]).all(axis=1).tolist()
+        for label, values, same in zip(labels, matrix, flat):
+            prefix = f"{kind},{label},"
+            if same:
+                value = "%.17g" % values[0]
+                parts.append((prefix + prefix.join(repeated)) % ((value,) * len(xs)))
+            else:
+                parts.append((prefix + prefix.join(cells)) % tuple(values.tolist()))
     return "".join(parts)
 
 
@@ -334,13 +391,16 @@ def export_csv(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None)
     if _same_values(like, curve_set) and "\n" not in like[0].kind:
         source, text = like
         return text.replace(f"\n{source.kind},", f"\n{curve_set.kind},")
-    rows = [*enumerate(curve_set.curves), ("mean", curve_set.mean)]
-    return _table(curve_set.kind, curve_set.grid, rows)
+    blocks = [(range(curve_set.units), curve_set.curves), (("mean",), curve_set.mean[None])]
+    return _table(curve_set.kind, curve_set.grid, blocks)
 
 
 def export_band_csv(band: BandSet) -> str:
-    rows = [*enumerate(band.curves), ("lower", band.lower), ("upper", band.upper)]
-    return _table(band.kind, band.grid, rows)
+    blocks = [
+        (range(len(band.curves)), band.curves),
+        (("lower", "upper"), np.stack([band.lower, band.upper])),
+    ]
+    return _table(band.kind, band.grid, blocks)
 
 
 def import_csv(text: str, var: str = "x") -> CurveSet:

@@ -847,6 +847,8 @@ EXIT_CASES = {
         2, lambda t: _forest_config_set(t, "n_trees", "true")),
     "explain-forest-blob-tree-count-not-the-trees-saved": (
         2, lambda t: _forest_config_set(t, "n_trees", "7")),
+    "explain-forest-blob-depth-below-its-trees": (
+        2, lambda t: _forest_config_set(t, "max_depth", "1")),
     "explain-forest-blob-seed-not-a-number": (
         2, lambda t: _forest_config_set(t, "seed", '"x"')),
     "explain-ols-blob-degree-beyond-float-range": (2, lambda t: _ols_with_degree(t, "1e400")),

@@ -215,6 +215,22 @@ def test_saved_ols_degree_bounds_its_exponent_vectors():
         load_predictor({**blob, "degree": 1})
 
 
+def test_saved_forest_max_depth_bounds_its_trees():
+    # three depth-6 trees saved with max_depth 2 once loaded and described
+    # themselves as forest(trees=3, depth=2)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-3, 3, size=400)
+    model = fit_forest(_dataset(x=x, y=np.sin(3 * x)), "y", ("x",),
+                       ForestConfig(n_trees=3, max_depth=6, seed=2))
+    assert model._depth == 6
+    blob = json.loads(json.dumps(save_predictor(model)))
+    assert load_predictor(blob).describe() == "forest(trees=3, depth=6)"
+    for depth in (6, 9):
+        load_predictor({**blob, "config": {**blob["config"], "max_depth": depth}})
+    with pytest.raises(PredictorError, match="saved max_depth 2 but a tree of depth 6"):
+        load_predictor({**blob, "config": {**blob["config"], "max_depth": 2}})
+
+
 @pytest.mark.parametrize("degree", [200, 10**30])
 def test_ols_refuses_a_degree_past_the_gram_bound_before_building(deadline, degree):
     # degree 200 on two features is 20,301 terms, a Gram matrix of 3.3 GB;
@@ -648,6 +664,32 @@ def test_grower_builds_the_reference_trees(data):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert got[name].dtype == want[name].dtype
             assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64)), name
+
+
+def _choices_and_draws(k, mtry, seed, count, nodes):
+    """count draws of rng.choice(k, mtry, replace=False) and of
+    _feature_draws in batches of nodes, from generators seeded alike."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [theirs.choice(k, size=mtry, replace=False).tolist() for _ in range(count)]
+    got = list(itertools.islice(predictors._feature_draws(ours, k, mtry, nodes), count))
+    return got, want
+
+
+def test_feature_draws_are_the_draws_of_rng_choice():
+    # 30 draws in batches of 7 nodes, so that the batches chain
+    for k in range(1, 25):
+        for mtry in range(1, k + 1):
+            for seed in range(8):
+                got, want = _choices_and_draws(k, mtry, seed, 30, 7)
+                assert got == want, (k, mtry, seed)
+
+
+@pytest.mark.parametrize("k, mtry", [(10000, 300), (10001, 200), (10001, 201), (20000, 401)])
+def test_feature_draws_follow_numpy_across_its_tail_shuffle_boundary(k, mtry):
+    # past k > 10000 and mtry > k // 50 numpy shuffles the tail of
+    # arange(k) instead, which the batched draws do not reproduce
+    got, want = _choices_and_draws(k, mtry, 3, 4, 3)
+    assert got == want
 
 
 def test_forest_rejects_a_target_whose_squares_overflow():

@@ -15,6 +15,7 @@ from cdplot.render import (
     KIND_COLORS,
     _axes,
     _Frame,
+    _hundredths,
     _nice_ticks,
     export_band_csv,
     export_csv,
@@ -332,6 +333,36 @@ def _matrices(draw, min_rows=1):
     return Grid("x", np.asarray(grid)), curves
 
 
+# pixel coordinates that end in a half-cent: odd multiples of 1/8 are exact
+# ties, which "%.2f" rounds half-even, and (k + 0.5) / 100 the nearest
+# doubles to one
+_HALF_CENTS = st.one_of(
+    st.integers(68 * 8, 412 * 8).map(lambda i: i / 8),
+    st.integers(6800, 41199).map(lambda k: (k + 0.5) / 100),
+)
+
+
+@st.composite
+def _near_tie_matrices(draw):
+    """Curves over [0, 1] whose values map within a few ulps of a pixel
+    coordinate that ends in a half-cent."""
+    grid = sorted(draw(st.lists(st.floats(-10, 10), min_size=1, max_size=5, unique=True)))
+    frame = _Frame(grid[0], grid[-1], 0.0, 1.0)
+
+    def value(coordinate, ulps):
+        frac = (frame.bottom - coordinate) / (frame.bottom - frame.top)
+        y = frame.y_lo + frac * (frame.y_hi - frame.y_lo)
+        for _ in range(abs(ulps)):
+            y = math.nextafter(y, math.copysign(math.inf, ulps))
+        return min(max(y, 0.0), 1.0)
+
+    row = st.lists(st.builds(value, _HALF_CENTS, st.integers(-3, 3)),
+                   min_size=len(grid), max_size=len(grid))
+    curves = np.array(draw(st.lists(row, min_size=2, max_size=4)))
+    curves[0, 0], curves[1, 0] = 0.0, 1.0  # the y range the values were aimed at
+    return Grid("x", np.asarray(grid)), curves
+
+
 def _curve_set_of(grid, curves):
     return CurveSet("ICE", grid, curves, curves.mean(axis=0))
 
@@ -342,8 +373,9 @@ def _band_of(grid, curves):
 
 
 @settings(deadline=None)
-@given(_matrices())
+@given(st.one_of(_matrices(), _near_tie_matrices()))
 @example((Grid("x", np.asarray([-0.0])), np.asarray([[-0.0]])))
+@example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.asarray([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]])))
 @example((Grid("x", np.asarray([0.5])), np.asarray([[5e-324]])))
 @example((Grid("x", np.asarray([-1e300, 1e300])), np.asarray([[1e300, -1e300], [0.0, 5e-324]])))
 @example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.full((3, 3), 7.25)))
@@ -373,8 +405,9 @@ def test_export_keeps_percent_signs_in_the_kind(kind):
 
 
 @settings(deadline=None)
-@given(_matrices())
+@given(st.one_of(_matrices(), _near_tie_matrices()))
 @example((Grid("x", np.asarray([-0.0])), np.asarray([[-0.0]])))
+@example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.asarray([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]])))
 @example((Grid("x", np.asarray([-1e300, 1e300])), np.asarray([[1e300, -1e300], [0.0, 5e-324]])))
 @example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.full((2, 3), -3.5)))
 def test_band_writers_match_the_per_point_writers(matrix):
@@ -395,6 +428,44 @@ def test_band_writers_match_the_per_point_writers(matrix):
     )
     expected = [envelope] + [_scalar_points(frame, xs, ys) for ys in band.curves]
     assert _svg_points(render_band(band)) == expected
+
+
+def _format_hundredths(coords):
+    return [int(format(c, ".2f").replace(".", "")) for c in coords.tolist()]
+
+
+def test_hundredths_match_format_at_and_around_every_tie():
+    eighths = np.arange(50 * 8, 590 * 8 + 1) / 8
+    half_cents = (np.arange(5000, 59000) + 0.5) / 100
+    coords = [eighths, np.nextafter(eighths, 0), np.nextafter(eighths, 1000), half_cents]
+    for direction in (0, 1000):
+        nudged = half_cents
+        for _ in range(4):
+            nudged = np.nextafter(nudged, direction)
+            coords.append(nudged)
+    coords.append(np.random.default_rng(28).uniform(50, 590, size=100_000))
+    coords = np.concatenate(coords)
+    coords = coords[(coords >= 50) & (coords <= 590)]
+    # the exact ties round half-even, away from floor(100 c + 0.5)
+    assert _format_hundredths(np.asarray([50.125, 50.375])) == [5012, 5038]
+    assert _hundredths(coords).tolist() == _format_hundredths(coords)
+    strided = coords[: len(coords) // 7 * 7].reshape(-1, 7)[::-1, 2:]
+    assert _hundredths(strided).tolist() == [_format_hundredths(row) for row in strided]
+
+
+@pytest.mark.parametrize("coords", [[50.0, np.nextafter(50, 0)], [590.01], [100.0, math.nan]])
+def test_hundredths_refuse_coordinates_off_the_canvas(coords):
+    with pytest.raises(EngineError, match="outside the plot range"):
+        _hundredths(np.asarray(coords))
+
+
+def test_a_band_curve_outside_its_envelope_is_refused():
+    # every curve point must map inside the frame the envelopes span
+    grid = Grid("x", np.asarray([0.0, 1.0]))
+    band = BandSet("TDP", grid, ("a", "b"), np.asarray([[0.0, 1.0], [0.5, 9.0]]),
+                   np.asarray([0.0, 1.0]), np.asarray([0.5, 1.0]))
+    with pytest.raises(EngineError, match="outside the plot range"):
+        render_band(band)
 
 
 # --- relabelling the text of a curve set with the same values --------------
