@@ -29,6 +29,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -235,8 +236,52 @@ def read_dataset_csv(
     path: str | Path, label_map: Mapping[str, float] | None = None
 ) -> Dataset:
     """Read a comma-separated table of numbers. label_map translates
-    non-numeric cells (for example benign -> 2)."""
+    non-numeric cells (for example benign -> 2).
+
+    numpy's C reader parses the table; whenever it cannot, or the result
+    is not one the cell loop would give, `_read_cells` reads the text
+    instead and says which cell is at fault."""
     text = _read_input(path, "dataset", DataError)
+    data = _parse_numbers(text)
+    return data if data is not None else _read_cells(text, path, label_map)
+
+
+def _parse_numbers(text: str) -> Dataset | None:
+    """The table `_read_cells` reads from text, parsed by `np.loadtxt`, or
+    None when that takes the cell loop to decide. Without quotes and
+    carriage returns (`_read_input` reads with universal newlines),
+    `csv.reader` ends a record at each '\\n' and nowhere else; `str.splitlines`
+    would also split at '\\x0c', '\\x1c', '\\u2028' and others. Both parsers
+    round through `PyOS_string_to_double` and strip the same whitespace;
+    numpy refuses the underscores and non-ASCII digits that `float`
+    accepts, so those go to the cell loop too."""
+    if '"' in text or "\r" in text:
+        return None
+    rows = list(filter(None, text.split("\n")))
+    if len(rows) < 2:
+        return None
+    header = [h.strip() for h in rows[0].split(",")]
+    if len(set(header)) != len(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns, not raises, on empty input
+            matrix = np.loadtxt(
+                rows[1:], delimiter=",", comments=None, ndmin=2, dtype=np.float64
+            )
+    except (ValueError, UserWarning):
+        return None
+    if matrix.shape != (len(rows) - 1, len(header)) or not np.isfinite(matrix).all():
+        return None
+    return Dataset(tuple(header), matrix)
+
+
+def _read_cells(
+    text: str, path: str | Path, label_map: Mapping[str, float] | None
+) -> Dataset:
+    """Read the table cell by cell with `csv.reader` and `float`: the
+    reference for `_parse_numbers`, the one reader of quoted cells and
+    label maps, and the source of every row-and-column DataError."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if row]

@@ -396,6 +396,13 @@ def export_csv(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None)
 
 
 def export_band_csv(band: BandSet) -> str:
+    """Delimited form of a band: each model's curve, then the envelopes.
+    A band that `uncertainty_band` cannot give, with a value that is not
+    finite or a curve outside [lower, upper], raises EngineError."""
+    if not all(np.isfinite(a).all() for a in (band.curves, band.lower, band.upper)):
+        raise EngineError("band values are not finite")
+    if np.any(band.curves < band.lower) or np.any(band.curves > band.upper):
+        raise EngineError("band curves leave their [lower, upper] envelope")
     blocks = [
         (range(len(band.curves)), band.curves),
         (("lower", "upper"), np.stack([band.lower, band.upper])),

@@ -28,7 +28,7 @@ from cdplot.cli import (
     run_pipeline,
     write_dataset_csv,
 )
-from cdplot.errors import ConfigError, DataError
+from cdplot.errors import CdpError, ConfigError, DataError
 from cdplot.predictors import (
     ClosedFormPredictor,
     ForestConfig,
@@ -190,6 +190,117 @@ def test_dataset_writer_matches_a_per_cell_writer(tmp_path, table):
     path.write_text(text, encoding="utf-8")
     again = read_dataset_csv(path)
     assert np.array_equal(again.values.view(np.int64), table.values.view(np.int64))
+
+
+_NUMBER_CELLS = st.builds(
+    lambda value, spelling: spelling(value),
+    _CELLS | st.sampled_from((1e308, -1e308, 1e-310)),
+    st.sampled_from((lambda v: "%.17g" % v, repr)),
+)
+# (mutation, row, column, text); rows and columns are taken modulo the
+# table's size, row 0 being the header.
+_MUTATIONS = st.tuples(
+    st.sampled_from((
+        "pad", "underscore", "quote", "blank-line", "space-line", "trailing-comma",
+        "inside", "arabic", "non-finite", "word", "label", "drop", "duplicate-name",
+    )),
+    st.integers(0, 40),
+    st.integers(0, 6),
+    st.sampled_from((" ", "\t", "\x0c", "\x1c", "\xa0", "\u2028", "\x85", "\x00", "nan",
+                     "benign", "")),
+)
+
+
+@st.composite
+def _dataset_texts(draw):
+    """The text of a dataset CSV, often damaged, and a label map or None."""
+    k = draw(st.integers(1, 5))
+    cells = [[f"C{c}" for c in range(k)]]
+    cells += draw(st.lists(st.lists(_NUMBER_CELLS, min_size=k, max_size=k),
+                           min_size=1, max_size=30))
+    blank = []
+    for mutation, r, c, text in draw(st.lists(_MUTATIONS, max_size=4)):
+        row = cells[r % len(cells)]
+        if not row:
+            continue
+        c %= len(row)
+        if mutation == "pad":
+            row[c] = text + row[c] + text
+        elif mutation == "underscore":
+            row[c] = "1_0"
+        elif mutation == "quote":
+            row[c] = f'"{row[c]}"'
+        elif mutation in ("blank-line", "space-line"):
+            blank.append((r % (len(cells) + 1), "" if mutation == "blank-line" else text))
+        elif mutation == "trailing-comma":
+            row.append("")
+        elif mutation == "inside":  # a character that str.splitlines breaks at
+            row[c] = row[c][:1] + text + row[c][1:]
+        elif mutation == "arabic":
+            row[c] = "١٢"
+        elif mutation == "non-finite":
+            row[c] = ("nan", "inf", "-inf", "1e500", "-1e999")[r % 5]
+        elif mutation in ("word", "label"):
+            row[c] = text if mutation == "word" else "benign"
+        elif mutation == "drop":
+            del row[c]
+        else:
+            row[c] = row[(c + 1) % len(row)]
+    lines = [",".join(row) for row in cells]
+    for at, line in sorted(blank, reverse=True):
+        lines.insert(at, line)
+    end = draw(st.sampled_from(("\n", "\r\n", "\r", "mixed")))
+    if end == "mixed":
+        text = "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+    else:
+        text = end.join(lines) + draw(st.sampled_from(("", end)))
+    label_map = draw(st.sampled_from((None, {"benign": 2.0}, {"": -0.0, "benign": 4.0})))
+    return text, label_map
+
+
+def _read_outcome(read):
+    """What a dataset reader gives: the table's names, shape and float
+    bits (so -0.0 counts), or its error's type and message."""
+    try:
+        data = read()
+    except CdpError as exc:
+        return type(exc).__name__, str(exc)
+    return data.columns, data.values.shape, data.values.view(np.int64).tolist()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_dataset_texts())
+@example(case=("A,B\r1,2\r3,4\r", None))
+@example(case=("A,B\r\n1,2\r\n\r\n3,-0.0\r\n", None))
+@example(case=("A\n1\x0c2\n", None))  # one cell, two lines to str.splitlines
+@example(case=("A\n1\u20282\n", None))
+@example(case=("A\n\x1c1\x1c\n 2 \n", None))
+@example(case=("A\n1\n  \n", {"": 5.0}))
+@example(case=("A\n1\n\n", None))
+@example(case=('A,"B"\n1,2\n', None))
+@example(case=("A,B\n1,nan\n", None))
+@example(case=("A\n-1e999\n", {"": 1.0}))
+@example(case=("A,B\n1,benign\n", {"benign": 2.0}))
+def test_dataset_reader_matches_the_cell_loop(tmp_path, case):
+    text, label_map = case
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _read_outcome(lambda: read_dataset_csv(path, label_map))
+    # the reader's text, with universal newlines, is the cell loop's input
+    read = path.read_text(encoding="utf-8")
+    assert got == _read_outcome(lambda: cli._read_cells(read, path, label_map))
+
+
+def test_dataset_reader_sends_no_numpy_warning(tmp_path, capfd):
+    path = tmp_path / "d.csv"
+    path.write_text("A\n\n\n", encoding="utf-8")
+    with pytest.raises(DataError, match="at least one data row"):
+        read_dataset_csv(path)
+    path.write_text("A\n \n", encoding="utf-8")
+    with pytest.raises(DataError, match="cannot read ''"):
+        read_dataset_csv(path)
+    assert capfd.readouterr().err == ""
 
 
 def test_dataset_label_map_translates_cells(tmp_path):

@@ -468,6 +468,22 @@ def test_a_band_curve_outside_its_envelope_is_refused():
         render_band(band)
 
 
+@pytest.mark.parametrize("curves, lower, upper, message", [
+    ([[0.0, 1.0], [0.5, 9.0]], [0.0, 1.0], [0.5, 1.0], "leave their"),
+    ([[0.0, 1.0], [0.5, 0.5]], [0.0, 0.75], [0.5, 1.0], "leave their"),  # below lower
+    ([[0.0, np.nan], [0.5, 1.0]], [0.0, 1.0], [0.5, 1.0], "not finite"),
+    ([[0.0, 1.0], [0.5, 1.0]], [0.0, 1.0], [0.5, np.inf], "not finite"),
+])
+def test_band_csv_refuses_a_band_no_model_set_gives(curves, lower, upper, message):
+    # `uncertainty_band` gives finite curves inside their envelopes; the
+    # CSV writer must not write anything else (a NaN as "nan")
+    grid = Grid("x", np.asarray([0.0, 1.0]))
+    band = BandSet("TDP", grid, ("a", "b"), np.asarray(curves), np.asarray(lower),
+                   np.asarray(upper))
+    with pytest.raises(EngineError, match=message):
+        export_band_csv(band)
+
+
 # --- relabelling the text of a curve set with the same values --------------
 
 
