@@ -21,6 +21,7 @@ by the failing invocation are removed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time
+_PIECE_UNITS = 256  # units of a curve file formatted and written at a time
 
 _SCM_HEADER_RE = re.compile(r"scm\s+([A-Za-z_][A-Za-z0-9_]*)\s*$")
 _VAR_RE = re.compile(r"var\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*$")
@@ -700,46 +702,77 @@ def _build_predictor(
 # --- the pipeline ----------------------------------------------------------
 
 
-def _write_file(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is a
-    configuration error. The text is encoded a slice at a time, so a
-    curve file of tens of megabytes never has its whole encoded copy in
-    memory next to the text."""
+@contextlib.contextmanager
+def _writing(path: str | Path):
+    """An OSError in the block, opening, writing or closing path, is a
+    configuration error: a path that cannot be written."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start : start + _WRITE_SLICE])
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _write_slices(handle, text: str) -> None:
+    """Write text a slice at a time, so a text of tens of megabytes
+    never has its whole encoded copy in memory next to it."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start : start + _WRITE_SLICE])
+
+
+def _write_file(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a
+    configuration error."""
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
+        _write_slices(handle, text)
+
+
 class _Outputs:
     """Tracks files written so a failed run leaves nothing behind: as a
-    context manager it removes them when the block raises."""
+    context manager it closes the files still open and, when the block
+    raises, removes every file it created."""
 
     def __init__(self, directory: Path):
         self.directory = directory
         self.written: list[Path] = []
+        self._open: dict[str, object] = {}  # name -> handle of a file written in pieces
 
     def __enter__(self) -> "_Outputs":
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
+        for handle in self._open.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+        self._open.clear()
         if kind is not None:
             for target in self.written:
-                try:
+                with contextlib.suppress(OSError):
                     target.unlink()
-                except OSError:
-                    pass
 
-    def write(self, name: str, text: str) -> None:
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create {self.directory}: {exc}") from None
+    def write(self, name: str, text: str, *, more: bool = False) -> None:
+        """Write text to the file name of the output directory. The first
+        write of a name creates the file, which is registered before its
+        first byte, so a write that fails midway leaves no partial file
+        once the block ends. With more=True the file stays open and the
+        next write of the name appends to it."""
         target = self.directory / name
-        _write_file(target, text)
-        self.written.append(target)
+        handle = self._open.pop(name, None)
+        if handle is None:
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create {self.directory}: {exc}") from None
+            with _writing(target):
+                handle = open(target, "w", encoding="utf-8")
+            self.written.append(target)
+        with _writing(target):
+            try:
+                _write_slices(handle, text)
+            finally:
+                if more:
+                    self._open[name] = handle
+                else:
+                    handle.close()
 
 
 def _columns(data: Dataset, names: Iterable[str], what: str) -> tuple[str, ...]:
@@ -874,16 +907,21 @@ def _sweep_groups(scm: Scm, features: Sequence[str], var: str, plots: Sequence[s
 
 def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
     """Write the curve sets of one sweep group through each (extension,
-    writer). The first set's text is formatted and each other set
-    relabels that text, never a relabel, so at most one relabel is held
-    next to it; the text is freed before the next writer formats."""
-    source = curve_sets[0]
+    writer), _PIECE_UNITS units at a time. Each piece of the first set is
+    formatted and each other set relabels the piece of the set before
+    it, which is then freed, so at most two pieces are held at a time,
+    and never a whole file."""
+    names = [f"{stem}{curve_set.kind.lower()}" for curve_set in curve_sets]
+    total = curve_sets[0].units
     for ext, write in writers:
-        text = write(source)
-        for curve_set in curve_sets:
-            outputs.write(f"{stem}{curve_set.kind.lower()}.{ext}",
-                          text if curve_set is source else write(curve_set, like=(source, text)))
-        del text
+        for start in range(0, total, _PIECE_UNITS):
+            units = range(start, min(start + _PIECE_UNITS, total))
+            like = None
+            for curve_set, name in zip(curve_sets, names):
+                piece = write(curve_set, units=units, like=like)
+                like = (curve_set, piece)
+                outputs.write(f"{name}.{ext}", piece, more=units.stop < total)
+            del piece, like  # not held while the next piece is formatted
 
 
 def _compute_plot(

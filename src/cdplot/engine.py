@@ -229,6 +229,13 @@ class CurveSet:
     def units(self) -> int:
         return self.curves.shape[0]
 
+    @functools.cached_property
+    def value_range(self) -> tuple[float, float]:
+        """The least and the greatest value of the curves and the mean,
+        found once however many pieces of the SVG read them."""
+        return (float(min(self.curves.min(), self.mean.min())),
+                float(max(self.curves.max(), self.mean.max())))
+
     def relabel(self, kind: str, metadata: dict[str, str] | None = None) -> CurveSet:
         """The same curves under another kind (and metadata, if given).
         The result shares this set's grid, curves and mean, which are

@@ -26,15 +26,28 @@ y coordinates at once to integer hundredths (`_hundredths`) and writes
 their digits into one byte buffer. The bytes are those of
 `format(value, ".17g")` and `format(coordinate, ".2f")` on each value.
 
+`export_csv` and `render_curves` give one piece of their text for a
+nonempty range of units (`units=range(start, stop)`, by default every
+unit), so that a writer holds the text of a few hundred curves instead
+of a whole file of tens of megabytes. A piece holds the header, or the
+SVG head up to the axes, when the range starts at 0; then the rows, or
+the polylines, of the range's units; then the mean rows, or the mean
+polyline and the end of the SVG, when the range reaches the last unit.
+The pieces of consecutive ranges joined in order are the whole text. In
+a CSV piece each row starts with the newline that ends the line before
+it, and the last piece ends with the file's final newline; an SVG
+piece holds whole lines.
+
 Plot kinds with one world key (engine.world_key) share a sweep, for
 example PDP and ICE, or NDDP and ICE when every other feature is a child
-of the explained variable. `export_csv` and `render_curves` take the text
-written for the curve set that leads such a group as
-`like=(source, text)` and relabel it instead of formatting the same
-values again. In a CSV only the kind at the start of each row changes; in
-an SVG only the caption and the curve color. Relabelling happens only when the curve set shares the source's
-grid, curves and mean, as `CurveSet.relabel` makes it, so the bytes are
-those of formatting the curve set anew.
+of the explained variable. `export_csv` and `render_curves` take the
+piece written for another curve set of such a group as
+`like=(source, piece)` and relabel it instead of formatting the same
+values again. In a CSV only the kind after each row's newline changes;
+in an SVG only the caption and the curve color. Relabelling happens only
+when the curve set shares the source's grid, curves and mean, as
+`CurveSet.relabel` makes it, so the bytes are those of formatting the
+curve set anew.
 """
 
 from __future__ import annotations
@@ -289,33 +302,52 @@ def _same_values(like: tuple[CurveSet, str] | None, curve_set: CurveSet) -> bool
     )
 
 
-def render_curves(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None) -> str:
-    """SVG with one thin polyline per unit and a thick mean polyline.
+def _units(curve_set: CurveSet, units: range | None) -> range:
+    """units, a nonempty range of the curve set's units in steps of 1;
+    None means every unit."""
+    if units is None:
+        return range(curve_set.units)
+    if units.step != 1 or not 0 <= units.start < units.stop <= curve_set.units:
+        raise ValueError(f"{units} is not a run of the curve set's {curve_set.units} units")
+    return units
 
-    like=(source, text) offers render_curves(source); when source shares
-    the values (see the module docstring), the result is that text with
-    the caption and the curve color swapped."""
+
+def render_curves(
+    curve_set: CurveSet,
+    *,
+    units: range | None = None,
+    like: tuple[CurveSet, str] | None = None,
+) -> str:
+    """SVG with one thin polyline per unit and a thick mean polyline, or
+    the piece of it for a range of units (see the module docstring).
+
+    like=(source, piece) offers render_curves(source, units=units); when
+    source shares the values, the result is that piece with the caption
+    and the curve color swapped."""
+    units = _units(curve_set, units)
     if _same_values(like, curve_set):
         source, text = like
         text = text.replace(_title(_caption(source)), _title(_caption(curve_set)), 1)
         return text.replace(_stroke(source.kind), _stroke(curve_set.kind))
     stroke = _stroke(curve_set.kind)
     xs = curve_set.grid.values
-    y_lo = float(min(curve_set.curves.min(), curve_set.mean.min()))
-    y_hi = float(max(curve_set.curves.max(), curve_set.mean.max()))
-    frame = _Frame(float(xs[0]), float(xs[-1]), y_lo, y_hi)
-    parts = _open_svg()
-    parts.append(_title(_caption(curve_set)))
-    parts.extend(_axes(frame, curve_set.grid.var))
-    for points in frame.points(xs, curve_set.curves):
+    frame = _Frame(float(xs[0]), float(xs[-1]), *curve_set.value_range)
+    parts = []
+    if units.start == 0:
+        parts.extend(_open_svg())
+        parts.append(_title(_caption(curve_set)))
+        parts.extend(_axes(frame, curve_set.grid.var))
+    for points in frame.points(xs, curve_set.curves[units.start : units.stop]):
         parts.append(
             f'{stroke}stroke-width="{_CURVE_WIDTH}" '
             f'stroke-opacity="{_CURVE_OPACITY}" '
             f'points="{points}"/>'
         )
-    (mean_points,) = frame.points(xs, [curve_set.mean])
-    parts.append(f'{stroke}stroke-width="{_MEAN_WIDTH}" points="{mean_points}"/>')
-    parts.append("</svg>\n")  # ends the text; "+" would copy it once more
+    if units.stop == curve_set.units:
+        (mean_points,) = frame.points(xs, [curve_set.mean])
+        parts.append(f'{stroke}stroke-width="{_MEAN_WIDTH}" points="{mean_points}"/>')
+        parts.append("</svg>")
+    parts.append("")  # ends the last line; "+" would copy the text once more
     return "\n".join(parts)
 
 
@@ -359,40 +391,57 @@ def render_band(band: BandSet) -> str:
 # --- delimited export ------------------------------------------------------
 
 
-def _table(kind: str, grid: Grid, blocks) -> str:
-    """CSV of the rows of (labels, matrix) blocks over one grid, one "%"
-    per row. A row whose values are one float, bit for bit (so 0.0 and
-    -0.0 differ), formats it once and repeats it through "%s"; any other
-    row formats each value through "%.17g"."""
+_HEADER = "plot_kind,unit,grid_value,value"
+
+
+def _table(kind: str, grid: Grid, blocks, first: bool = True, last: bool = True) -> str:
+    """CSV lines of the rows of (labels, matrix) blocks over one grid,
+    one "%" per row, each line after a newline: the header first when
+    first, and the file's final newline when last. A row whose values
+    are one float, bit for bit (so 0.0 and -0.0 differ), formats it once
+    and repeats it through "%s"; any other row formats each value
+    through "%.17g"."""
     xs = ["%.17g" % x for x in grid.values]
-    cells = [f"{x},%.17g\n" for x in xs]
-    repeated = [f"{x},%s\n" for x in xs]
+    cells = [f"{x},%.17g" for x in xs]
+    repeated = [f"{x},%s" for x in xs]
     kind = kind.replace("%", "%%")
-    parts = ["plot_kind,unit,grid_value,value\n"]
+    parts = [_HEADER] if first else []
     for labels, matrix in blocks:
         bits = np.asarray(matrix, dtype=np.float64).view(np.int64)
         flat = (bits == bits[:, :1]).all(axis=1).tolist()
         for label, values, same in zip(labels, matrix, flat):
-            prefix = f"{kind},{label},"
+            prefix = f"\n{kind},{label},"
             if same:
                 value = "%.17g" % values[0]
                 parts.append((prefix + prefix.join(repeated)) % ((value,) * len(xs)))
             else:
                 parts.append((prefix + prefix.join(cells)) % tuple(values.tolist()))
+    if last:
+        parts.append("\n")
     return "".join(parts)
 
 
-def export_csv(curve_set: CurveSet, *, like: tuple[CurveSet, str] | None = None) -> str:
-    """Stable delimited form of a curve set; see the module docstring.
+def export_csv(
+    curve_set: CurveSet,
+    *,
+    units: range | None = None,
+    like: tuple[CurveSet, str] | None = None,
+) -> str:
+    """Stable delimited form of a curve set, or the piece of it for a
+    range of units; see the module docstring.
 
-    like=(source, text) offers export_csv(source); when source has the
-    same values, the result is that text with the kind of each row
-    swapped. Every row starts with the kind after a newline."""
+    like=(source, piece) offers export_csv(source, units=units); when
+    source has the same values, the result is that piece with the kind of
+    each row swapped. Every row starts with the kind after a newline."""
+    units = _units(curve_set, units)
     if _same_values(like, curve_set) and "\n" not in like[0].kind:
         source, text = like
         return text.replace(f"\n{source.kind},", f"\n{curve_set.kind},")
-    blocks = [(range(curve_set.units), curve_set.curves), (("mean",), curve_set.mean[None])]
-    return _table(curve_set.kind, curve_set.grid, blocks)
+    blocks = [(units, curve_set.curves[units.start : units.stop])]
+    last = units.stop == curve_set.units
+    if last:
+        blocks.append((("mean",), curve_set.mean[None]))
+    return _table(curve_set.kind, curve_set.grid, blocks, units.start == 0, last)
 
 
 def export_band_csv(band: BandSet) -> str:
@@ -415,7 +464,7 @@ def import_csv(text: str, var: str = "x") -> CurveSet:
     round trip exactly; the grid variable name is not stored in the
     file, so it must be supplied."""
     lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != "plot_kind,unit,grid_value,value":
+    if not lines or lines[0] != _HEADER:
         raise EngineError("not a curve table: bad header")
     kinds = set()
     per_unit: dict[int, list[tuple[float, float]]] = {}

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import errno
+import importlib
 import io
 import itertools
 import json
@@ -9,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +44,7 @@ from cdplot.render import import_csv
 from cdplot.scm import Dataset, sample
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
+ROOT = Path(__file__).resolve().parents[1]
 
 CHAIN_SPEC = """\
 scm chain
@@ -1334,6 +1338,138 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
     assert "log" in capsys.readouterr().err
+
+
+class _FullDisk:
+    """A text file whose second write runs out of space."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(text)
+
+    def close(self):
+        self.handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch):
+    # c.txt gets its first 10-character slice before the disk is full; the
+    # failed block must remove it along with a.txt
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 10)
+
+    def full_disk_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        return _FullDisk(handle) if Path(path).name == "c.txt" else handle
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="No space left"):
+        with cli._Outputs(out) as outputs:
+            outputs.write("a.txt", "a" * 25)
+            outputs.write("c.txt", "c" * 25)
+    assert list(out.iterdir()) == []
+
+
+def test_outputs_append_the_pieces_of_a_file(tmp_path):
+    with cli._Outputs(tmp_path) as outputs:
+        outputs.write("a.txt", "one ", more=True)
+        outputs.write("b.txt", "other")
+        outputs.write("a.txt", "two ", more=True)
+        outputs.write("a.txt", "three")
+    assert outputs.written == [tmp_path / "a.txt", tmp_path / "b.txt"]
+    assert (tmp_path / "a.txt").read_text(encoding="utf-8") == "one two three"
+
+
+def _outputs_of(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("fixture, overrides", [
+    ("salary.json", {"plots": list(PLOT_KINDS)}),
+    ("mediation.json", {}),
+])
+def test_curve_files_written_in_pieces_keep_their_bytes(tmp_path, monkeypatch, fixture,
+                                                        overrides):
+    # 500 units: 2 pieces a file at the default size, 72 at 7 units
+    out = tmp_path / "out"  # the manifest's config hash covers the directory
+    config = load_run_config(FIXTURES / fixture, {**overrides, "output_dir": str(out)})
+    run_pipeline(config)
+    default = _outputs_of(out)
+    monkeypatch.setattr(cli, "_PIECE_UNITS", 7)
+    run_pipeline(config)
+    assert _outputs_of(out) == default
+
+
+def test_a_failure_between_pieces_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    # 30 units in 5 pieces: the CSV is whole and the SVG has 2 pieces when
+    # the third SVG piece fails
+    monkeypatch.setattr(cli, "_PIECE_UNITS", 7)
+    out = tmp_path / "out"
+    calls = []
+    render_curves = render.render_curves
+
+    def failing(curve_set, **kwargs):
+        calls.append(kwargs["units"])
+        if len(calls) == 3:
+            assert sorted(p.name for p in out.iterdir()) == ["P_tdp.csv", "P_tdp.svg"]
+            raise engine.EngineError("third piece")
+        return render_curves(curve_set, **kwargs)
+
+    monkeypatch.setattr(render, "render_curves", failing)
+    argv = _run(tmp_path, plots=["TDP"], data={"simulate": {"n": 30, "seed": 5}})
+    assert main(argv) == 4
+    assert calls == [range(0, 7), range(7, 14), range(14, 21)]
+    assert list(out.iterdir()) == []
+    assert "third piece" in capsys.readouterr().err
+
+
+def test_writing_a_curve_group_holds_no_whole_file(tmp_path):
+    # formatting and writing hold one piece of a few hundred units and a
+    # relabel of it, not the text of a whole file
+    curves = np.random.default_rng(0).normal(size=(2000, 40))
+    ice = engine.CurveSet("ICE", engine.Grid("P", np.linspace(0.0, 1.0, 40)), curves,
+                          curves.mean(axis=0))
+    size = len(render.export_csv(ice))
+    writers = (("csv", render.export_csv), ("svg", render.render_curves))
+    tracemalloc.start()
+    try:
+        with cli._Outputs(tmp_path) as outputs:
+            cli._write_curves(outputs, "P_", [ice, ice.relabel("PDP")], writers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "P_pdp.csv").stat().st_size == size
+    assert peak < size / 3
+
+
+def test_traced_pieces_count_the_bytes_on_disk(tmp_path, monkeypatch):
+    # the benchmark's shims time one call per piece and add up its bytes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(cli, "_PIECE_UNITS", 7)
+    _copy_fixture(tmp_path, "salary.scm")
+    config = load_run_config(_write_config(tmp_path, variables=["P", "F"],
+                                           plots=list(PLOT_KINDS)))
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        run_pipeline(config)
+    files = _outputs_of(tmp_path / "out")
+    on_disk = {ext: sum(len(text) for name, text in files.items() if name.endswith(ext))
+               for ext in (".csv", ".svg", "")}
+    assert tracer.counts["render.csv_calls"] == 12 * 12  # 80 units in 12 pieces
+    assert tracer.counts["render.csv_bytes"] == on_disk[".csv"]
+    assert tracer.counts["render.svg_bytes"] == on_disk[".svg"]
+    assert tracer.counts["cli.bytes_written"] == on_disk[""]
 
 
 def test_run_discovery_records_the_graph(tmp_path):

@@ -516,3 +516,58 @@ def test_text_of_other_values_is_not_relabelled(change):
     assert export_csv(target, like=(source, export_csv(source))) == export_csv(target)
     svg = render_curves(target, like=(source, render_curves(source)))
     assert svg == render_curves(target)
+
+
+# --- pieces of a range of units --------------------------------------------
+
+
+_PIECE_KINDS = ("ICE", "PDP", "100%", "%s%.17g%%", "plot_kind")
+
+
+@st.composite
+def _piece_cases(draw):
+    """A matrix, a partition of its units into consecutive ranges given by
+    their bounds, a kind and a kind to relabel it to."""
+    grid, curves = draw(st.one_of(_matrices(), _near_tie_matrices()))
+    cuts = draw(st.lists(st.integers(0, len(curves)), max_size=4))
+    kind, target = draw(st.lists(st.sampled_from(_PIECE_KINDS), min_size=2, max_size=2))
+    return grid, curves, sorted({0, *cuts, len(curves)}), kind, target
+
+
+@settings(deadline=None, derandomize=True)
+@given(_piece_cases())
+@example((Grid("x", np.asarray([0.0, 1.0])), np.asarray([[0.5, 2.0]]), [0, 1], "ICE", "PDP"))
+# the last unit on its own, with the mean rows
+@example((Grid("x", np.asarray([0.0, 1.0])), np.asarray([[0.5, 2.0], [1.0, 3.0], [-1.0, 0.0]]),
+          [0, 2, 3], "ICE", "PDP"))
+# a flat row, formatted through "%s", in the second piece
+@example((Grid("x", np.asarray([0.0, 1.0, 2.0])), np.asarray([[0.0, 1.0, 2.0], [2.5, 2.5, 2.5]]),
+          [0, 1, 2], "%s%.17g%%", "100%"))
+def test_pieces_join_to_the_whole_text(case):
+    grid, curves, cuts, kind, target = case
+    source = CurveSet(kind, grid, curves, curves.mean(axis=0), {"intervention": "do(x=grid)"})
+    relabelled = source.relabel(target)
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    pieces = [export_csv(source, units=r) for r in ranges]
+    assert "".join(pieces) == export_csv(source)
+    assert "".join(export_csv(relabelled, units=r, like=(source, piece))
+                   for r, piece in zip(ranges, pieces)) == export_csv(relabelled)
+    xs = grid.values
+    error = _axes_error(_Frame(float(xs[0]), float(xs[-1]), *source.value_range))
+    if error is not None:
+        with pytest.raises(error):
+            render_curves(source, units=ranges[0])
+        return
+    pieces = [render_curves(source, units=r) for r in ranges]
+    assert "".join(pieces) == render_curves(source)
+    assert "".join(render_curves(relabelled, units=r, like=(source, piece))
+                   for r, piece in zip(ranges, pieces)) == render_curves(relabelled)
+
+
+@pytest.mark.parametrize("units", [range(0, 3), range(-1, 1), range(1, 1), range(2, 1),
+                                   range(0, 2, 2)])
+def test_units_must_be_a_run_of_the_curve_sets_units(units):
+    curve_set = _curve_set(curves=[[0.0, 1.0], [2.0, 3.0]])
+    for write in (export_csv, render_curves):
+        with pytest.raises(ValueError, match="is not a run"):
+            write(curve_set, units=units)
