@@ -13,6 +13,12 @@ Model spec files are line oriented; '#' starts a comment::
 Root variables omit parents and eq. Noise is one of normal(mean, sd),
 uniform(low, high), point(value).
 
+Every table path holds a block of a file, never the whole text. Datasets
+and render's curve table are parsed from the open file a line at a time;
+only a table numpy refuses is read whole, by the loop that words errors.
+simulate writes its tables _PIECE_ROWS rows at a time, and run, explain
+and render write curve files _PIECE_UNITS units at a time.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 compute
 error, 5 external predictor error. On failure, files already written
 by the failing invocation are removed.
@@ -26,13 +32,15 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,6 +82,7 @@ __all__ = [
 ]
 
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time
+_PIECE_ROWS = 1 << 12  # dataset rows formatted and written at a time
 _PIECE_UNITS = 256  # units of a curve file formatted and written at a time
 
 _SCM_HEADER_RE = re.compile(r"scm\s+([A-Za-z_][A-Za-z0-9_]*)\s*$")
@@ -105,11 +114,6 @@ def _json(text: str, source: str | Path):
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{source}: invalid JSON: nested too deeply") from None
-
-
-def _read_json(path: str | Path, what: str):
-    """A JSON input file."""
-    return _json(_read_input(path, what, ConfigError), path)
 
 
 # --- model spec files ------------------------------------------------------
@@ -229,53 +233,68 @@ def load_scm_spec(path: str | Path) -> Scm:
 
 
 def write_dataset_csv(data: Dataset) -> str:
+    return "".join(_dataset_pieces(data))
+
+
+def _dataset_pieces(data: Dataset) -> Iterator[str]:
+    """The text of write_dataset_csv(data) in pieces: the header line,
+    then the rows _PIECE_ROWS at a time."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(data.columns)
-    return out.getvalue() + _csv_rows(data.values)
+    yield out.getvalue()
+    for start in range(0, data.m, _PIECE_ROWS):
+        yield _csv_rows(data.values[start : start + _PIECE_ROWS])
 
 
-def read_dataset_csv(
-    path: str | Path, label_map: Mapping[str, float] | None = None
-) -> Dataset:
+def _read_table(path: str | Path, what: str, parse, parse_text):
+    """parse(handle) of the open input file, read as UTF-8 with universal
+    newlines. When the file cannot be opened or read, or parse gives None,
+    parse_text of the text `_read_input` gives, which words a failure; it
+    alone reads what is no regular file, as a pipe can be read only once."""
+    table = None
+    if Path(path).is_file():
+        with contextlib.suppress(OSError, UnicodeDecodeError), open(path, encoding="utf-8") as f:
+            table = parse(f)
+    return table if table is not None else parse_text(_read_input(path, what, DataError))
+
+
+def read_dataset_csv(path: str | Path, label_map: Mapping[str, float] | None = None) -> Dataset:
     """Read a comma-separated table of numbers. label_map translates
     non-numeric cells (for example benign -> 2).
 
-    numpy's C reader parses the table; whenever it cannot, or the result
+    numpy's C reader parses the open file a line at a time, so the table
+    and a line are held, never the text; whenever it cannot, or the result
     is not one the cell loop would give, `_read_cells` reads the text
     instead and says which cell is at fault."""
-    text = _read_input(path, "dataset", DataError)
-    data = _parse_numbers(text)
-    return data if data is not None else _read_cells(text, path, label_map)
+    return _read_table(path, "dataset", _parse_numbers,
+                       lambda text: _read_cells(text, path, label_map))
 
 
-def _parse_numbers(text: str) -> Dataset | None:
-    """The table `_read_cells` reads from text, parsed by `np.loadtxt`, or
-    None when that takes the cell loop to decide. Without quotes and
-    carriage returns (`_read_input` reads with universal newlines),
-    `csv.reader` ends a record at each '\\n' and nowhere else; `str.splitlines`
-    would also split at '\\x0c', '\\x1c', '\\u2028' and others. Both parsers
-    round through `PyOS_string_to_double` and strip the same whitespace;
-    numpy refuses the underscores and non-ASCII digits that `float`
-    accepts, so those go to the cell loop too."""
-    if '"' in text or "\r" in text:
+def _parse_numbers(lines: Iterable[str]) -> Dataset | None:
+    """The table `_read_cells` reads from a file's lines, which universal
+    newlines end at each '\\n' and nowhere else, as `csv.reader` ends a
+    record when no quote is open; parsed by `np.loadtxt`, or None when that
+    takes the cell loop to decide. A quote in the header goes to the cell
+    loop, and one in a row fails numpy's parse. Both parsers round through
+    `PyOS_string_to_double` and strip the same whitespace; numpy refuses
+    the underscores and non-ASCII digits that `float` accepts, so those go
+    to the cell loop too. numpy must return a row per nonblank line."""
+    lines = filter("\n".__ne__, lines)
+    header = next(lines, "").removesuffix("\n")
+    names = [h.strip() for h in header.split(",")]
+    if '"' in header or len(set(names)) != len(names):
         return None
-    rows = list(filter(None, text.split("\n")))
-    if len(rows) < 2:
-        return None
-    header = [h.strip() for h in rows[0].split(",")]
-    if len(set(header)) != len(header):
-        return None
+    counter = itertools.count()  # zip draws from it once per line and once at the end
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns, not raises, on empty input
-            matrix = np.loadtxt(
-                rows[1:], delimiter=",", comments=None, ndmin=2, dtype=np.float64
-            )
-    except (ValueError, UserWarning):
+            matrix = np.loadtxt(map(operator.itemgetter(1), zip(counter, lines)),
+                                delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except (ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError too
         return None
-    if matrix.shape != (len(rows) - 1, len(header)) or not np.isfinite(matrix).all():
+    if matrix.shape != (next(counter) - 1, len(names)) or not np.isfinite(matrix).all():
         return None
-    return Dataset(tuple(header), matrix)
+    return Dataset(tuple(names), matrix)
 
 
 def _read_cells(
@@ -597,7 +616,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     """Read and validate a run config. Paths inside the file resolve
     relative to the file's directory."""
     path = Path(path)
-    raw = _read_json(path, "config")
+    raw = _json(_read_input(path, "config", ConfigError), path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     raw = dict(raw)
@@ -712,18 +731,15 @@ def _writing(path: str | Path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _write_slices(handle, text: str) -> None:
-    """Write text a slice at a time, so a text of tens of megabytes
-    never has its whole encoded copy in memory next to it."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        handle.write(text[start : start + _WRITE_SLICE])
-
-
-def _write_file(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is a
-    configuration error."""
-    with _writing(path), open(path, "w", encoding="utf-8") as handle:
-        _write_slices(handle, text)
+def _write_files(files: Iterable[tuple[str | Path, Iterable[str]]]) -> None:
+    """Write each (path, pieces) output file a piece at a time through
+    _Outputs, which leaves no file behind if a write fails."""
+    with _Outputs(Path()) as outputs:
+        for path, pieces in files:
+            for piece in pieces:
+                outputs.write(str(path), piece, more=True)
+                del piece  # not held while the next piece is formatted
+            outputs.write(str(path), "")  # closes the file; an error in closing is raised
 
 
 class _Outputs:
@@ -766,8 +782,9 @@ class _Outputs:
                 handle = open(target, "w", encoding="utf-8")
             self.written.append(target)
         with _writing(target):
-            try:
-                _write_slices(handle, text)
+            try:  # a slice at a time: no whole encoded copy next to the text
+                for start in range(0, len(text), _WRITE_SLICE):
+                    handle.write(text[start : start + _WRITE_SLICE])
             finally:
                 if more:
                     self._open[name] = handle
@@ -855,19 +872,9 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
     return manifest
 
 
-def _write_plots(
-    outputs: _Outputs,
-    prefix: str,
-    scm: Scm,
-    predictor: Predictor,
-    data: Dataset,
-    variables: Sequence[str],
-    plots: Sequence[str],
-    resolution: int,
-    control: Mapping[str, float],
-    writers,
-    band_scms: Sequence[Scm] = (),
-) -> None:
+def _write_plots(outputs: _Outputs, prefix: str, scm: Scm, predictor: Predictor, data: Dataset,
+                 variables: Sequence[str], plots: Sequence[str], resolution: int,
+                 control: Mapping[str, float], writers, band_scms: Sequence[Scm] = ()) -> None:
     """Write the curves of each explained variable and plot kind through
     each (extension, writer), one sweep per _sweep_groups group, plus the
     band files of band_scms; close the predictor at the end, also on
@@ -914,8 +921,7 @@ def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
     names = [f"{stem}{curve_set.kind.lower()}" for curve_set in curve_sets]
     total = curve_sets[0].units
     for ext, write in writers:
-        for start in range(0, total, _PIECE_UNITS):
-            units = range(start, min(start + _PIECE_UNITS, total))
+        for units in _unit_ranges(total):
             like = None
             for curve_set, name in zip(curve_sets, names):
                 piece = write(curve_set, units=units, like=like)
@@ -924,16 +930,15 @@ def _write_curves(outputs: _Outputs, stem: str, curve_sets, writers) -> None:
             del piece, like  # not held while the next piece is formatted
 
 
-def _compute_plot(
-    kind: str,
-    scm: Scm,
-    predictor: Predictor,
-    data: Dataset,
-    var: str,
-    grid: engine.Grid,
-    control: Mapping[str, float],
-    swept: engine.CurveSet | None = None,
-) -> engine.CurveSet:
+def _unit_ranges(total: int) -> Iterator[range]:
+    """The runs of _PIECE_UNITS units that make up range(total), in order."""
+    return (range(start, min(start + _PIECE_UNITS, total))
+            for start in range(0, total, _PIECE_UNITS))
+
+
+def _compute_plot(kind: str, scm: Scm, predictor: Predictor, data: Dataset, var: str,
+                  grid: engine.Grid, control: Mapping[str, float],
+                  swept: engine.CurveSet | None = None) -> engine.CurveSet:
     """The curve set of one plot kind: its own sweep, or, for a kind in
     swept's _sweep_groups group, swept relabelled with the metadata of
     the kind's own sweep."""
@@ -948,9 +953,8 @@ def _compute_plot(
 def _cmd_simulate(args) -> int:
     scm = load_scm_spec(args.scm)
     data, noise = sample(scm, _at_least("--n", args.n, 1), args.seed)
-    _write_file(args.out, write_dataset_csv(data))
-    if args.noise_out:
-        _write_file(args.noise_out, write_dataset_csv(noise))
+    tables = ((args.out, data), (args.noise_out, noise))
+    _write_files((path, _dataset_pieces(table)) for path, table in tables if path)
     print(f"wrote {data.m} rows of {len(data.columns)} variables to {args.out}")
     return 0
 
@@ -960,7 +964,7 @@ def _cmd_discover(args) -> int:
     block = _discovery_block(_given(args, "alpha", "max_cond", "variables"))
     text = disc.cpdag_to_text(disc.learn_cpdag(block, read_dataset_csv(args.data, label_map)))
     if args.out:
-        _write_file(args.out, text)
+        _write_files([(args.out, [text])])
     sys.stdout.write(text)
     return 0
 
@@ -974,7 +978,7 @@ def _cmd_fit(args) -> int:
     _predictor_columns(block, _block_features(block, data.columns), data, data)
     predictor = _build_predictor(block, data, data.columns)
     blob = save_predictor(predictor)
-    _write_file(args.out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
+    _write_files([(args.out, [json.dumps(blob, indent=2, sort_keys=True) + "\n"])])
     print(f"fitted {predictor.describe()} on {data.m} rows -> {args.out}")
     return 0
 
@@ -999,7 +1003,7 @@ def _cmd_explain(args) -> int:
     resolution = _at_least("--grid-resolution", args.grid_resolution, 2)
     block = None
     if args.model:
-        blob = _read_json(args.model, "model")
+        blob = _json(_read_input(args.model, "model", ConfigError), args.model)
         try:
             predictor: Predictor = load_predictor(blob)
         except (AttributeError, KeyError, TypeError, ValueError, CdpError) as exc:
@@ -1026,12 +1030,13 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = _read_input(args.csv, "curve table", DataError)
-    try:
-        curve_set = render.import_csv(text, var=args.var)
-    except CdpError as exc:
+    try:  # a table that cannot be read, or drawn, is a data error
+        curve_set = _read_table(args.csv, "curve table", lambda f: render.read_csv(f, args.var),
+                                lambda text: render.import_csv(text, args.var))
+        units = _unit_ranges(curve_set.units)
+        _write_files([(args.svg, (render.render_curves(curve_set, units=u) for u in units))])
+    except engine.EngineError as exc:
         raise DataError(f"{args.csv}: {exc}") from None
-    _write_file(args.svg, render.render_curves(curve_set))
     print(f"wrote {args.svg}")
     return 0
 
@@ -1120,14 +1125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: CdpError) -> int:
-    if isinstance(exc, ExternalPredictorError):
-        return 5
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, DataError):
-        return 3
-    return 4
+# (error type, exit code, word) of each failure, the first that matches
+_EXITS = ((ExternalPredictorError, 5, "external predictor"), (ConfigError, 2, "config"),
+          (DataError, 3, "data"), (CdpError, 4, "compute"))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1136,11 +1136,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CdpError as exc:
-        kind = {2: "config", 3: "data", 5: "external predictor"}.get(
-            _exit_code(exc), "compute"
-        )
+        code, kind = next((code, kind) for error, code, kind in _EXITS if isinstance(exc, error))
         print(f"error ({kind}): {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return code
 
 
 if __name__ == "__main__":

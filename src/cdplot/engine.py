@@ -196,7 +196,8 @@ def make_grid(data: Dataset, var: str, resolution: int = GRID_RESOLUTION_DEFAULT
 
 @dataclass(frozen=True)
 class CurveSet:
-    """Per-unit curves over a grid plus their pointwise mean."""
+    """Per-unit curves over a grid plus their pointwise mean. Float64
+    arrays are taken as they are, not copied, and made read-only."""
 
     kind: str
     grid: Grid
@@ -205,8 +206,8 @@ class CurveSet:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        curves = np.array(self.curves, dtype=np.float64)
-        mean = np.array(self.mean, dtype=np.float64)
+        curves = np.asarray(self.curves, dtype=np.float64)
+        mean = np.asarray(self.mean, dtype=np.float64)
         if curves.ndim != 2 or curves.shape[1] != len(self.grid):
             raise EngineError(
                 f"curves shape {curves.shape} does not match grid length "
@@ -371,7 +372,9 @@ def curves(kind: str, predictor: Predictor, scm: Scm | None, data: Dataset, var:
             total = None
             if TDP_WORLD in pins.values():
                 total = counterfactual_table(scm, noise, _pin_columns({var: GRID}, data, xs))
-            return counterfactual_table(scm, noise, _pin_columns(pins, data, xs, total))
+            columns = _pin_columns(pins, data, xs, total)
+            del total  # only its pinned columns live on next to the second world
+            return counterfactual_table(scm, noise, columns)
 
     swept = _sweep(predictor, grid, data.m, world)
     return _curveset(kind, grid, swept, plot_metadata(kind, predictor, scm, var, control))

@@ -206,20 +206,22 @@ def _monomial_exponents(k: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# Terms multiplied together in _design; it bounds the temporaries, which
-# for all terms at once would outgrow the design matrix itself.
+# _design multiplies at most _TERMS_PER_GROUP terms together, and fewer
+# when there are many rows, so that its product temporaries hold about
+# _DESIGN_CELLS cells; for all terms at once they would outgrow the design
+# matrix itself.
 _TERMS_PER_GROUP = 16
+_DESIGN_CELLS = 1 << 14
 
 
 @functools.lru_cache(maxsize=32)
 def _design_plan(
-    exponents: tuple[tuple[int, ...], ...],
+    exponents: tuple[tuple[int, ...], ...], per_group: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """How _design builds the columns of these exponent vectors: the
-    distinct (feature, power) factors, and groups of at most
-    _TERMS_PER_GROUP terms with the same number of factors, each as (its
-    columns, a row per term of indices into the factors, in feature
-    order)."""
+    distinct (feature, power) factors, and groups of at most per_group
+    terms with the same number of factors, each as (its columns, a row
+    per term of indices into the factors, in feature order)."""
     factors: dict[tuple[int, int], int] = {}
     by_count: dict[int, list[tuple[int, list[int]]]] = {}
     for column, exps in enumerate(exponents):
@@ -227,8 +229,8 @@ def _design_plan(
         by_count.setdefault(len(term), []).append((column, term))
     groups = []
     for count, terms in by_count.items():
-        for start in range(0, len(terms), _TERMS_PER_GROUP):
-            group = terms[start : start + _TERMS_PER_GROUP]
+        for start in range(0, len(terms), per_group):
+            group = terms[start : start + per_group]
             columns = np.array([column for column, _ in group], dtype=np.intp)
             indices = np.array([term for _, term in group], dtype=np.intp)
             indices = indices.reshape(len(group), count)
@@ -243,7 +245,8 @@ def _design(x: np.ndarray, exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
     order (1.0 for a term without factors). Each distinct power is
     computed once, and each group of terms with the same number of
     factors is filled together, one multiply per factor position."""
-    factors, groups = _design_plan(tuple(exponents))
+    per_group = max(1, min(_TERMS_PER_GROUP, _DESIGN_CELLS // max(1, x.shape[0])))
+    factors, groups = _design_plan(tuple(exponents), per_group)
     powers = np.empty((len(factors), x.shape[0]))
     for row, (i, e) in enumerate(factors):
         powers[row] = x[:, i] ** e

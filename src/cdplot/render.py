@@ -48,12 +48,22 @@ in an SVG only the caption and the curve color. Relabelling happens only
 when the curve set shares the source's grid, curves and mean, as
 `CurveSet.relabel` makes it, so the bytes are those of formatting the
 curve set anew.
+
+`import_csv` rebuilds a curve set from a CSV text and `read_csv` from an
+open file, with one parser that reads lines: those of `text.split("\\n")`,
+blank ones dropped. A table laid out as `export_csv` writes it is checked
+line by line without parsing a number, then numpy parses its grid values
+and values _BLOCK_ROWS rows at a time into one matrix, so a file is never
+held whole, only the curves and a block. Any other table goes to the line
+loop, which holds a tuple per row, reads rows in any order and words
+every error.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -64,6 +74,7 @@ __all__ = [
     "export_band_csv",
     "export_csv",
     "import_csv",
+    "read_csv",
     "render_band",
     "render_curves",
 ]
@@ -459,17 +470,126 @@ def export_band_csv(band: BandSet) -> str:
     return _table(band.kind, band.grid, blocks)
 
 
+# --- delimited import ------------------------------------------------------
+
+
+_BLOCK_ROWS = 1 << 12  # curve-table rows numpy parses at a time
+
+
 def import_csv(text: str, var: str = "x") -> CurveSet:
     """Rebuild a CurveSet from export_csv output. Values survive the
     round trip exactly; the grid variable name is not stored in the
-    file, so it must be supplied."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != _HEADER:
+    file, so it must be supplied. The text is read a line at a time, as
+    read_csv reads a file."""
+    return _import(lambda: _split_lines(text), var)
+
+
+def read_csv(handle: TextIO, var: str = "x") -> CurveSet:
+    """import_csv of the text of an open, seekable text file, which is
+    read a line at a time, two or three times over. A table laid out as
+    export_csv writes it is parsed by numpy into one matrix of its values
+    a block of rows at a time, so the curves and a block are held and
+    never the text; any other table is read by the line loop, the source
+    of every error, which also reads rows in any order."""
+
+    def lines() -> TextIO:
+        handle.seek(0)
+        return handle
+
+    return _import(lines, var)
+
+
+def _split_lines(text: str) -> Iterator[str]:
+    """The lines of text, each up to and with its "\\n", as a file gives
+    them."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _import(lines: Callable[[], Iterable[str]], var: str) -> CurveSet:
+    """The curve set of the table whose lines each call of lines() gives
+    again: the split rule is that of `text.split("\\n")` with the empty
+    lines dropped. numpy reads a table in _layout's layout; the line loop
+    any other table, and one whose numbers numpy refuses or whose grids
+    differ."""
+    layout = _layout(lines())
+    curve_set = None if layout is None else _read_values(lines(), var, *layout)
+    return curve_set if curve_set is not None else _read_rows(lines(), var)
+
+
+def _layout(lines: Iterable[str]) -> tuple[str, int, int] | None:
+    """(kind, units, grid length) of a curve table laid out as export_csv
+    writes it: blank lines aside, the header, then the rows of unit 0, 1,
+    ... in turn and the mean rows, as many for each, every row four cells
+    with the one kind and the unit as export_csv writes them. None for
+    any other table."""
+    rows = filter("\n".__ne__, lines)
+    if next(rows, "").removesuffix("\n") != _HEADER:
+        return None
+    kind = head = mean = None
+    runs: list[int] = []  # the rows of each unit in turn, then the mean's
+    for row in rows:
+        if row.count(",") != 3:
+            return None
+        if head is None or not row.startswith(head):
+            if kind is None:
+                kind = row[: row.index(",")]
+                mean = f"{kind},mean,"
+            if head == mean:
+                return None
+            head = next((h for h in (f"{kind},{len(runs)},", mean) if row.startswith(h)), None)
+            if head is None:
+                return None
+            runs.append(0)
+        runs[-1] += 1
+    if head != mean or len(runs) < 2 or runs.count(runs[0]) != len(runs):
+        return None
+    return kind, len(runs) - 1, runs[0]
+
+
+def _read_values(lines: Iterable[str], var: str, kind: str, units: int,
+                 points: int) -> CurveSet | None:
+    """The curve set of a table in _layout's layout: numpy parses the grid
+    values and values of about _BLOCK_ROWS rows at a time into one matrix
+    of the units' and the mean's values. None when numpy refuses a number
+    or a unit's grid values differ from the mean's, which float equality
+    lets it check against unit 0's; the line loop then decides."""
+    rows = filter("\n".__ne__, lines)
+    next(rows)  # the header
+    values = np.empty((units + 1, points))
+    per_block = max(1, _BLOCK_ROWS // points)
+    for start in range(0, units + 1, per_block):
+        block = values[start : start + per_block]
+        try:
+            cells = np.loadtxt(rows, delimiter=",", comments=None, usecols=(2, 3),
+                               max_rows=block.size, ndmin=2, dtype=np.float64)
+        except ValueError:  # a UnicodeDecodeError is a ValueError too
+            return None
+        if cells.shape != (block.size, 2):
+            return None
+        grids = cells[:, 0].reshape(block.shape)
+        if start == 0:
+            first = grids[0].copy()
+        if not (grids == first).all():
+            return None
+        block[:] = cells[:, 1].reshape(block.shape)
+    return CurveSet(kind, Grid(var, grids[-1]), values[:units], values[units])
+
+
+def _read_rows(lines: Iterable[str], var: str) -> CurveSet:
+    """The curve set of a table read a line at a time with `float` and
+    `int`: the reference for `_read_values`, the one reader of rows in
+    any other order, and the source of every error."""
+    nonblank = filter(None, (line.removesuffix("\n") for line in lines))
+    if next(nonblank, None) != _HEADER:
         raise EngineError("not a curve table: bad header")
     kinds = set()
     per_unit: dict[int, list[tuple[float, float]]] = {}
     mean_rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(nonblank, start=2):
         parts = line.split(",")
         if len(parts) != 4:
             raise EngineError(f"bad row at line {lineno}")

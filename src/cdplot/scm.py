@@ -342,14 +342,15 @@ def build_scm(name: str, mechanisms: Mapping[str, Mechanism]) -> Scm:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable rectangular table of finite float64 values."""
+    """Immutable rectangular table of finite float64 values. A float64
+    array is taken as it is, not copied, and made read-only."""
 
     columns: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
-        values = np.array(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ScmError(f"expected a 2-d table, got ndim {values.ndim}")
         if values.shape[1] != len(self.columns):

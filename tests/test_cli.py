@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -328,6 +329,68 @@ def test_dataset_requires_data_rows(tmp_path):
         read_dataset_csv(path)
 
 
+def test_dataset_reader_holds_the_matrix_and_no_text(tmp_path):
+    # numpy parses the open file a line at a time: no text, no list of lines
+    values = np.random.default_rng(0).normal(size=(20000, 3))
+    path = tmp_path / "d.csv"
+    path.write_text(write_dataset_csv(Dataset(("A", "B", "C"), values)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        data = read_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.values, values)
+    assert peak < 2 * values.nbytes
+
+
+@pytest.mark.parametrize("command", ["dataset", "render"])
+def test_a_table_from_a_pipe_is_read_once(tmp_path, deadline, command):
+    # a pipe cannot be read again by the cell loop or the line loop, so its
+    # text is read whole; the quoted dataset is one numpy would refuse
+    fifo = tmp_path / "t.csv"
+    os.mkfifo(fifo)
+    if command == "dataset":
+        text = '"A",B\r\n1,2\r\n'
+    else:
+        curves = np.array([[1.0, 2.0]])
+        text = render.export_csv(engine.CurveSet("ICE", engine.Grid("x", [0.0, 1.0]), curves,
+                                                 curves.mean(axis=0)))
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    with deadline(10):
+        if command == "dataset":
+            assert read_dataset_csv(fifo).values.tolist() == [[1.0, 2.0]]
+        else:
+            assert main(["render", "--csv", str(fifo), "--svg", str(tmp_path / "t.svg")]) == 0
+    writer.join(10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("command", ["dataset", "render"])
+def test_a_file_that_stops_being_utf8_midway_fails_as_before(tmp_path, capsys, command):
+    # the stream meets the bad byte past its first block; the error is the
+    # one reading the whole text gives, with the byte's place in the file
+    path = tmp_path / "t.csv"
+    if command == "dataset":
+        path.write_bytes(b"A,B\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+    else:
+        curves = np.zeros((500, 3))
+        table = render.export_csv(engine.CurveSet("ICE", engine.Grid("x", [0.0, 1.0, 2.0]),
+                                                  curves, curves.mean(axis=0)))
+        path.write_bytes(table.encode("utf-8")[:-10] + b"\xff\n")
+    with pytest.raises(DataError) as expected:
+        cli._read_input(path, "dataset" if command == "dataset" else "curve table", DataError)
+    if command == "dataset":
+        with pytest.raises(DataError) as caught:
+            read_dataset_csv(path)
+        assert str(caught.value) == str(expected.value)
+    else:
+        assert main(["render", "--csv", str(path), "--svg", str(tmp_path / "t.svg")]) == 3
+        assert capsys.readouterr().err == f"error (data): {expected.value}\n"
+        assert not (tmp_path / "t.svg").exists()
+
+
 def test_dataset_rejects_ragged_rows(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("A,B\n1.0\n", encoding="utf-8")
@@ -462,6 +525,50 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dataset_pieces_join_to_the_whole_text(monkeypatch):
+    data, _ = sample(load_scm_spec(FIXTURES / "salary.scm"), 100, 4)
+    whole = write_dataset_csv(data)
+    monkeypatch.setattr(cli, "_PIECE_ROWS", 7)
+    pieces = list(cli._dataset_pieces(data))
+    assert len(pieces) == 1 + 15  # the header, then 100 rows in pieces of 7
+    assert "".join(pieces) == whole
+
+
+def test_simulate_writes_blocks_of_rows(tmp_path, monkeypatch):
+    # once the tables are drawn, writing them holds a block of rows at a
+    # time and never the text of a file
+    held = []
+
+    def sampled(*args):
+        tables = sample(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return tables
+
+    monkeypatch.setattr(cli, "sample", sampled)
+    out, noise = tmp_path / "d.csv", tmp_path / "n.csv"
+    argv = ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "50000", "--seed", "3",
+            "--out", str(out), "--noise-out", str(noise)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    data, drawn = sample(load_scm_spec(FIXTURES / "salary.scm"), 50000, 3)
+    assert out.read_text(encoding="utf-8") == write_dataset_csv(data)
+    assert noise.read_text(encoding="utf-8") == write_dataset_csv(drawn)
+    assert peak < out.stat().st_size / 2
+
+
+def test_a_failed_noise_write_leaves_no_dataset(tmp_path):
+    out = tmp_path / "d.csv"
+    argv = ["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "20", "--out", str(out),
+            "--noise-out", str(tmp_path / "missing" / "n.csv")]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 def test_fit_explain_render_chain(tmp_path):
@@ -1071,6 +1178,10 @@ EXIT_CASES = {
     "render-inf-mean": (
         3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nICE,0,0.5,1.5e308\n"
                                 "ICE,1,0.5,1.5e308\nICE,mean,0.5,inf\n")),
+    # readable, but its values span more than the floats can draw
+    "render-too-wide-to-draw": (
+        3, lambda t: _render(t, "plot_kind,unit,grid_value,value\nICE,0,0.5,1e308\n"
+                                "ICE,1,0.5,-1e308\nICE,mean,0.5,0\n")),
     "explain-compute-failure": (4, lambda t: _explain(t, "--var", "P", "--closed-form",
                                                       "log(P - 10)", "--features", "P")),
     "explain-mean-overflows": (
@@ -1450,6 +1561,44 @@ def test_writing_a_curve_group_holds_no_whole_file(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "P_pdp.csv").stat().st_size == size
     assert peak < size / 3
+
+
+def _ice_table(tmp_path, units):
+    curves = np.random.default_rng(0).normal(size=(units, 40))
+    ice = engine.CurveSet("ICE", engine.Grid("P", np.linspace(0.0, 1.0, 40)), curves,
+                          curves.mean(axis=0))
+    path = tmp_path / "P_ice.csv"
+    path.write_text(render.export_csv(ice), encoding="utf-8")
+    return ice, path
+
+
+def test_render_holds_no_whole_file(tmp_path):
+    # the table is parsed from the file a block of rows at a time, and the
+    # SVG written a piece at a time, as run writes it
+    ice, path = _ice_table(tmp_path, 2000)
+    svg = tmp_path / "P.svg"
+    tracemalloc.start()
+    try:
+        assert main(["render", "--csv", str(path), "--svg", str(svg), "--var", "P"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.read_text(encoding="utf-8") == render.render_curves(ice)
+    assert peak < path.stat().st_size / 3
+
+
+def test_a_render_whose_write_fails_midway_leaves_no_svg(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 10)
+
+    def full_disk_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        return _FullDisk(handle) if Path(path).suffix == ".svg" else handle
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    _, path = _ice_table(tmp_path, 3)
+    svg = tmp_path / "P.svg"
+    assert main(["render", "--csv", str(path), "--svg", str(svg), "--var", "P"]) == 2
+    assert not svg.exists()
 
 
 def test_traced_pieces_count_the_bytes_on_disk(tmp_path, monkeypatch):

@@ -123,6 +123,14 @@ def test_grid_must_increase():
         Grid("x", np.array([2.0, 1.0]))
 
 
+def test_curve_set_keeps_float64_arrays_and_makes_them_read_only():
+    curves = np.array([[1.0, 2.0], [3.0, 5.0]])
+    mean = curves.mean(axis=0)
+    curve_set = CurveSet("ICE", Grid("x", [0.0, 1.0]), curves, mean)
+    assert curve_set.curves is curves and curve_set.mean is mean
+    assert not (curves.flags.writeable or mean.flags.writeable)
+
+
 def test_relabel_shares_the_arrays():
     curves = np.array([[1.0, 2.0], [3.0, 5.0]])
     source = CurveSet("ICE", Grid("x", [0.0, 1.0]), curves, curves.mean(axis=0), {"a": "b"})

@@ -1,6 +1,7 @@
-"""A fuzzer over `cdplot run`: mutated bundled run configs end in one of
-the documented exit codes, never a traceback, and a failed run leaves no
-file behind."""
+"""Fuzzers over `cdplot run` and `cdplot render`: mutated bundled run
+configs end in one of the documented exit codes, never a traceback, and a
+failed run leaves no file behind; a mutated curve table renders or is a
+data error."""
 
 import contextlib
 import copy
@@ -12,10 +13,13 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cdplot.cli import main
+from cdplot.engine import CurveSet, Grid
+from cdplot.render import export_csv
 
 FIXTURES = Path(str(resources.files("cdplot").joinpath("fixtures")))
 
@@ -126,3 +130,51 @@ def test_mutated_run_configs_exit_with_a_documented_code(text):
         if code:
             assert err.getvalue().startswith("error ("), (code, err.getvalue(), text)
             assert _files(root) == before, (code, err.getvalue(), text)
+
+
+# A small curve table with negative values, an exponent, a zero and a
+# value that needs all 17 digits: the bytes a mutation works on.
+_CURVES = np.array([[0.5, -1.25, 2.5e-07, 3.0], [1 / 3, 0.0, -2.0, 1e5], [7.0, 8.5, -0.125, 2.0]])
+_TABLE = export_csv(CurveSet("ICE", Grid("x", [0.0, 0.5, 1.5, 4.0]), _CURVES,
+                             _CURVES.mean(axis=0))).encode("utf-8")
+_BYTES = [b"0", b"7", b"-", b".", b"e", b",", b"\n", b"\r", b" ", b'"', b"m", b"_", b"\x00",
+          b"\xff", b"\xc3"]
+
+
+@st.composite
+def _curve_tables(draw) -> bytes:
+    """The bytes of the curve table with one to four line or byte
+    mutations: a line dropped, repeated, moved or blanked, or a byte
+    replaced, inserted or deleted."""
+    data = _TABLE
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["drop", "repeat", "move", "blank", "replace", "insert",
+                                    "delete"]))
+        if how in ("drop", "repeat", "move", "blank"):
+            lines = data.split(b"\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            line = lines.pop(i) if how in ("drop", "move") else lines[i]
+            if how != "drop":
+                lines.insert(j, line if how != "blank" else b"")
+            data = b"\n".join(lines)
+        else:
+            at = draw(st.integers(0, max(len(data) - 1, 0)))
+            byte = draw(st.sampled_from(_BYTES))
+            data = data[:at] + (byte if how != "delete" else b"") + data[at + (how != "insert"):]
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_curve_tables())
+def test_mutated_curve_tables_render_or_exit_3(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        table, svg = Path(scratch) / "t.csv", Path(scratch) / "t.svg"
+        table.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["render", "--csv", str(table), "--svg", str(svg)])
+        # a table render cannot read is a data error, and it writes no SVG
+        assert code in {0, 3}, (code, err.getvalue(), data)
+        assert svg.exists() == (code == 0), (code, err.getvalue(), data)
+        if code:
+            assert err.getvalue().startswith("error (data): "), (err.getvalue(), data)

@@ -125,6 +125,29 @@ def test_design_fit_and_predict_equal_the_column_by_column_reference(table):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("cells", [1, 25, 1 << 14])
+def test_design_groups_bounded_by_cells_build_the_same_columns(monkeypatch, cells):
+    # 10 rows: groups of 1, 2 and 16 terms multiply the same factors in
+    # the same order
+    x = np.random.default_rng(3).normal(size=(10, 4))
+    exponents = _monomial_exponents(4, 3)
+    monkeypatch.setattr(predictors, "_DESIGN_CELLS", cells)
+    assert _design(x, exponents).tobytes() == _design_by_column(x, exponents).tobytes()
+
+
+def test_design_groups_shrink_with_the_rows(monkeypatch):
+    # a 5000-row fit of 120 terms multiplies 3 at a time; 500-row predicts 16
+    sizes = []
+    plan = predictors._design_plan
+    monkeypatch.setattr(predictors, "_design_plan",
+                        lambda exponents, per_group: sizes.append(per_group) or plan(exponents,
+                                                                                     per_group))
+    exponents = _monomial_exponents(14, 2)
+    for rows in (5000, 500, 0):
+        _design(np.ones((rows, 14)), exponents)
+    assert sizes == [3, 16, 16]
+
+
 def test_ols_recovers_exact_line():
     x = np.linspace(-2, 2, 40)
     data = _dataset(x=x, y=1 + 2 * x)

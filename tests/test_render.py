@@ -1,6 +1,7 @@
 """SVG rendering and the delimited curve format."""
 
 import dataclasses
+import io
 import itertools
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdplot import render
 from cdplot.engine import BandSet, CurveSet, EngineError, Grid
 from cdplot.render import (
     KIND_COLORS,
@@ -261,6 +263,122 @@ def test_import_rejects_mismatched_grids():
 def test_import_requires_both_unit_and_mean_rows():
     with pytest.raises(EngineError, match="missing"):
         import_csv("plot_kind,unit,grid_value,value\nTDP,0,0,1\n")
+
+
+_TABLE_DAMAGE = ("drop", "duplicate", "mean-mid", "kind", "word", "underscore", "pad", "blank",
+                 "space-line", "gap", "swap", "unit-form", "extra-cell", "short", "non-finite",
+                 "negative-zero", "grid", "cr", "header")
+
+
+@st.composite
+def _curve_tables(draw):
+    """The text of export_csv for a small curve set with up to three kinds
+    of damage: a dropped or duplicated row, a mean row mid-file, mixed
+    kinds, a cell float or numpy refuses or pads, blank lines, a unit gap,
+    rows out of order, a unit that int reads but export_csv never writes,
+    a row of three or five cells, and more."""
+    units, points = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    grid = sorted(draw(st.lists(values, min_size=points, max_size=points, unique=True)))
+    curves = np.array(draw(st.lists(st.lists(values, min_size=points, max_size=points),
+                                    min_size=units, max_size=units)))
+    kind = draw(st.sampled_from(("ICE", "TDP", "%", "plot_kind", "")))
+    text = export_csv(CurveSet(kind, Grid("x", grid), curves, curves.mean(axis=0)))
+    lines = text.split("\n")[:-1]
+    for damage in draw(st.lists(st.sampled_from(_TABLE_DAMAGE), max_size=3)):
+        r = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        cells = lines[r].split(",")
+        if damage == "drop":
+            del lines[r]
+        elif damage == "duplicate":
+            lines.insert(r, lines[r])
+        elif damage == "mean-mid":
+            lines.insert(r, lines.pop())
+        elif damage == "swap":
+            lines[r], lines[-1] = lines[-1], lines[r]
+        elif damage in ("blank", "space-line"):
+            lines.insert(r, "" if damage == "blank" else " \t")
+        elif damage == "cr":
+            lines[r] += "\r"
+        elif damage == "header":
+            lines[0] = draw(st.sampled_from(("kind,unit,x,y", "", lines[0] + ",")))
+        elif damage == "extra-cell":
+            lines[r] += ",1"
+        elif damage == "short":
+            lines[r] = ",".join(cells[:3])
+        elif len(cells) == 4:
+            column = draw(st.sampled_from((2, 3)))
+            if damage == "kind":
+                cells[0] = draw(st.sampled_from(("NDDP", cells[0] + " ")))
+            elif damage == "gap":
+                cells[1] = str(units + draw(st.integers(0, 2)))
+            elif damage == "unit-form":
+                cells[1] = draw(st.sampled_from(("00", "+0", " 0", "0_0", "-0", "٠")))
+            elif damage == "word":
+                cells[column] = draw(st.sampled_from(("x", "", "0x1p3", "1e", "--1")))
+            elif damage == "underscore":
+                cells[column] = "1_0"
+            elif damage == "pad":
+                cells[column] = f" {cells[column]} "
+            elif damage == "non-finite":
+                cells[column] = draw(st.sampled_from(("nan", "inf", "-inf", "1e999")))
+            elif damage == "negative-zero":
+                cells[2] = "-0.0" if cells[2] == "0" else cells[2]
+            elif damage == "grid":
+                cells[2] += "1"  # another number, unless the cell is no number
+            lines[r] = ",".join(cells)
+    end = draw(st.sampled_from(("\n", "")))
+    return "\n".join(lines) + end
+
+
+def _import_outcome(read):
+    """What a curve-table reader gives: the kind and the float bits of the
+    grid, curves and mean, or its error's type and message."""
+    try:
+        curve_set = read()
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+    return (curve_set.kind, curve_set.grid.var,
+            *(a.view(np.int64).tolist() for a in (curve_set.grid.values, curve_set.curves,
+                                                 curve_set.mean)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=_curve_tables())
+@example(text="plot_kind,unit,grid_value,value\n\nICE,0,0,1\n\nICE,mean,0,1\n\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,0,0,1\r\nICE,mean,0,1\r\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,0,0,1_0\nICE,mean,0,1_0\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,mean,0,2\nICE,1,0,3\nICE,0,0,1\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,0,0,1\nICE,mean,0,1\nICE,1,0,1\n"
+               "ICE,mean,0,1\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,0,-0.0,1\nICE,mean,0.0,1\n")
+@example(text="plot_kind,unit,grid_value,value\nICE,0,nan,1\nICE,mean,nan,1\n")
+def test_curve_import_matches_the_line_loop(text):
+    # numpy's reading of a table laid out as export_csv writes it, and the
+    # line loop's of any table, give the same curve set or the same error
+    want = _import_outcome(lambda: render._read_rows(render._split_lines(text), "v"))
+    assert _import_outcome(lambda: import_csv(text, "v")) == want
+    assert _import_outcome(lambda: render.read_csv(io.StringIO(text), "v")) == want
+
+
+def test_curve_import_parses_blocks_of_rows(monkeypatch):
+    # 7 units of 3 grid values in blocks of 2 units: the block boundaries
+    # fall between units, and the last block holds the mean
+    curves = np.arange(21.0).reshape(7, 3) / 7
+    original = _curve_set(curves=curves, grid=(0.0, 0.5, 2.0))
+    monkeypatch.setattr(render, "_BLOCK_ROWS", 6)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["max_rows"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(render.np, "loadtxt", counting)
+    rebuilt = import_csv(export_csv(original))
+    assert calls == [6, 6, 6, 6]
+    assert np.array_equal(rebuilt.curves, original.curves)
+    assert np.array_equal(rebuilt.mean, original.mean)
 
 
 def test_band_export_lists_models_then_envelopes():

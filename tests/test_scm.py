@@ -370,3 +370,11 @@ def test_dataset_rejects_bad_shapes():
         Dataset(("A", "A"), np.zeros((3, 2)))
     with pytest.raises(ScmError):
         Dataset(("A",), np.array([[np.inf]]))
+
+
+def test_dataset_keeps_a_float64_array_and_makes_it_read_only():
+    values = np.arange(6.0).reshape(3, 2)
+    data = Dataset(("A", "B"), values)
+    assert data.values is values and not values.flags.writeable
+    whole = np.arange(6).reshape(3, 2)  # another dtype is converted, and left alone
+    assert Dataset(("A", "B"), whole).values.dtype == np.float64 and whole.flags.writeable
