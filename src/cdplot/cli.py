@@ -30,7 +30,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -40,11 +40,10 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import discovery as disc
 from . import engine, render
 from .engine import PLOT_KINDS  # read by the benchmark's tracing shims
 from .errors import CdpError, ConfigError, DataError
@@ -64,14 +63,10 @@ from .predictors import (
     ClosedFormPredictor,
     _csv_rows,
 )
-from .scm import (
-    Dataset,
-    Mechanism,
-    NoiseSpec,
-    Scm,
-    build_scm,
-    sample,
-)
+from .scm import Dataset, Mechanism, NoiseSpec, Scm, build_scm, sample
+
+if TYPE_CHECKING:  # discovery is imported by the functions that discover
+    from . import discovery as disc
 
 __all__ = [
     "load_scm_spec",
@@ -593,6 +588,7 @@ def _check_request(scm, feature_sets, variables, plots, control=None, band_scms=
 def _discovery_block(block) -> disc.DiscoverySettings:
     """Discovery settings as a run config's 'discovery' object or the
     discover flags give them; a setting left out takes its default."""
+    from . import discovery as disc
     if not isinstance(block, dict):
         raise ConfigError("'discovery' must be an object")
     _known_keys("discovery", block, {f.name for f in dataclasses.fields(disc.DiscoverySettings)})
@@ -691,7 +687,12 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
 
 def _config_hash(raw: dict) -> str:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # the interpreter's own SHA-256 (3.12+, 3.10-3.11) loads no OpenSSL, as hashlib does
+    for name in ("_sha2", "_sha256", "hashlib"):
+        with contextlib.suppress(ImportError):
+            sha256 = importlib.import_module(name).sha256
+            break
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # --- predictors from config ------------------------------------------------
@@ -835,6 +836,7 @@ def _run_stages(config: RunConfig, config_label: str, outputs: _Outputs) -> dict
 
     # structure
     if config.discovery is not None:
+        from . import discovery as disc
         targets = {b.target for b in config.predictors if b.target}
         scm, inputs["discovery"] = disc.select(config.discovery, data, targets)
     else:
@@ -960,6 +962,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_discover(args) -> int:
+    from . import discovery as disc
     label_map = _label_map(_json(args.label_map, "--label-map")) if args.label_map else None
     block = _discovery_block(_given(args, "alpha", "max_cond", "variables"))
     text = disc.cpdag_to_text(disc.learn_cpdag(block, read_dataset_csv(args.data, label_map)))

@@ -24,7 +24,8 @@ each row as soon as it reads it. The timeout bounds any stall on either
 pipe. A protocol error (timeout, early exit, broken pipe, bad handshake,
 short answer, malformed line, or output beyond the answers) raises
 ExternalPredictorError, kills the child, and makes every later request
-raise too.
+raise too. The process modules it needs (subprocess, select, shlex) load
+when a child is started, so no other predictor pays for them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ import itertools
 import math
 import numbers
 import os
-import select
-import shlex
-import subprocess
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -765,6 +763,8 @@ class ExternalPredictor(Predictor):
     taken, because its iterator was dropped or its consumer raised."""
 
     def __init__(self, command: str | Sequence[str], features: Sequence[str], timeout: float = 30.0):
+        import shlex
+        import subprocess
         self.features = tuple(features)
         self.timeout = float(timeout)
         if isinstance(command, str):
@@ -856,6 +856,7 @@ class ExternalPredictor(Predictor):
         evaluates. Once every request in flight is answered the loop
         also finishes writing, so the pipe never holds half a request.
         The timeout bounds any stall on either pipe."""
+        import select
         stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         self._settle()  # a request of 0 rows has all its answer lines
         while request.answer is None or (self._to_write and not self._to_read):
@@ -932,6 +933,7 @@ class ExternalPredictor(Predictor):
         """Send QUIT and give the child 5 s to exit. A broken predictor's
         child is already dead, and a child with requests in flight would
         read QUIT as a row, so closing either does not wait."""
+        import subprocess
         if self._broken is None:
             self._broken = "it was closed"
             if not self._to_take:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import errno
+import hashlib
 import importlib
 import io
 import itertools
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -1329,6 +1331,107 @@ def test_cli_starts_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# modules a command loads only when it runs what needs them: OpenSSL's
+# libcrypto (through hashlib), the external bridge and structure discovery
+ON_DEMAND = ("_hashlib", "subprocess", "logging", "cdplot.discovery")
+
+
+def _loaded_on_demand(*args, cwd=None):
+    """The ON_DEMAND modules a fresh interpreter imports running args,
+    as -X importtime lists them."""
+    src = str(Path(cdplot.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, cwd=cwd,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    return sorted(imported.intersection(ON_DEMAND))
+
+
+def test_importing_cdplot_loads_nothing_on_demand():
+    assert _loaded_on_demand("-c", "import cdplot, cdplot.cli") == []
+
+
+def test_the_package_lists_its_exports_and_refuses_other_names():
+    assert set(cdplot.__all__) <= set(dir(cdplot))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cdplot.nope
+
+
+def test_help_loads_nothing_on_demand():
+    assert _loaded_on_demand("-m", "cdplot.cli", "--help") == []
+
+
+def test_a_run_with_a_model_spec_loads_nothing_on_demand(tmp_path):
+    run = (f"from cdplot.cli import main; "
+           f"assert main(['run', '--config', {str(FIXTURES / 'salary.json')!r}, "
+           f"'--output-dir', 'out']) == 0")
+    assert _loaded_on_demand("-c", run, cwd=tmp_path) == []
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_discovery_loads_the_discovery_module(tmp_path):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "200",
+                 "--out", str(data)]) == 0
+    assert _loaded_on_demand("-m", "cdplot.cli", "discover", "--data", str(data)) == [
+        "cdplot.discovery", "logging"]
+
+
+def test_an_external_predictor_loads_subprocess(tmp_path):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "20",
+                 "--out", str(data)]) == 0
+    command = f"{sys.executable} {FIXTURES / 'external_eval.py'} 'F - P**2'"
+    loaded = _loaded_on_demand(
+        "-m", "cdplot.cli", "explain", "--scm", str(FIXTURES / "salary.scm"), "--data",
+        str(data), "--var", "P", "--external", command, "--features", "P,F",
+        "--grid-resolution", "3", "--out-dir", str(tmp_path / "out"))
+    assert loaded == ["subprocess"]
+
+
+# configs whose canonical JSON holds non-ASCII keys and values, escaped or not
+HASHED_CONFIGS = (
+    {},
+    {"scm": "salary.scm", "variables": ["P"], "seed": 5},
+    {"label_map": {"bénin": 2, "malin": 1}, "output_dir": "résultats/été"},
+    {"variables": ["Ω", "x"], "controls": {"M": -0.0}, "nested": [[1.5e300], None, True]},
+    {"output_dir": Path("out") / "ünits", "grid_resolution": 40},  # default=str
+)
+
+
+@pytest.mark.parametrize("raw", HASHED_CONFIGS)
+def test_config_hash_is_hashlibs_sha256(raw):
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str)
+    assert cli._config_hash(raw) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_config_hash_takes_the_first_sha256_module_not_blocked(blocked, monkeypatch):
+    # each module not blocked records its use; the first computes the digest
+    used = []
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    for name in ("_sha2", "_sha256", "hashlib")[len(blocked):]:
+        sha256 = lambda data, name=name: used.append(name) or hashlib.sha256(data)
+        monkeypatch.setitem(sys.modules, name, types.SimpleNamespace(sha256=sha256))
+    raw = HASHED_CONFIGS[2]
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str)
+    assert cli._config_hash(raw) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert used == [("_sha2", "_sha256", "hashlib")[len(blocked)]]
+
+
+def test_manifest_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
+    # the digest every earlier version wrote for this config
+    _copy_fixture(tmp_path, "salary.scm")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(_write_config(tmp_path, output_dir="out"))]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == (
+        "8ddaa5da56961a4d0b1454a5da8b0e50ea79b110bc0242b930303f3809c8b457")
 
 
 # --- the run pipeline ------------------------------------------------------

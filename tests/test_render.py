@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ def test_curve_import_parses_blocks_of_rows(monkeypatch):
     assert calls == [6, 6, 6, 6]
     assert np.array_equal(rebuilt.curves, original.curves)
     assert np.array_equal(rebuilt.mean, original.mean)
+
+
+def test_line_loop_holds_a_reordered_table_as_float_arrays():
+    # mean rows first send the table to the line loop, which keeps 16
+    # bytes a row until the curve set is built; a tuple of two floats a
+    # row would peak at about 15 times the curves
+    curves = np.random.default_rng(3).normal(size=(500, 40))
+    original = _curve_set("ICE", curves, np.linspace(0.0, 1.0, 40))
+    lines = export_csv(original).split("\n")[:-1]
+    text = "\n".join([lines[0], *lines[-40:], *lines[1:-40]]) + "\n"
+    tracemalloc.start()
+    try:
+        rebuilt = import_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rebuilt.curves, curves)
+    assert np.array_equal(rebuilt.mean, original.mean)
+    assert peak < 6 * curves.nbytes
 
 
 def test_band_export_lists_models_then_envelopes():
