@@ -36,13 +36,25 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 import sys
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+# OpenBLAS's idle workers spin for 2**OPENBLAS_THREAD_TIMEOUT cycles (28, about 0.1 s of a
+# second CPU, by default) after it loads and after each threaded call; at 4, its minimum, they
+# sleep almost at once. OpenBLAS reads the value as numpy loads it, so it is set for that load
+# alone: a caller's own value, children and a process that loaded numpy itself see no change.
+_QUIET_BLAS = "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+if _QUIET_BLAS:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+try:
+    import numpy as np
+finally:
+    if _QUIET_BLAS:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from . import engine, render
 from .engine import PLOT_KINDS  # read by the benchmark's tracing shims
@@ -181,9 +193,7 @@ def _parse_var_body(body: str, lineno: int) -> Mechanism:
     if noise is None:
         raise ConfigError(f"line {lineno}: variable is missing a noise field")
     if (expression is None) != (len(parents) == 0):
-        raise ConfigError(
-            f"line {lineno}: parents and eq must be given together"
-        )
+        raise ConfigError(f"line {lineno}: parents and eq must be given together")
     try:
         return Mechanism(parents, expression, noise)
     except CdpError as exc:
@@ -202,9 +212,7 @@ def load_scm_spec(path: str | Path) -> Scm:
         if name is None:
             match = _SCM_HEADER_RE.match(line)
             if match is None:
-                raise ConfigError(
-                    f"line {lineno}: expected 'scm <name>', got {line!r}"
-                )
+                raise ConfigError(f"line {lineno}: expected 'scm <name>', got {line!r}")
             name = match.group(1)
             continue
         match = _VAR_RE.match(line)
@@ -292,9 +300,7 @@ def _parse_numbers(lines: Iterable[str]) -> Dataset | None:
     return Dataset(tuple(names), matrix)
 
 
-def _read_cells(
-    text: str, path: str | Path, label_map: Mapping[str, float] | None
-) -> Dataset:
+def _read_cells(text: str, path: str | Path, label_map: Mapping[str, float] | None) -> Dataset:
     """Read the table cell by cell with `csv.reader` and `float`: the
     reference for `_parse_numbers`, the one reader of quoted cells and
     label maps, and the source of every row-and-column DataError."""
@@ -312,9 +318,7 @@ def _read_cells(
     label_map = dict(label_map or {})
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
+            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         for c, cell in enumerate(row):
             cell = cell.strip()
             try:
@@ -328,9 +332,7 @@ def _read_cells(
                         f"cannot read {cell!r} as a number"
                     ) from None
             if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite value"
-                )
+                raise DataError(f"{path}: row {r}, column {header[c]!r}: non-finite value")
             matrix[r - 2, c] = value
     return Dataset(tuple(header), matrix)
 
@@ -698,9 +700,7 @@ def _config_hash(raw: dict) -> str:
 # --- predictors from config ------------------------------------------------
 
 
-def _block_features(
-    block: PredictorBlock, default_features: tuple[str, ...]
-) -> tuple[str, ...]:
+def _block_features(block: PredictorBlock, default_features: tuple[str, ...]) -> tuple[str, ...]:
     return block.features or tuple(f for f in default_features if f != block.target)
 
 

@@ -60,6 +60,7 @@ class ScmError(CdpError):
 
 _U64 = np.uint64
 _MASK = 0xFFFFFFFFFFFFFFFF
+_SAMPLE_ROWS = 1 << 16  # units that sample draws at a time
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -420,19 +421,21 @@ def sample(scm: Scm, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """
     if n < 1:
         raise ScmError(f"sample size must be positive, got {n}")
-    units = np.arange(n, dtype=np.uint64)
-    values: dict[str, np.ndarray] = {}
-    noise: dict[str, np.ndarray] = {}
+    # each column is computed into its place a block of rows at a time, so the draw's
+    # temporaries stay a block long; parents are read from the table's column views,
+    # and every step is elementwise, so the bits are those of whole columns
+    table = np.empty((n, len(scm.variables)))
+    drawn = np.empty_like(table)
     for var in scm.topo_order:
-        mech = scm.mechanisms[var]
-        det = _deterministic_part(scm, var, values, n)
-        raw = mech.noise.draw(seed, scm.var_index(var), units)
-        realized = det + raw
-        values[var] = realized
-        noise[var] = realized - det
-    data = Dataset(scm.variables, np.column_stack([values[v] for v in scm.variables]))
-    drawn = np.column_stack([noise[v] for v in scm.variables])
-    return data, Dataset(scm.variables, drawn)
+        j = scm.var_index(var)
+        for start in range(0, n, _SAMPLE_ROWS):
+            rows = slice(start, min(start + _SAMPLE_ROWS, n))
+            units = np.arange(rows.start, rows.stop, dtype=np.uint64)
+            parents = {p: table[rows, scm.var_index(p)] for p in scm.mechanisms[var].parents}
+            det = _deterministic_part(scm, var, parents, len(units))
+            np.add(det, scm.mechanisms[var].noise.draw(seed, j, units), out=table[rows, j])
+            np.subtract(table[rows, j], det, out=drawn[rows, j])
+    return Dataset(scm.variables, table), Dataset(scm.variables, drawn)
 
 
 def abduct(scm: Scm, data: Dataset) -> dict[str, np.ndarray]:

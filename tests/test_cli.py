@@ -1323,14 +1323,8 @@ def test_a_feature_outside_the_model_exits_before_any_fit(tmp_path, monkeypatch,
 
 
 def test_cli_starts_without_scipy():
-    src = str(Path(cdplot.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     check = "import sys, cdplot, cdplot.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    result = subprocess.run(
-        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert _fresh("-c", check).stdout == "[]\n"
 
 
 # modules a command loads only when it runs what needs them: OpenSSL's
@@ -1338,14 +1332,24 @@ def test_cli_starts_without_scipy():
 ON_DEMAND = ("_hashlib", "subprocess", "logging", "cdplot.discovery")
 
 
+def _fresh(*args, cwd=None, timeout_exponent=None):
+    """A fresh interpreter's completed run of args, with OPENBLAS_THREAD_TIMEOUT
+    set to timeout_exponent in its environment, or left out when None."""
+    src = str(Path(cdplot.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if timeout_exponent is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout_exponent
+    result = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 def _loaded_on_demand(*args, cwd=None):
     """The ON_DEMAND modules a fresh interpreter imports running args,
     as -X importtime lists them."""
-    src = str(Path(cdplot.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, cwd=cwd,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    result = _fresh("-X", "importtime", *args, cwd=cwd)
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
     return sorted(imported.intersection(ON_DEMAND))
@@ -1391,6 +1395,59 @@ def test_an_external_predictor_loads_subprocess(tmp_path):
         str(data), "--var", "P", "--external", command, "--features", "P,F",
         "--grid-resolution", "3", "--out-dir", str(tmp_path / "out"))
     assert loaded == ["subprocess"]
+
+
+# a fresh interpreter's changes to OPENBLAS_THREAD_TIMEOUT and its value as
+# numpy starts to load, then its value after `import cdplot.cli` (numpy sets
+# and removes OPENBLAS_MAIN_FREE in the same way)
+BLAS_ENV_PROBE = """
+import json, os, sys
+{before}
+events = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy":
+        events.append(["numpy", os.environ.get("OPENBLAS_THREAD_TIMEOUT")])
+    elif event in ("os.putenv", "os.unsetenv") and args[0] == b"OPENBLAS_THREAD_TIMEOUT":
+        events.append([event, *map(os.fsdecode, args)])
+sys.addaudithook(hook)
+import cdplot.cli
+events.append(["after", os.environ.get("OPENBLAS_THREAD_TIMEOUT")])
+print(json.dumps(events))
+"""
+
+
+@pytest.mark.parametrize("given, before, events", [
+    # set for numpy's load of OpenBLAS alone
+    (None, "", [["os.putenv", "OPENBLAS_THREAD_TIMEOUT", "4"], ["numpy", "4"],
+                ["os.unsetenv", "OPENBLAS_THREAD_TIMEOUT"], ["after", None]]),
+    ("30", "", [["numpy", "30"], ["after", "30"]]),  # the caller's own value
+    (None, "import numpy", [["after", None]]),  # numpy loaded before: nothing to do
+])
+def test_the_blas_spin_setting_lasts_for_numpys_load_alone(given, before, events):
+    probe = _fresh("-c", BLAS_ENV_PROBE.format(before=before), timeout_exponent=given)
+    assert json.loads(probe.stdout) == events
+
+
+# an expression for external_eval.py: 1 where the child's environment holds
+# OPENBLAS_THREAD_TIMEOUT, else 0; it reaches os.environ through a class of
+# the os module, as the child evaluates it without builtins
+ENV_EXPRESSION = ("P * 0 + ('OPENBLAS_THREAD_TIMEOUT' in [c for c in ().__class__.__base__"
+                  ".__subclasses__() if c.__name__ == '_wrap_close'][0].__init__.__globals__"
+                  "['environ'])")
+
+
+@pytest.mark.parametrize("given, seen", [(None, 0.0), ("30", 1.0)])
+def test_an_external_child_sees_the_callers_environment(tmp_path, given, seen):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "5",
+                 "--out", str(data)]) == 0
+    command = f"{sys.executable} {FIXTURES / 'external_eval.py'} \"{ENV_EXPRESSION}\""
+    _fresh("-m", "cdplot.cli", "explain", "--scm", str(FIXTURES / "salary.scm"), "--data",
+           str(data), "--var", "P", "--external", command, "--features", "P,F",
+           "--grid-resolution", "3", "--out-dir", str(tmp_path / "out"),
+           timeout_exponent=given)
+    curves = import_csv((tmp_path / "out" / "P_tdp.csv").read_text(encoding="utf-8"), "P")
+    assert np.all(curves.curves == seen) and np.all(curves.mean == seen)
 
 
 # configs whose canonical JSON holds non-ASCII keys and values, escaped or not

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cdplot import scm as scm_module
 from cdplot.cli import load_scm_spec
-from cdplot.expr import parse
+from cdplot.expr import evaluate_batch, parse
 from cdplot.scm import (
     Dataset,
     Mechanism,
@@ -111,6 +112,58 @@ def test_same_seed_same_tables():
     b, nb = sample(salary_scm(), 200, seed=9)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(na.values, nb.values)
+
+
+def _sample_by_columns(scm, n, seed):
+    """The reference form of sample: each column drawn into a dict of its
+    own, the tables stacked at the end."""
+    units = np.arange(n, dtype=np.uint64)
+    values, noise = {}, {}
+    for var in scm.topo_order:
+        mech = scm.mechanisms[var]
+        det = 0.0 if mech.expression is None else evaluate_batch(
+            mech.expression, {p: values[p] for p in mech.parents}, n)
+        values[var] = det + mech.noise.draw(seed, scm.var_index(var), units)
+        noise[var] = values[var] - det
+    return [np.column_stack([table[v] for v in scm.variables]) for table in (values, noise)]
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1000, 7])
+def test_sample_fills_each_table_in_place_with_the_same_bits(monkeypatch, block):
+    # parents read from strided views of the table, a block of rows at a
+    # time and with a ragged last block, give the bits of whole contiguous
+    # columns, through every function an equation may call
+    monkeypatch.setattr(scm_module, "_SAMPLE_ROWS", block)
+    scm = build_scm("calls", {
+        "A": Mechanism((), None, NoiseSpec.uniform(0.5, 2.0)),
+        "B": Mechanism(("A",), parse("exp(A) - log(A) + sqrt(A)"), NoiseSpec.normal(0.0, 0.3)),
+        "C": Mechanism(("A", "B"), parse("sin(B)*cos(A) + abs(B)^1.5 - A^3 / B"),
+                       NoiseSpec.point(0.25)),
+        "D": Mechanism(("C",), parse("pow(abs(C), 0.7) + 2^C"), NoiseSpec.normal(1.0, 2.0)),
+    })
+    data, drawn = sample(scm, 5001, seed=4)
+    values, noise = _sample_by_columns(scm, 5001, 4)
+    assert data.values.tobytes() == values.tobytes()
+    assert drawn.values.tobytes() == noise.tobytes()
+
+
+def test_sample_holds_its_two_tables_and_a_block_of_rows(monkeypatch):
+    # 18 variables, 16,000 units in blocks of 1,000: the two tables it
+    # returns and the draw's temporaries, under 3 columns' worth; whole
+    # columns held about 10 columns beside the tables, and a column per
+    # variable in dicts beside the stacked tables came to twice the tables
+    monkeypatch.setattr(scm_module, "_SAMPLE_ROWS", 1000)
+    chain = Path(__file__).resolve().parents[1] / "perfbench" / "chain.scm"
+    scm = load_scm_spec(chain)
+    tracemalloc.start()
+    try:
+        data, drawn = sample(scm, 16_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = data.values.nbytes + drawn.values.nbytes
+    column = data.values.nbytes / len(scm.variables)
+    assert peak <= tables + 4 * column, (peak, tables, column)
 
 
 def test_different_seeds_differ():
