@@ -52,7 +52,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import CdpError
-from .predictors import Predictor
+from .predictors import Predictor, _sorted_unique
 from .scm import Dataset, Scm, abduct, counterfactual_table
 
 __all__ = [
@@ -185,7 +185,7 @@ def make_grid(data: Dataset, var: str, resolution: int = GRID_RESOLUTION_DEFAULT
     if resolution < 2:
         raise EngineError(f"resolution must be at least 2, got {resolution}")
     column = data.column(var)
-    distinct = np.unique(column)
+    distinct = _sorted_unique(column)
     if len(distinct) <= ORDINAL_CUTOFF:
         return Grid(var, distinct)
     lo, hi = float(distinct[0]), float(distinct[-1])

@@ -35,6 +35,7 @@ import itertools
 import math
 import numbers
 import os
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -85,6 +86,39 @@ def _csv_rows(x: np.ndarray) -> str:
     written through here."""
     n, k = x.shape
     return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(x.ravel().tolist())
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for an array without NaN, without importing
+    numpy.ma, which np.unique does to test for a masked array. For
+    float64 np.unique also sorts and keeps each value that differs from
+    its left neighbour, so the result is the same array bit for bit,
+    down to which of -0.0 and 0.0 it keeps; for integers the values are
+    equal."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _numpy_random():
+    """numpy.random, imported without OpenSSL's libcrypto when neither
+    it nor hashlib's OpenSSL module is loaded yet. numpy.random imports
+    secrets -> hmac -> hashlib, and each takes its builtin fallback
+    while _hashlib is blocked; the block and the hashlib and hmac it
+    leaves behind are then dropped from sys.modules, so a later
+    `import hashlib` in the process gets OpenSSL as usual."""
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return np.random
+    added = [name for name in ("_hashlib", "hashlib", "hmac") if name not in sys.modules]
+    sys.modules["_hashlib"] = None
+    try:
+        import numpy.random
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+    return numpy.random
 
 
 class Predictor:
@@ -518,7 +552,8 @@ class ForestPredictor(Predictor):
     space into cells, and every row in a cell reaches the same leaf. A
     value's cell along a feature is the number of thresholds below it,
     so a value equal to a threshold goes left, as in the walk. The
-    constructor then also builds cell tables: one sorted list of every
+    first predict call then builds cell tables (so `cdplot fit`, which
+    only saves the trees, builds none): one sorted list of every
     tree's thresholds per feature, a (trees x global cells) map per
     feature to each tree's own cell times its stride, and one flat
     table of each tree's leaf value per cell, filled by the rounds at
@@ -562,12 +597,12 @@ class ForestPredictor(Predictor):
         self._depth = 0
         frontier = offsets[~leaf[offsets]]
         while frontier.size:
-            frontier = np.unique(kids[2 * frontier[:, None] + [0, 1]])
+            frontier = _sorted_unique(kids[2 * frontier[:, None] + [0, 1]])
             frontier = frontier[~leaf[frontier]]
             self._depth += 1
-        self._cells = self._cell_tables()
 
-    def _cell_tables(self) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray] | None:
+    @functools.cached_property
+    def _cells(self) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray] | None:
         """The cell tables, or None if no tree splits or the tables would
         pass _FOREST_CELLS entries: for each feature some tree splits on,
         (its index, the sorted distinct thresholds of all trees, the
@@ -579,9 +614,9 @@ class ForestPredictor(Predictor):
         for tree in self.trees:
             own.append({})
             cells = 1
-            for j in np.unique(tree["feature"][tree["feature"] >= 0]).tolist():
+            for j in _sorted_unique(tree["feature"][tree["feature"] >= 0]).tolist():
                 # unique keeps one of -0.0 and 0.0, which x > t does not tell apart
-                own[-1][j] = np.unique(tree["threshold"][tree["feature"] == j])
+                own[-1][j] = _sorted_unique(tree["threshold"][tree["feature"] == j])
                 cells *= len(own[-1][j]) + 1
                 if total + cells > _FOREST_CELLS:
                     return None
@@ -589,7 +624,7 @@ class ForestPredictor(Predictor):
         features = sorted(set().union(*own))
         if not features:
             return None
-        bounds = [np.unique(np.concatenate([o[j] for o in own if j in o])) for j in features]
+        bounds = [_sorted_unique(np.concatenate([o[j] for o in own if j in o])) for j in features]
         if total + len(self.trees) * sum(len(b) + 1 for b in bounds) > _FOREST_CELLS:
             return None
         maps = [np.empty((len(self.trees), len(b) + 1), dtype=np.int64) for b in bounds]
@@ -706,9 +741,10 @@ def fit_forest(
     mtry = min(config.features_per_split or math.ceil(k / 3), k)
     sizes = np.arange(n + 1, dtype=np.float64)
     trees = []
+    numpy_random = _numpy_random()
     for t in range(config.n_trees):
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
-        rng = np.random.Generator(np.random.PCG64(seq))
+        seq = numpy_random.SeedSequence(entropy=config.seed, spawn_key=(t,))
+        rng = numpy_random.Generator(numpy_random.PCG64(seq))
         idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         # nodes at depth below max_depth draw: at most 255 of them for depth 8
         draws = _feature_draws(rng, k, mtry, 2 ** min(config.max_depth, 8) - 1)

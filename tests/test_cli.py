@@ -1328,8 +1328,9 @@ def test_cli_starts_without_scipy():
 
 
 # modules a command loads only when it runs what needs them: OpenSSL's
-# libcrypto (through hashlib), the external bridge and structure discovery
-ON_DEMAND = ("_hashlib", "subprocess", "logging", "cdplot.discovery")
+# libcrypto (through hashlib), the external bridge and structure discovery;
+# and numpy.ma, which np.unique imports and no command needs
+ON_DEMAND = ("_hashlib", "subprocess", "logging", "cdplot.discovery", "numpy.ma")
 
 
 def _fresh(*args, cwd=None, timeout_exponent=None):
@@ -1395,6 +1396,48 @@ def test_an_external_predictor_loads_subprocess(tmp_path):
         str(data), "--var", "P", "--external", command, "--features", "P,F",
         "--grid-resolution", "3", "--out-dir", str(tmp_path / "out"))
     assert loaded == ["subprocess"]
+
+
+# a fresh interpreter that fits a forest through main(argv) and then prints
+# the ON_DEMAND modules left loaded; -X importtime would also list the
+# import of _hashlib that the load of numpy.random refuses
+FOREST_FIT_PROBE = """
+import sys
+{before}
+from cdplot.cli import main
+assert main({argv!r}) == 0
+print(sorted(set({on_demand!r}).intersection(sys.modules)))
+{after}
+"""
+
+
+def _forest_fit_probe(tmp_path, before="", after=""):
+    """What FOREST_FIT_PROBE prints after main's report, with before and
+    after around a 3-tree fit on 200 salary rows."""
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scm", str(FIXTURES / "salary.scm"), "--n", "200",
+                 "--out", str(data)]) == 0
+    argv = ["fit", "--data", str(data), "--target", "S", "--kind", "forest", "--trees", "3",
+            "--out", str(tmp_path / "forest.json")]
+    probe = FOREST_FIT_PROBE.format(before=before, argv=argv, on_demand=ON_DEMAND, after=after)
+    return _fresh("-c", probe).stdout.splitlines()[1:]
+
+
+def test_a_forest_fit_loads_neither_openssl_nor_numpy_ma(tmp_path):
+    assert _forest_fit_probe(tmp_path) == ["[]"]
+
+
+def test_hashlib_imported_after_a_forest_fit_has_openssl(tmp_path):
+    after = "import hashlib; print(hashlib.sha256.__name__, '_hashlib' in sys.modules)"
+    assert _forest_fit_probe(tmp_path, after=after) == ["[]", "openssl_sha256 True"]
+
+
+def test_a_forest_fit_keeps_the_hashlib_a_process_loaded_first(tmp_path):
+    names = ("_hashlib", "hashlib", "hmac")
+    before = f"import hashlib, hmac; loaded = [sys.modules[m] for m in {names!r}]"
+    after = f"print([sys.modules[m] is k for m, k in zip({names!r}, loaded)])"
+    assert _forest_fit_probe(tmp_path, before=before, after=after) == [
+        "['_hashlib']", "[True, True, True]"]
 
 
 # a fresh interpreter's changes to OPENBLAS_THREAD_TIMEOUT and its value as

@@ -451,7 +451,7 @@ def _both_paths(model):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(predictors, "_FOREST_CELLS", 0)
         rounds = load_predictor(save_predictor(model))
-    assert rounds._cells is None
+        assert rounds._cells is None  # the first read builds, under the patch
     return model, rounds
 
 
@@ -580,6 +580,25 @@ def test_packed_forest_matches_the_per_tree_walk_across_row_blocks(n_trees):
             expected = _forest_by_tree(model, rows).view(np.int64)
             assert np.array_equal(path.predict(rows).view(np.int64), expected)
         assert path.predict(np.empty((0, 2))).shape == (0,)
+
+
+# equal values whose bits differ (-0.0 and 0.0) and a few repeats: which
+# of an equal pair np.unique keeps is decided by the sort
+_UNIQUE_POOL = (-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.5, -1.5, 1e300)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_UNIQUE_POOL), max_size=600).map(np.array),
+    st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=600)
+    .map(lambda v: np.array(v, dtype=np.int64)),
+), st.booleans())
+def test_sorted_unique_is_np_unique(values, paired):
+    if paired and len(values) % 2 == 0:
+        values = values.reshape(-1, 2)  # the forest's frontier passes pairs of children
+    got, expected = predictors._sorted_unique(values), np.unique(values)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _best_split_by_reference(x, y, idx, feature, min_leaf):
